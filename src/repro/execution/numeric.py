@@ -17,6 +17,13 @@ Device buffers are numpy fp32 arrays, still accounted against the simulated
 device capacity through :class:`~repro.sim.memory.DeviceAllocator`, so
 numeric runs exercise the same out-of-memory paths as simulated ones (with
 a scaled-down :class:`~repro.hw.specs.GpuSpec` for tests).
+
+Next to its ``"data"`` each buffer keeps ``"rounded"``, the
+:class:`~repro.tc.gemm.RoundedCopies` of its GEMM-input roundings: a
+resident operand is rounded once per residence, not once per GEMM. Every
+op body that writes a buffer invalidates the copies overlapping the rect
+it wrote, and ``free`` drops them with the data. The copies are host-side
+emulation state, not device memory, so the allocator never sees them.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from repro.sim.scheduler import (
     panel_name,
 )
 from repro.sim.trace import Trace
-from repro.tc.gemm import tc_gemm
+from repro.tc.gemm import CacheSlot, RoundedCopies, tc_gemm
 from repro.util.units import gemm_flops
 
 
@@ -247,6 +254,7 @@ class NumericExecutor(Executor):
         # sizing models the paper's fp32 matrices, math runs in fp32 with
         # fp16 rounding applied inside GEMMs.
         buf.payload["data"] = np.zeros((rows, cols), dtype=np.float32)
+        buf.payload["rounded"] = RoundedCopies()
         buf.payload["allocation"] = allocation
         return buf
 
@@ -255,6 +263,7 @@ class NumericExecutor(Executor):
             raise ExecutionError(f"double free of device buffer {buf.name!r}")
         self.allocator.free(buf.payload["allocation"])
         buf.payload.pop("data", None)
+        buf.payload.pop("rounded", None)
         buf.freed = True
 
     # -- streams -----------------------------------------------------------------
@@ -294,6 +303,22 @@ class NumericExecutor(Executor):
             )
         return data[view.row0 : view.row1, view.col0 : view.col1]
 
+    @staticmethod
+    def _slot(view: DeviceView) -> CacheSlot | None:
+        """Where ``tc_gemm`` keeps the rounded copy of a GEMM input view."""
+        copies = view.buffer.payload.get("rounded")
+        if copies is None:
+            return None
+        return copies, (view.row0, view.row1, view.col0, view.col1)
+
+    @staticmethod
+    def _written(view: DeviceView) -> None:
+        """Invalidate the rounded copies overlapping a rect an op body
+        writes (op bodies call this; see the module docstring)."""
+        copies = view.buffer.payload.get("rounded")
+        if copies is not None:
+            copies.invalidate((view.row0, view.row1, view.col0, view.col1))
+
     def _check_live(self, *views: DeviceView) -> None:
         """Fail fast (on the issuing thread) when an operand is dead."""
         for view in views:
@@ -310,6 +335,7 @@ class NumericExecutor(Executor):
 
         def body() -> None:
             data = self._data(dst)
+            self._written(dst)
             np.copyto(data, src.array)
             if self.health.enabled:
                 self.health.check_h2d(data, op_name)
@@ -361,6 +387,7 @@ class NumericExecutor(Executor):
         self.stats.d2d_bytes += nbytes
 
         def body() -> None:
+            self._written(dst)
             np.copyto(self._data(dst), self._data(src))
 
         self._issue(
@@ -422,6 +449,8 @@ class NumericExecutor(Executor):
                 input_format=fmt,
                 out=c_data,
                 quant_stats=health.quant_stats,
+                a_slot=self._slot(a),
+                b_slot=self._slot(b),
             )
             if health.enabled:
 
@@ -442,6 +471,9 @@ class NumericExecutor(Executor):
                     c_data, op_name,
                     retry_fp32 if (beta == 0.0 or c_prev is not None) else None,
                 )
+            # after the write: C may alias an input (multi-GPU TSQR updates
+            # a slab in place), whose copy was just stored
+            self._written(c)
 
         self._issue(
             stream,
@@ -479,6 +511,8 @@ class NumericExecutor(Executor):
 
         def body() -> None:
             a_data = self._data(panel)
+            self._written(panel)
+            self._written(r_out)
             # Keep the pre-factorization panel for the sentinel: breakdown
             # probes compare diag(R) against original column norms, and
             # the TSQR escalation rung refactorizes from it.
@@ -551,6 +585,7 @@ class NumericExecutor(Executor):
 
         def body() -> None:
             b_data = self._data(b)
+            self._written(b)
             solved = scipy.linalg.solve_triangular(
                 self._data(a_tri),
                 b_data,
@@ -600,6 +635,8 @@ class NumericExecutor(Executor):
 
         def body() -> None:
             a_data = self._data(panel)
+            self._written(panel)
+            self._written(u_out)
             packed = incore_lu_nopivot(a_data, input_format=self._input_format)
             if self.health.enabled:
                 self.health.check_output(packed, op_name)
@@ -642,6 +679,7 @@ class NumericExecutor(Executor):
 
         def body() -> None:
             data = self._data(panel)
+            self._written(panel)
             try:
                 chol = np.linalg.cholesky(data[:b].astype(np.float64))
             except np.linalg.LinAlgError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ShapeError, ValidationError
 from repro.qr.cgs import _check_input, cgs2_qr, cgs_qr
-from repro.tc.gemm import tc_gemm
+from repro.tc.gemm import CacheSlot, RoundedCopies, tc_gemm
 from repro.util.validation import positive_int
 
 #: Column width below which recursion bottoms out in vector-wise CGS.
@@ -82,8 +82,9 @@ def _recurse(
     _recurse(q, r, col0, mid, leaf, input_format, reorthogonalize)
     q1 = q[:, col0:mid]
     a2 = q[:, mid:col1]
+    q1_slot = _q1_slot(q1)
     # inner product: R12 = Q1ᵀ A2
-    r12 = tc_gemm(q1, a2, trans_a=True, input_format=input_format)
+    r12 = tc_gemm(q1, a2, trans_a=True, input_format=input_format, a_slot=q1_slot)
     r[col0:mid, mid:col1] = r12
     # outer product: A2 ← A2 − Q1 R12
     tc_gemm(
@@ -94,9 +95,16 @@ def _recurse(
         c=a2,
         input_format=input_format,
         out=a2,
+        a_slot=q1_slot,
     )
     # right half
     _recurse(q, r, mid, col1, leaf, input_format, reorthogonalize)
+
+
+def _q1_slot(q1: np.ndarray) -> CacheSlot:
+    """A rounding-cache slot for *q1*: its inner- and outer-product GEMMs
+    round it once between them (Q1 does not change in between)."""
+    return RoundedCopies(), (0, q1.shape[0], 0, q1.shape[1])
 
 
 def incore_blocked_qr(
@@ -125,7 +133,10 @@ def incore_blocked_qr(
         if col1 < n:
             q1 = q[:, col0:col1]
             rest = q[:, col1:]
-            r12 = tc_gemm(q1, rest, trans_a=True, input_format=input_format)
+            q1_slot = _q1_slot(q1)
+            r12 = tc_gemm(
+                q1, rest, trans_a=True, input_format=input_format, a_slot=q1_slot
+            )
             r[col0:col1, col1:] = r12
             tc_gemm(
                 q1,
@@ -135,5 +146,6 @@ def incore_blocked_qr(
                 c=rest,
                 input_format=input_format,
                 out=rest,
+                a_slot=q1_slot,
             )
     return q, r

@@ -9,8 +9,9 @@ backend decides *what* running means.
   ``materialize=True``. Allocator pseudo-tasks replay the build-time
   alloc/free sequence on the backend's own
   :class:`~repro.sim.memory.DeviceAllocator` (the ``alloc`` task creates
-  the payload array lazily, ``free`` drops it), so execution-time peak
-  memory is exactly the build-time — and hence the legacy — peak.
+  the payload array and its rounded-copy cache lazily, ``free`` drops
+  both), so execution-time peak memory is exactly the build-time — and
+  hence the legacy — peak.
 * :class:`SimGraphBackend` — translates the whole graph onto the
   discrete-event :class:`~repro.sim.simulator.GpuSimulator`, one stream
   per engine class with the derived dataflow edges as cross-stream
@@ -33,6 +34,7 @@ from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, SimOp
 from repro.sim.simulator import GpuSimulator
 from repro.sim.trace import Trace
+from repro.tc.gemm import RoundedCopies
 
 
 class NumericGraphBackend:
@@ -77,6 +79,7 @@ class NumericGraphBackend:
             buf.payload["data"] = np.zeros(
                 (buf.rows, buf.cols), dtype=np.float32
             )
+            buf.payload["rounded"] = RoundedCopies()
             if self.obs.enabled:
                 self.obs.event(
                     f"alloc {buf.name}", cat="mem", lane="mem",
@@ -89,6 +92,7 @@ class NumericGraphBackend:
             assert buf is not None
             self.allocator.free(buf.payload.pop("exec-allocation"))
             buf.payload.pop("data", None)
+            buf.payload.pop("rounded", None)
             buf.freed = True
             if self.obs.enabled:
                 self.obs.event(

@@ -4,14 +4,111 @@
 rounded through the accelerator's input format and the product accumulated
 in fp32 — the same contract as cublasGemmEx with CUDA_R_16F inputs and
 CUDA_R_32F accumulation that the paper's implementation uses.
+
+Input rounding happens once per operand *residence*, not once per use: a
+caller that keeps an operand stored (a device buffer) hands ``tc_gemm`` a
+:class:`RoundedCopies` slot, and a later GEMM reading the same rect, or a
+rect inside it, slices the rounded copy instead of rounding again. Whoever
+writes the stored array must call :meth:`RoundedCopies.invalidate`.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.tc.precision import QuantStats, round_to
+from repro.util.regions import rects_overlap
+
+#: ``(row0, row1, col0, col1)``, half-open, in the stored array's indices.
+Rect = tuple[int, int, int, int]
+
+
+def _contains(outer: Rect, inner: Rect) -> bool:
+    return (
+        outer[0] <= inner[0] and inner[1] <= outer[1]
+        and outer[2] <= inner[2] and inner[3] <= outer[3]
+    )
+
+
+class RoundedCopies:
+    """Rounded copies of one stored fp32 array, keyed by format and rect.
+
+    Lookups take no lock: stores and invalidations replace the entry list
+    under a lock instead of mutating it, so a reader always iterates a
+    consistent snapshot. Freshness rests on the callers' ordering: no op
+    reads a rect while another op writes an overlapping one, and a writer
+    invalidates inside its own body, so every copy a reader finds was
+    rounded from the current data.
+    """
+
+    __slots__ = ("_entries", "_lock")
+
+    def __init__(self):
+        self._entries: list[tuple[str, Rect, np.ndarray]] = []
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, fmt: str, rect: Rect) -> np.ndarray | None:
+        """The *fmt* rounding of *rect*, sliced from a stored copy of a
+        rect containing it, or None."""
+        for efmt, erect, rounded in self._entries:
+            if efmt == fmt and _contains(erect, rect):
+                return rounded[
+                    rect[0] - erect[0] : rect[1] - erect[0],
+                    rect[2] - erect[2] : rect[3] - erect[2],
+                ]
+        return None
+
+    def store(self, fmt: str, rect: Rect, rounded: np.ndarray) -> None:
+        """Keep *rounded* as the *fmt* copy of *rect*, dropping the copies
+        of rects it contains."""
+        with self._lock:
+            self._entries = [
+                entry for entry in self._entries
+                if not (entry[0] == fmt and _contains(rect, entry[1]))
+            ] + [(fmt, rect, rounded)]
+
+    def invalidate(self, rect: Rect) -> None:
+        """Drop every copy overlapping *rect*, whose data is being written."""
+        rows, cols = (rect[0], rect[1]), (rect[2], rect[3])
+        with self._lock:
+            if self._entries:
+                self._entries = [
+                    entry for entry in self._entries
+                    if not rects_overlap(
+                        (entry[1][0], entry[1][1]), (entry[1][2], entry[1][3]),
+                        rows, cols,
+                    )
+                ]
+
+
+#: A stored operand's copies and the rect the GEMM reads from them.
+CacheSlot = tuple[RoundedCopies, Rect]
+
+
+def _round_operand(
+    x: np.ndarray,
+    trans: bool,
+    fmt: str,
+    stats: QuantStats | None,
+    slot: CacheSlot | None,
+) -> np.ndarray:
+    """Round ``op(x)``; a stored operand with a slot is rounded as stored,
+    at most once, then transposed. The fp16 rounding keeps its input's
+    memory layout, so both give the same array, in the same layout."""
+    if slot is None or fmt == "fp32":
+        return round_to(x.T if trans else x, fmt, stats)
+    copies, rect = slot
+    rounded = copies.lookup(fmt, rect)
+    if rounded is None:
+        rounded = round_to(x, fmt, stats)
+        copies.store(fmt, rect, rounded)
+    return rounded.T if trans else rounded
 
 
 def tc_gemm(
@@ -26,6 +123,8 @@ def tc_gemm(
     input_format: str = "fp16",
     out: np.ndarray | None = None,
     quant_stats: QuantStats | None = None,
+    a_slot: CacheSlot | None = None,
+    b_slot: CacheSlot | None = None,
 ) -> np.ndarray:
     """Emulated TensorCore GEMM.
 
@@ -49,6 +148,11 @@ def tc_gemm(
     quant_stats
         Optional :class:`~repro.tc.precision.QuantStats` accumulating the
         input-rounding overflow/underflow counts (health sentinel probes).
+        A cached rounding is counted once, when it is made.
+    a_slot, b_slot
+        Optional :data:`CacheSlot` for ``a`` / ``b`` as stored (before
+        ``trans_*``): the operand is rounded at most once per format while
+        its copies stay valid. The split formats and ``fp32`` ignore it.
 
     Returns
     -------
@@ -70,8 +174,9 @@ def tc_gemm(
             out=out,
             quant_stats=quant_stats,
         )
-    a_op = np.asarray(a).T if trans_a else np.asarray(a)
-    b_op = np.asarray(b).T if trans_b else np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
+    a_op = a.T if trans_a else a
+    b_op = b.T if trans_b else b
     if a_op.ndim != 2 or b_op.ndim != 2:
         raise ShapeError(
             f"tc_gemm operands must be 2-D, got {a_op.ndim}-D and {b_op.ndim}-D"
@@ -83,8 +188,8 @@ def tc_gemm(
         )
     m, n = a_op.shape[0], b_op.shape[1]
 
-    a_r = round_to(a_op, input_format, quant_stats)
-    b_r = round_to(b_op, input_format, quant_stats)
+    a_r = _round_operand(a, trans_a, input_format, quant_stats, a_slot)
+    b_r = _round_operand(b, trans_b, input_format, quant_stats, b_slot)
     # fp32 matmul of the rounded inputs = fp16-in / fp32-accumulate MMA.
     prod = a_r @ b_r
     if alpha != 1.0:

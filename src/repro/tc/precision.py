@@ -56,6 +56,17 @@ class QuantStats:
         self.underflow += int(np.count_nonzero((after == 0.0) & (before != 0.0)))
 
 
+#: Largest finite fp16 value. From it up, values can round to inf, so
+#: :func:`round_fp16` casts any array that reaches it.
+FP16_MAX = 65504.0
+
+_EXPONENT = np.uint32(0x7F800000)
+_SIGN = np.uint32(0x80000000)
+_QUIET_NAN = np.uint32(0x00400000)
+_FP16_MIN_NORMAL = np.float32(2.0**-14)
+_SHIFTER_SCALE = np.float32(1.5 * 2.0**13)
+
+
 def round_fp16(a: np.ndarray, stats: QuantStats | None = None) -> np.ndarray:
     """Round *a* through IEEE fp16 and return it as fp32.
 
@@ -63,18 +74,60 @@ def round_fp16(a: np.ndarray, stats: QuantStats | None = None) -> np.ndarray:
     conversion would — callers that need safety must pre-scale (the paper's
     in-core QR [24] scales columns for the same reason). Pass *stats* to
     count the overflow/underflow casualties.
+
+    The result is bitwise what ``a.astype(float16).astype(float32)``
+    returns, in the same memory layout. An array whose values all lie
+    strictly inside the fp16 range takes :func:`_fp16_shifter`, which uses
+    only fp32 and integer arithmetic and is faster than numpy's
+    half-precision cast; an array holding NaN, +/-inf or a magnitude of at
+    least :data:`FP16_MAX` takes the cast.
     """
     a32 = np.asarray(a, dtype=np.float32)
-    with np.errstate(over="ignore"):
-        out = a32.astype(np.float16).astype(np.float32)
+    if a32.size and -FP16_MAX < a32.min() and a32.max() < FP16_MAX:
+        out = _fp16_shifter(a32)
+    else:
+        with np.errstate(over="ignore"):
+            out = a32.astype(np.float16).astype(np.float32)
     if stats is not None:
         stats.count(a32, out)
     return out
 
 
+def _fp16_shifter(a32: np.ndarray) -> np.ndarray:
+    """fp16 round-to-nearest-even in fp32 arithmetic, for finite
+    ``|a| < 65504``.
+
+    For ``|a|`` in ``[2^k, 2^(k+1))`` with ``k >= -14`` the shifter
+    ``c = 1.5 * 2^(k+13)`` puts ``a + c`` in the binade ``[2^(k+13),
+    2^(k+14))`` for either sign of *a*, where the fp32 ulp is ``2^(k-10)``:
+    the fp16 ulp of *a*. The fp32 addition therefore rounds *a* to fp16
+    precision, ties to even because ``c`` is an even multiple of that ulp,
+    and subtracting ``c`` again is exact. Below the fp16 normal range the
+    shifter stays at ``1.5 * 2^-1``, whose ulp ``2^-24`` is the fp16
+    subnormal spacing. A result of zero comes out as ``+0``; or-ing in the
+    input's sign bit gives ``-0`` for negative inputs, as the cast does.
+    """
+    bits = a32.view(np.uint32)
+    work = np.empty_like(bits)
+    np.bitwise_and(bits, _EXPONENT, out=work)
+    shifter = work.view(np.float32)  # 2^k, or 0 below the fp32 normals
+    np.maximum(shifter, _FP16_MIN_NORMAL, out=shifter)
+    shifter *= _SHIFTER_SCALE
+    out = np.empty_like(a32)
+    np.add(a32, shifter, out=out)
+    out -= shifter
+    np.bitwise_and(bits, _SIGN, out=work)
+    out_bits = out.view(np.uint32)
+    out_bits |= work
+    return out
+
+
 def _truncate_mantissa(a: np.ndarray, keep_bits: int) -> np.ndarray:
     """Round an fp32 array to *keep_bits* explicit mantissa bits
-    (round-to-nearest-even via the integer representation)."""
+    (round-to-nearest-even via the integer representation).
+
+    NaNs stay NaN: their payload is truncated with the quiet bit set, so a
+    payload held only in the dropped low bits cannot turn into +/-inf."""
     a32 = np.ascontiguousarray(a, dtype=np.float32)
     bits = a32.view(np.uint32)
     drop = 23 - keep_bits
@@ -82,7 +135,11 @@ def _truncate_mantissa(a: np.ndarray, keep_bits: int) -> np.ndarray:
     lsb = np.uint32(1) << np.uint32(drop)
     bias = (lsb >> np.uint32(1)) - np.uint32(1)
     odd = (bits >> np.uint32(drop)) & np.uint32(1)
-    rounded = (bits + bias + odd) & ~np.uint32(lsb - np.uint32(1))
+    keep = ~np.uint32(lsb - np.uint32(1))
+    rounded = (bits + bias + odd) & keep
+    nan = np.isnan(a32)
+    if nan.any():
+        rounded[nan] = (bits[nan] | _QUIET_NAN) & keep
     return rounded.view(np.float32).copy()
 
 
