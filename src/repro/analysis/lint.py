@@ -52,7 +52,10 @@ ordinary linters cannot express:
     Lower layers may not import up: ``dist/`` sits below the serving
     layer (``repro.serve`` *places jobs onto* device pools, not the
     other way around), so any ``import repro.serve`` under ``dist/``
-    inverts the dependency and is a finding. The forbidden-edge map
+    inverts the dependency and is a finding. Likewise ``qr/``,
+    ``factor/`` and ``ooc/`` may not import the concrete executors or
+    ``repro.runtime``: executor choice lives in :mod:`repro.execution.run`
+    alone. The forbidden-edge map
     (:data:`_LAYERING_FORBIDDEN`) is the place to add further edges as
     layers accrete.
 
@@ -130,6 +133,15 @@ _SCHEDULER_DIRS = ("execution", "sim", "analysis")
 _HALF_DTYPE_NAMES = {"float16", "bfloat16", "half"}
 _HALF_DTYPE_STRINGS = _HALF_DTYPE_NAMES | {"e", "f2", "<f2", ">f2", "=f2"}
 
+#: Modules that choose an executor: only :mod:`repro.execution.run`
+#: constructs one for the public entry points.
+_EXECUTOR_CHOICE = (
+    "repro.execution.numeric",
+    "repro.execution.concurrent",
+    "repro.execution.sim",
+    "repro.runtime",
+)
+
 #: Layering edges that must not exist: top-level directory under
 #: ``src/repro`` -> module prefixes it may never import.
 _LAYERING_FORBIDDEN: dict[str, tuple[str, ...]] = {
@@ -137,6 +149,11 @@ _LAYERING_FORBIDDEN: dict[str, tuple[str, ...]] = {
     # the injection plane is infrastructure every execution layer may
     # guard with; it must never know about the layers it faults
     "faults": ("repro.serve", "repro.dist", "repro.runtime"),
+    # engines and entry points program against Executor and hand their
+    # drivers to repro.execution.run, which picks the executor
+    "qr": _EXECUTOR_CHOICE,
+    "factor": _EXECUTOR_CHOICE,
+    "ooc": _EXECUTOR_CHOICE,
 }
 
 

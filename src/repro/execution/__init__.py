@@ -1,9 +1,9 @@
-"""Executor layer: one device-programming interface, four backends
-(numeric serial, numeric concurrent, simulated, hybrid)."""
+"""Executor layer: one device-programming interface, three backends
+(numeric serial, numeric concurrent, simulated); :mod:`repro.execution.run`
+is the one run path the public entry points share."""
 
 from repro.execution.base import DeviceBuffer, DeviceView, Executor, RunStats, as_view
 from repro.execution.concurrent import ConcurrentNumericExecutor
-from repro.execution.hybrid import HybridExecutor
 from repro.execution.numeric import NumericExecutor
 from repro.execution.sim import SimExecutor
 
@@ -12,7 +12,6 @@ __all__ = [
     "DeviceBuffer",
     "DeviceView",
     "Executor",
-    "HybridExecutor",
     "NumericExecutor",
     "RunStats",
     "SimExecutor",

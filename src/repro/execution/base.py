@@ -9,9 +9,10 @@ factorizations, streams and events — and run on any executor:
   scale;
 * :class:`~repro.execution.sim.SimExecutor` feeds the same call stream into
   the discrete-event simulator — used for timing at paper scale (131072^2
-  and beyond) without touching real data;
-* :class:`~repro.execution.hybrid.HybridExecutor` drives both and returns
-  numeric results alongside a simulated trace.
+  and beyond) without touching real data.
+
+A hybrid run (numeric results plus a simulated timeline) is the numeric
+run followed by a sim replay of the same driver (:mod:`repro.execution.run`).
 
 The interface is deliberately CUDA-shaped (streams order work, events
 synchronize across streams) so the pipeline code reads like the CUDA

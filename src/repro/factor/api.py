@@ -2,36 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ckpt import (
-    CheckpointConfig,
-    CheckpointManager,
-    CheckpointSession,
-    CheckpointStats,
-    run_fingerprint,
-)
-from repro.config import PAPER_SYSTEM, SystemConfig
+from repro.ckpt import CheckpointConfig, CheckpointStats
+from repro.config import SystemConfig
 from repro.errors import ValidationError
 from repro.execution.base import RunStats
-from repro.execution.concurrent import ConcurrentNumericExecutor
-from repro.execution.numeric import NumericExecutor
-from repro.execution.sim import SimExecutor
+from repro.execution.run import (
+    Checkpointed,
+    TimedResult,
+    execute,
+    host_operand,
+    run_spec,
+    system_config,
+)
 from repro.factor.cholesky import ooc_blocking_cholesky, ooc_recursive_cholesky
 from repro.factor.common import FactorRunInfo
 from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
-from repro.host.tiled import HostMatrix
-from repro.ooc.accounting import MovementReport, track
-from repro.qr.api import _as_host_matrix
-from repro.qr.options import QrOptions
+from repro.ooc.accounting import MovementReport
+from repro.qr.options import QrOptions, with_blocksize
 from repro.sim.trace import Trace
 from repro.util.validation import one_of
 
 
 @dataclass
-class FactorResult:
+class FactorResult(TimedResult):
     """Result of an OOC LU or Cholesky run."""
 
     kind: str                       # "lu" | "cholesky"
@@ -45,19 +42,6 @@ class FactorResult:
     config: SystemConfig
     options: QrOptions
     ckpt: CheckpointStats | None = None
-
-    @property
-    def makespan(self) -> float:
-        """Simulated (or recorded wall-clock) schedule length; falls back
-        to the executor's measured wall seconds for serial numeric runs."""
-        if self.trace is not None:
-            return self.trace.makespan
-        return self.stats.wall_s
-
-    @property
-    def achieved_tflops(self) -> float:
-        span = self.makespan
-        return self.stats.total_flops / span / 1e12 if span > 0 else 0.0
 
     @property
     def health(self):
@@ -88,7 +72,7 @@ class FactorResult:
 
 def _run(
     kind: str,
-    drivers,
+    driver,
     a,
     *,
     method: str,
@@ -100,96 +84,35 @@ def _run(
     concurrency: str,
     checkpoint: CheckpointConfig | None = None,
 ) -> FactorResult:
-    method = one_of(method, ("recursive", "blocking"), "method")
-    config = config or PAPER_SYSTEM
-    if device_memory is not None:
-        config = config.with_gpu(
-            config.gpu.with_memory(device_memory, suffix="capped")
-        )
-    host_a, shape_only = _as_host_matrix(a, config.element_bytes)
-    if mode is None:
-        mode = "sim" if shape_only else "numeric"
-    mode = one_of(mode, ("numeric", "sim"), "mode")
-    if shape_only and mode != "sim":
-        raise ValidationError("shape inputs only support mode='sim'")
-
-    options = options or QrOptions()
-    if blocksize is not None:
-        options = replace(options, blocksize=blocksize)
+    config = system_config(config, device_memory)
+    host_a, shape_only = host_operand(a, config.element_bytes, "A", copy=True)
+    options = with_blocksize(options, blocksize)
+    spec = run_spec(
+        mode, shape_only=shape_only, modes=("numeric", "sim"),
+        concurrency=concurrency, checkpoint=checkpoint, health=options.health,
+    )
     config.check_host_capacity(
         host_a.rows * host_a.cols, what=f"OOC {kind} (A, factored in place)"
     )
-
-    concurrency = one_of(concurrency, ("serial", "threads"), "concurrency")
-    if concurrency == "threads" and mode != "numeric":
-        raise ValidationError("concurrency='threads' requires mode='numeric'")
-    if checkpoint is not None and mode != "numeric":
-        raise ValidationError("checkpoint= requires mode='numeric'")
-
-    if options.health.enabled and mode != "numeric":
-        raise ValidationError(
-            "health monitoring requires mode='numeric' (probes need real "
-            f"numbers), got mode={mode!r}"
-        )
-
-    if mode == "numeric":
-        ex = (
-            ConcurrentNumericExecutor(config)
-            if concurrency == "threads"
-            else NumericExecutor(config)
-        )
-        if options.health.enabled:
-            from repro.health.sentinel import HealthSentinel
-
-            ex.health = HealthSentinel(
-                options.health, base_format=config.precision.input_format
-            )
-    else:
-        ex = SimExecutor(config)
-
-    session = None
-    if checkpoint is not None:
-        fp = run_fingerprint(
-            kind, method, host_a.rows, host_a.cols, config, options
-        )
-        session = CheckpointSession(
-            CheckpointManager(checkpoint, fingerprint=fp),
-            ex,
-            {"a": host_a},
-        )
-    try:
-        with track(ex) as moved:
-            run_info = drivers[method](ex, host_a, options, checkpoint=session)
-    except BaseException:
-        if mode == "numeric":
-            ex.close()
-        raise
-    trace: Trace | None
-    if mode == "sim":
-        trace = ex.finish()
-    else:
-        ex.synchronize()
-        trace = (
-            ex.recorded_trace()
-            if isinstance(ex, ConcurrentNumericExecutor)
-            else None
-        )
-        if ex.health.enabled:
-            run_info.health = ex.health.finalize()
-        ex.close()
-    ex.allocator.check_balanced()
+    run = execute(
+        lambda ex, ckpt: driver(ex, host_a, options, checkpoint=ckpt),
+        config,
+        spec,
+        name=f"ooc_{kind}[{method}]",
+        checkpointed=Checkpointed(kind, method, options, {"a": host_a}),
+    )
     return FactorResult(
         kind=kind,
         method=method,
-        mode=mode,
+        mode=spec.mode,
         packed=host_a.data if host_a.backed else None,
-        info=run_info,
-        stats=ex.stats,
-        movement=moved.report,
-        trace=trace,
+        info=run.info,
+        stats=run.stats,
+        movement=run.movement,
+        trace=run.trace,
         config=config,
         options=options,
-        ckpt=session.stats if session is not None else None,
+        ckpt=run.ckpt,
     )
 
 
@@ -213,9 +136,10 @@ def ooc_lu(
     ``checkpoint=`` for resumable runs (see docs/checkpoint.md); the
     input must be stable without pivoting (e.g. diagonally dominant).
     """
+    method = one_of(method, ("recursive", "blocking"), "method")
     return _run(
         "lu",
-        {"recursive": ooc_recursive_lu, "blocking": ooc_blocking_lu},
+        ooc_recursive_lu if method == "recursive" else ooc_blocking_lu,
         a,
         method=method,
         mode=mode,
@@ -246,9 +170,10 @@ def ooc_cholesky(
     ``concurrency="threads"`` overlaps H2D/compute/D2H on worker threads
     in numeric mode; results stay bitwise identical to serial.
     ``checkpoint=`` makes the run resumable (see docs/checkpoint.md)."""
+    method = one_of(method, ("recursive", "blocking"), "method")
     return _run(
         "cholesky",
-        {"recursive": ooc_recursive_cholesky, "blocking": ooc_blocking_cholesky},
+        ooc_recursive_cholesky if method == "recursive" else ooc_blocking_cholesky,
         a,
         method=method,
         mode=mode,

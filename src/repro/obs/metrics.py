@@ -4,7 +4,7 @@ This is the registry every subsystem records its operational numbers
 into — serve's scheduling counters and latency histograms, the load
 generator's turnaround distribution, anything a scrape endpoint would
 export. It grew up as ``repro.serve.metrics`` and moved here when
-observability became a first-class subsystem; :mod:`repro.serve.metrics`
+observability became a first-class subsystem; :mod:`repro.serve`
 re-exports these names unchanged, and :meth:`MetricsRegistry.snapshot`
 keeps the exact JSON shape the serve snapshot API has always produced.
 

@@ -21,23 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import PAPER_SYSTEM, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ShapeError, ValidationError
 from repro.execution.base import RunStats
-from repro.execution.concurrent import ConcurrentNumericExecutor
-from repro.execution.numeric import NumericExecutor
-from repro.execution.sim import SimExecutor
+from repro.execution.run import (
+    TimedResult,
+    execute,
+    host_operand,
+    run_spec,
+    system_config,
+)
 from repro.host.tiled import HostMatrix
-from repro.ooc.accounting import MovementReport, track
+from repro.ooc.accounting import MovementReport
 from repro.ooc.inner import run_ksplit_inner
 from repro.ooc.outer import run_rowstream_outer
 from repro.ooc.plan import plan_ksplit_inner, plan_rowstream_outer
 from repro.sim.trace import Trace
-from repro.util.validation import one_of, positive_int
+from repro.util.validation import positive_int
 
 
 @dataclass
-class GemmResult:
+class GemmResult(TimedResult):
     """Result of one out-of-core GEMM."""
 
     c: np.ndarray | None          # numeric mode: the output matrix
@@ -46,55 +50,6 @@ class GemmResult:
     movement: MovementReport
     trace: Trace | None
     config: SystemConfig
-
-    @property
-    def makespan(self) -> float:
-        """Simulated makespan, or measured wall-clock seconds in numeric
-        mode (from :attr:`RunStats.wall_s`) when no trace was recorded."""
-        if self.trace is not None:
-            return self.trace.makespan
-        return self.stats.wall_s
-
-    @property
-    def achieved_tflops(self) -> float:
-        span = self.makespan
-        return self.stats.total_flops / span / 1e12 if span > 0 else 0.0
-
-
-def _as_operand(x, element_bytes: int, name: str) -> tuple[HostMatrix, bool]:
-    if isinstance(x, HostMatrix):
-        return x, not x.backed
-    if isinstance(x, np.ndarray):
-        return (
-            HostMatrix.from_array(
-                np.ascontiguousarray(x, dtype=np.float32), name=name
-            ),
-            False,
-        )
-    if isinstance(x, tuple) and len(x) == 2:
-        return HostMatrix.shape_only(x[0], x[1], element_bytes, name=name), True
-    raise ValidationError(
-        f"{name} must be an ndarray, HostMatrix or (rows, cols) tuple"
-    )
-
-
-def _execute_gemm_graph(ex, config, mode, concurrency) -> Trace | None:
-    """Schedule the recorded GEMM task graph (runtime='dag' back half)."""
-    from repro.runtime import DagScheduler, NumericGraphBackend, SimGraphBackend
-
-    graph = ex.graph
-    if mode == "sim":
-        return SimGraphBackend(config).run(graph)
-    backend = NumericGraphBackend(config)
-    scheduler = DagScheduler(graph)
-    if concurrency == "threads":
-        scheduler.run_threaded(backend)
-        trace = backend.recorded_trace(graph)
-    else:
-        scheduler.run_serial(backend)
-        trace = None
-    backend.allocator.check_balanced()
-    return trace
 
 
 def ooc_gemm(
@@ -138,43 +93,19 @@ def ooc_gemm(
     fully migrated; results are bitwise identical to the legacy runtime.
     See docs/runtime.md.
     """
-    config = config or PAPER_SYSTEM
-    if device_memory is not None:
-        config = config.with_gpu(
-            config.gpu.with_memory(device_memory, suffix="capped")
-        )
+    config = system_config(config, device_memory)
     blocksize = positive_int(blocksize, "blocksize")
 
-    host_a, a_shape_only = _as_operand(a, config.element_bytes, "A")
-    host_b, b_shape_only = _as_operand(b, config.element_bytes, "B")
-    shape_only = a_shape_only or b_shape_only
-    if a_shape_only != b_shape_only:
+    host_a, shape_only = host_operand(a, config.element_bytes, "A", copy=False)
+    host_b, b_shape_only = host_operand(b, config.element_bytes, "B", copy=False)
+    if shape_only != b_shape_only:
         raise ValidationError("A and B must both be data or both be shapes")
-    if mode is None:
-        mode = "sim" if shape_only else "numeric"
-    mode = one_of(mode, ("numeric", "sim"), "mode")
-    if shape_only and mode != "sim":
-        raise ValidationError("shape operands only support mode='sim'")
-    concurrency = one_of(concurrency, ("serial", "threads"), "concurrency")
-    if concurrency == "threads" and mode != "numeric":
-        raise ValidationError("concurrency='threads' requires mode='numeric'")
-    runtime = one_of(runtime, ("legacy", "dag"), "runtime")
-
-    if runtime == "dag":
-        from repro.runtime import GraphBuilder
-
-        ex = GraphBuilder(
-            config,
-            label=f"gemm[dag] {host_a.shape}x{host_b.shape}",
-            materialize=(mode == "numeric"),
-        )
-    elif mode == "sim":
-        ex = SimExecutor(config)
-    elif concurrency == "threads":
-        ex = ConcurrentNumericExecutor(config)
-    else:
-        ex = NumericExecutor(config)
-    budget = ex.allocator.free_bytes // config.element_bytes
+    spec = run_spec(
+        mode, shape_only=shape_only, modes=("numeric", "sim"),
+        concurrency=concurrency, runtime=runtime,
+    )
+    # every executor starts with the whole usable device free
+    budget = config.usable_device_bytes // config.element_bytes
 
     if trans_a:
         # inner product C(M, N) = Aᵀ B with A (K, M), B (K, N)
@@ -188,17 +119,15 @@ def ooc_gemm(
                 f"B {host_b.shape}"
             )
         K, M, N = host_a.rows, host_a.cols, host_b.cols
-        if shape_only:
-            host_c = HostMatrix.shape_only(M, N, config.element_bytes, name="C")
-        else:
-            host_c = HostMatrix.zeros(M, N, name="C")
+        host_c = _output(M, N, shape_only, config)
         plan = plan_ksplit_inner(K, M, N, blocksize, budget)
-        with track(ex) as moved:
+        strategy = "ksplit-inner"
+
+        def driver(ex, _checkpoint):
             run_ksplit_inner(
                 ex, host_a.full(), host_b.full(), host_c.full(), plan,
                 pipelined=pipelined,
             )
-        strategy = "ksplit-inner"
     else:
         # outer-product form C(M, N) (+)= alpha A B with A (M, K), B (K, N)
         if (alpha, beta) not in ((-1.0, 1.0), (1.0, 0.0)):
@@ -214,49 +143,44 @@ def ooc_gemm(
         if beta == 1.0:
             if c is None:
                 raise ValidationError("beta=1 requires the C operand")
-            host_c, c_shape_only = _as_operand(c, config.element_bytes, "C")
+            host_c, c_shape_only = host_operand(
+                c, config.element_bytes, "C", copy=False
+            )
             if c_shape_only != shape_only:
                 raise ValidationError("C must match A/B backing")
-        elif shape_only:
-            host_c = HostMatrix.shape_only(M, N, config.element_bytes, name="C")
         else:
-            host_c = HostMatrix.zeros(M, N, name="C")
+            host_c = _output(M, N, shape_only, config)
         if host_c.shape != (M, N):
             raise ShapeError(f"C is {host_c.shape}, expected {(M, N)}")
-        if alpha == 1.0:
-            # C = A B as a subtraction update of zero C with negated A:
-            # handled by negating alpha through a plan-level identity —
-            # numerically we just run the update with alpha=-1 on -A.
-            # Cleaner: run the engine and flip the sign afterwards is not
-            # possible for sims, so negate A numerically when backed.
-            if host_a.backed:
-                host_a = HostMatrix.from_array(-host_a.data, name="A")
+        if alpha == 1.0 and host_a.backed:
+            # C = A B runs as the update C -= (-A) B of a zero C; the
+            # simulator only needs the shapes
+            host_a = HostMatrix.from_array(-host_a.data, name="A")
         plan = plan_rowstream_outer(M, K, N, blocksize, budget)
-        with track(ex) as moved:
+        strategy = "rowstream-outer"
+
+        def driver(ex, _checkpoint):
             run_rowstream_outer(
                 ex, host_c.full(), host_a.full(), host_b.full(), plan,
                 pipelined=pipelined,
             )
-        strategy = "rowstream-outer"
 
-    if runtime == "dag":
-        trace = _execute_gemm_graph(ex, config, mode, concurrency)
-    elif mode == "sim":
-        trace = ex.finish()
-    else:
-        ex.synchronize()
-        trace = (
-            ex.recorded_trace()
-            if isinstance(ex, ConcurrentNumericExecutor)
-            else None
-        )
-        ex.close()
-    ex.allocator.check_balanced()
+    run = execute(
+        driver, config, spec, name=f"ooc_gemm[{strategy}]",
+        attrs={"strategy": strategy, "m": M, "n": N, "k": K},
+    )
     return GemmResult(
         c=host_c.data if host_c.backed else None,
         strategy=strategy,
-        stats=ex.stats,
-        movement=moved.report,
-        trace=trace,
+        stats=run.stats,
+        movement=run.movement,
+        trace=run.trace,
         config=config,
     )
+
+
+def _output(rows: int, cols: int, shape_only: bool, config) -> HostMatrix:
+    """A fresh C: zeros, or its shape for simulated runs."""
+    if shape_only:
+        return HostMatrix.shape_only(rows, cols, config.element_bytes, name="C")
+    return HostMatrix.zeros(rows, cols, name="C")

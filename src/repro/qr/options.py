@@ -88,3 +88,10 @@ class QrOptions:
             staging_buffer=False,
             gradual_blocksize=False,
         )
+
+
+def with_blocksize(options: QrOptions | None, blocksize: int | None) -> QrOptions:
+    """*options* (default :class:`QrOptions`) with the entry points'
+    ``blocksize=`` convenience override applied."""
+    options = options or QrOptions()
+    return options if blocksize is None else replace(options, blocksize=blocksize)

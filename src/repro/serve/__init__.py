@@ -11,7 +11,7 @@ from repro.errors import AdmissionError
 from repro.serve.admission import AdmissionController, estimate_footprint_bytes
 from repro.serve.cache import ResultCache, job_cache_key
 from repro.serve.job import JOB_KINDS, JobHandle, JobResult, JobSpec, JobState
-from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.service import DETERMINISTIC_ERRORS, FactorService, run_job
 
 __all__ = [

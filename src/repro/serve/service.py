@@ -20,7 +20,7 @@ LU / Cholesky jobs under a device-memory budget:
 * worker faults retry with exponential backoff (the concurrent executor's
   fault-drain semantics guarantee a failed pipeline unwinds cleanly
   first); deterministic input errors fail fast;
-* everything observable lands in a :class:`~repro.serve.metrics.MetricsRegistry`
+* everything observable lands in a :class:`~repro.obs.metrics.MetricsRegistry`
   (queue depth, admitted bytes, wait/run latencies, cache hit rate,
   rejections, retries) exposable as a JSON snapshot.
 
@@ -60,7 +60,7 @@ from repro.obs.span import NULL_RECORDER, SpanRecorder
 from repro.serve.admission import AdmissionController, estimate_footprint_bytes
 from repro.serve.cache import ResultCache, job_cache_key
 from repro.serve.job import JobHandle, JobResult, JobSpec, JobState
-from repro.serve.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.util.validation import one_of
 
 #: Exception types never worth retrying: the same inputs will fail again.
@@ -271,7 +271,7 @@ class FactorService:
         Executor flavour for numeric jobs: ``"serial"`` or ``"threads"``
         (per-engine worker threads inside each job, docs/concurrency.md).
     metrics
-        A shared :class:`~repro.serve.metrics.MetricsRegistry`; defaults
+        A shared :class:`~repro.obs.metrics.MetricsRegistry`; defaults
         to a private one.
     runner
         Replacement for :func:`run_job` (fault injection, test doubles).

@@ -122,13 +122,13 @@ class Trace:
 
     def _exposed_transfer_time(self) -> float:
         """Timeline length where a DMA engine is busy but compute is idle."""
-        compute_iv = _merge_intervals(
+        compute_iv = merge_intervals(
             (op.start, op.end) for op in self.ops if op.engine == EngineKind.COMPUTE
         )
-        dma_iv = _merge_intervals(
+        dma_iv = merge_intervals(
             (op.start, op.end) for op in self.ops if op.engine != EngineKind.COMPUTE
         )
-        return _interval_length(_interval_difference(dma_iv, compute_iv))
+        return interval_length(interval_difference(dma_iv, compute_iv))
 
     # -- structural checks (used by tests and the simulator itself) ----------
 
@@ -198,9 +198,3 @@ def interval_difference(
 def interval_length(intervals: list[tuple[float, float]]) -> float:
     """Total covered length of a disjoint interval list."""
     return sum(e - s for s, e in intervals)
-
-
-# Historical private names, kept for callers predating the obs subsystem.
-_merge_intervals = merge_intervals
-_interval_difference = interval_difference
-_interval_length = interval_length

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro.config import SystemConfig
-from repro.execution.hybrid import HybridExecutor
 from repro.execution.numeric import NumericExecutor
 from repro.execution.sim import SimExecutor
 from repro.hw.gemm import Precision
@@ -73,11 +72,6 @@ def numeric_ex(tiny_config) -> NumericExecutor:
 @pytest.fixture
 def sim_ex(tiny_config) -> SimExecutor:
     return SimExecutor(tiny_config)
-
-
-@pytest.fixture
-def hybrid_ex(tiny_config) -> HybridExecutor:
-    return HybridExecutor(tiny_config)
 
 
 @pytest.fixture

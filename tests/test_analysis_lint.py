@@ -219,6 +219,24 @@ class TestLayeringImports:
             parts=("faults", "inject.py"),
         ) == ["layering-imports"]
 
+    def test_engines_may_not_choose_an_executor(self):
+        for layer in ("qr", "factor", "ooc"):
+            for target in (
+                "repro.execution.numeric", "repro.execution.concurrent",
+                "repro.execution.sim", "repro.runtime",
+            ):
+                assert rules(
+                    f"from {target} import x", parts=(layer, "api.py")
+                ) == ["layering-imports"], (layer, target)
+
+    def test_engines_may_use_the_run_harness(self):
+        for layer in ("qr", "factor", "ooc"):
+            assert rules(
+                "from repro.execution.run import execute\n"
+                "from repro.execution.base import Executor",
+                parts=(layer, "api.py"),
+            ) == [], layer
+
     def test_faults_may_import_errors_and_util(self):
         assert rules(
             "from repro.errors import FaultError", parts=("faults", "x.py")

@@ -34,7 +34,7 @@ from repro.qr.cgs import cgs2_qr, factorization_error, orthogonality_error
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.simulator import GpuSimulator
-from repro.sim.trace import _interval_difference, _interval_length, _merge_intervals
+from repro.sim.trace import interval_difference, interval_length, merge_intervals
 from repro.util.rng import default_rng, stable_seed
 from tests.conftest import make_tiny_spec
 
@@ -192,17 +192,17 @@ class TestIntervalProperties:
 
     @given(a=intervals)
     def test_merge_idempotent_and_disjoint(self, a):
-        merged = _merge_intervals(a)
-        assert merged == _merge_intervals(merged)
+        merged = merge_intervals(a)
+        assert merged == merge_intervals(merged)
         for (_s1, e1), (s2, _e2) in zip(merged, merged[1:]):
             assert e1 < s2  # strictly disjoint and sorted
 
     @given(a=intervals, b=intervals)
     def test_difference_length_bounds(self, a, b):
-        am, bm = _merge_intervals(a), _merge_intervals(b)
-        diff = _interval_difference(am, bm)
-        len_a = _interval_length(am)
-        len_diff = _interval_length(diff)
+        am, bm = merge_intervals(a), merge_intervals(b)
+        diff = interval_difference(am, bm)
+        len_a = interval_length(am)
+        len_diff = interval_length(diff)
         assert -1e-9 <= len_diff <= len_a + 1e-9
         # difference is disjoint from b
         for s, e in diff:

@@ -102,19 +102,12 @@ class TestRegistry:
 
 
 class TestObsCoreShim:
-    """The registry moved to repro.obs.metrics; serve re-exports it.
+    """The registry lives in repro.obs.metrics; repro.serve re-exports it.
 
-    Both import paths must keep working and resolve to the *same*
-    classes, so isinstance checks and registries compose across the
-    subsystems (e.g. the loadgen reading a service's histograms).
+    Both names must resolve to the *same* classes, so isinstance checks
+    and registries compose across the subsystems (e.g. the loadgen
+    reading a service's histograms).
     """
-
-    def test_serve_names_are_the_obs_classes(self):
-        from repro.obs import metrics as obs_metrics
-        from repro.serve import metrics as serve_metrics
-
-        for name in ("Counter", "Gauge", "Histogram", "MetricsRegistry"):
-            assert getattr(serve_metrics, name) is getattr(obs_metrics, name)
 
     def test_package_level_reexports_agree(self):
         import repro.obs

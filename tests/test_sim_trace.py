@@ -7,9 +7,9 @@ from repro.errors import SimulationError
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.trace import (
     Trace,
-    _interval_difference,
-    _interval_length,
-    _merge_intervals,
+    interval_difference,
+    interval_length,
+    merge_intervals,
 )
 
 
@@ -128,23 +128,23 @@ class TestStructuralChecks:
 
 class TestIntervalHelpers:
     def test_merge(self):
-        assert _merge_intervals([(0, 2), (1, 3), (5, 6)]) == [(0, 3), (5, 6)]
+        assert merge_intervals([(0, 2), (1, 3), (5, 6)]) == [(0, 3), (5, 6)]
 
     def test_merge_drops_empty(self):
-        assert _merge_intervals([(2, 2), (3, 4)]) == [(3, 4)]
+        assert merge_intervals([(2, 2), (3, 4)]) == [(3, 4)]
 
     def test_difference_simple(self):
-        assert _interval_difference([(0, 10)], [(2, 4)]) == [(0, 2), (4, 10)]
+        assert interval_difference([(0, 10)], [(2, 4)]) == [(0, 2), (4, 10)]
 
     def test_difference_no_overlap(self):
-        assert _interval_difference([(0, 1)], [(5, 6)]) == [(0, 1)]
+        assert interval_difference([(0, 1)], [(5, 6)]) == [(0, 1)]
 
     def test_difference_full_cover(self):
-        assert _interval_difference([(2, 3)], [(0, 10)]) == []
+        assert interval_difference([(2, 3)], [(0, 10)]) == []
 
     def test_difference_multiple(self):
-        out = _interval_difference([(0, 5), (6, 10)], [(1, 2), (4, 7)])
+        out = interval_difference([(0, 5), (6, 10)], [(1, 2), (4, 7)])
         assert out == [(0, 1), (2, 4), (7, 10)]
 
     def test_length(self):
-        assert _interval_length([(0, 2), (5, 6.5)]) == pytest.approx(3.5)
+        assert interval_length([(0, 2), (5, 6.5)]) == pytest.approx(3.5)
