@@ -6,7 +6,8 @@ engine's op stream symbolically (no data, no clock);
 :mod:`repro.analysis.verify` runs happens-before hazard analysis,
 allocator lifetime proofs, exact peak-memory accounting, and §3.2
 transfer-volume checks over the captured program;
-:mod:`repro.analysis.engines` sweeps every shipped engine configuration;
+:mod:`repro.analysis.engines` holds the one table of shipped engine
+configurations (:data:`ENGINE_BINDINGS`) and the capture sweep over it;
 :mod:`repro.analysis.precision` is the static precision / error-flow pass
 (per-tile precision lattice + symbolic forward-error bound, judged
 against a caller tolerance); :mod:`repro.analysis.lint` is the AST-based
@@ -14,20 +15,18 @@ repo lint pack behind ``tools/lint_repro.py``. See docs/analysis.md.
 
 :func:`verify_program` also accepts a first-class
 :class:`~repro.runtime.task.TaskGraph` from the DAG runtime directly —
-see :mod:`repro.runtime` (its ``verify_engine_graph`` /
-``verify_all_engine_graphs`` mirror the capture sweep; the runtime module
-imports this package, so the graph sweep lives there to keep the
-dependency one-way). See docs/runtime.md.
+see :mod:`repro.runtime` (its ``GRAPH_BUILDERS`` registry derives from the
+same binding table; the runtime module imports this package, so the graph
+sweep lives there to keep the dependency one-way). See docs/runtime.md.
 """
 
 from repro.analysis.capture import CapturedProgram, CaptureExecutor, MemEvent
 from repro.analysis.engines import (
+    ENGINE_BINDINGS,
     ENGINE_CAPTURES,
-    capture_cholesky,
-    capture_gemm,
+    EngineBinding,
+    capture_engine,
     capture_job,
-    capture_lu,
-    capture_qr,
     verify_all_engines,
     verify_engine,
 )
@@ -52,6 +51,7 @@ from repro.analysis.verify import (
 
 __all__ = [
     "DEFAULT_TOLERANCE",
+    "ENGINE_BINDINGS",
     "ENGINE_CAPTURES",
     "PRECISION_LEVELS",
     "PRECISION_RULES",
@@ -60,16 +60,14 @@ __all__ = [
     "AnalysisReport",
     "CaptureExecutor",
     "CapturedProgram",
+    "EngineBinding",
     "MemEvent",
     "PrecisionFlow",
     "PrecisionPlan",
     "assert_plan_ok",
     "assert_precision_ok",
-    "capture_cholesky",
-    "capture_gemm",
+    "capture_engine",
     "capture_job",
-    "capture_lu",
-    "capture_qr",
     "check_precision",
     "exact_peak_bytes",
     "propagate",

@@ -1,8 +1,9 @@
 """Symbolic plan capture: run an OOC engine without data or clock.
 
-:class:`CaptureExecutor` implements the full
-:class:`~repro.execution.base.Executor` interface but *executes nothing*:
-every alloc/free/copy/GEMM/panel/stream/event call is recorded into a
+:class:`CaptureExecutor` runs the shared
+:class:`~repro.execution.base.Executor` op vocabulary but *executes
+nothing*: every alloc/free/copy/GEMM/panel/stream/event call is recorded
+into a
 :class:`CapturedProgram` — an issue-ordered op list with the same
 stream-FIFO/event dependency edges the simulator and the concurrent
 numeric executor honour (built on :class:`~repro.sim.scheduler.StreamProgram`),
@@ -15,10 +16,11 @@ Two properties make the capture suitable for *static* verification:
   schedule, not just the one the simulator happened to pick.
 * **No faults.** The :class:`CaptureAllocator` never raises — allocations
   past capacity, double frees and frees of unknown buffers are recorded as
-  events instead of aborting the capture. A buggy plan therefore yields a
-  complete program for :mod:`repro.analysis.verify` to analyse, with the
-  offending operation named, rather than a half-recorded one and a
-  traceback.
+  events instead of aborting the capture, and an op on a freed buffer is
+  recorded like any other (the verifier's use-after-free pass finds it).
+  A buggy plan therefore yields a complete program for
+  :mod:`repro.analysis.verify` to analyse, with the offending operation
+  named, rather than a half-recorded one and a traceback.
 
 The engines plan their tilings from ``ex.allocator.free_bytes``, so a
 capture under a given device capacity replays exactly the op stream the
@@ -31,24 +33,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import SystemConfig
-from repro.errors import ExecutionError
 from repro.execution.base import (
     DeviceBuffer,
     DeviceView,
     Executor,
     RunStats,
-    as_view,
+    make_op,
 )
-from repro.host.tiled import HostRegion
 from repro.sim.memory import Allocation, _handle_counter
-from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.sim.scheduler import (
-    StreamProgram,
-    copy_name,
-    device_access,
-    gemm_name,
-    panel_name,
-)
+from repro.sim.ops import SimOp
+from repro.sim.scheduler import StreamProgram
 from repro.sim.stream import Event, Stream
 from repro.util.validation import nonnegative_int
 
@@ -173,17 +167,14 @@ class CaptureExecutor(Executor):
 
     # -- memory -----------------------------------------------------------------
 
-    def alloc(self, rows: int, cols: int, name: str = "buf") -> DeviceBuffer:
-        buf = DeviceBuffer(name=name, rows=rows, cols=cols)
-        nbytes = rows * cols * self.config.element_bytes
-        buf.payload["allocation"] = self.allocator.alloc(nbytes, name=name)
-        return buf
-
     def free(self, buf: DeviceBuffer) -> None:
         # Double frees are recorded (the allocator logs the second free of
         # the handle as ok=False), never raised: the verifier names them.
         self.allocator.free(buf.payload["allocation"])
         buf.freed = True
+
+    def _check_live(self, *views: DeviceView) -> None:
+        """No-op: use-after-free is a verifier finding, not a capture fault."""
 
     # -- streams ------------------------------------------------------------------
 
@@ -199,245 +190,11 @@ class CaptureExecutor(Executor):
     def synchronize(self) -> None:
         """No-op: a capture has no clock and nothing in flight."""
 
-    # -- op recording ----------------------------------------------------------------
+    # -- the op funnel --------------------------------------------------------------
 
-    def _record(
-        self,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
-        stream: Stream,
-        *,
-        nbytes: int = 0,
-        flops: int = 0,
-        tags: dict[str, Any] | None = None,
-    ) -> SimOp:
-        op = SimOp(
-            name=name,
-            engine=engine,
-            kind=kind,
-            duration=0.0,
-            nbytes=nbytes,
-            flops=flops,
-            tags=tags or {},
-        )
-        self._stream_program.append(op, stream)
-        return op
-
-    @staticmethod
-    def _host_tag(region: HostRegion) -> tuple[int, int, int, int, int]:
-        return (
-            id(region.matrix),
-            region.row0,
-            region.row1,
-            region.col0,
-            region.col1,
-        )
-
-    # -- data movement ----------------------------------------------------------------
-
-    def h2d(self, dst: DeviceBuffer | DeviceView, src: HostRegion, stream: Stream) -> None:
-        dst = as_view(dst)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._record(
-            copy_name("h2d", src, dst),
-            EngineKind.H2D,
-            OpKind.COPY_H2D,
-            stream,
-            nbytes=src.nbytes,
-            tags={
-                "accesses": [device_access(dst, True)],
-                "host_region": self._host_tag(src),
-                "host_label": src.label(),
-            },
-        )
-        self.stats.h2d_bytes += src.nbytes
-
-    def d2h(self, dst: HostRegion, src: DeviceBuffer | DeviceView, stream: Stream) -> None:
-        src = as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._record(
-            copy_name("d2h", src, dst),
-            EngineKind.D2H,
-            OpKind.COPY_D2H,
-            stream,
-            nbytes=dst.nbytes,
-            tags={
-                "accesses": [device_access(src, False)],
-                "host_region": self._host_tag(dst),
-                "host_label": dst.label(),
-            },
-        )
-        self.stats.d2h_bytes += dst.nbytes
-
-    def d2d(
-        self, dst: DeviceBuffer | DeviceView, src: DeviceBuffer | DeviceView, stream: Stream
-    ) -> None:
-        dst, src = as_view(dst), as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        nbytes = dst.rows * dst.cols * self.config.element_bytes
-        self._record(
-            copy_name("d2d", src, dst),
-            EngineKind.COMPUTE,
-            OpKind.COPY_D2D,
-            stream,
-            nbytes=nbytes,
-            tags={
-                "accesses": [device_access(src, False), device_access(dst, True)]
-            },
-        )
-        self.stats.d2d_bytes += nbytes
-
-    # -- compute -----------------------------------------------------------------------
-
-    def gemm(
-        self,
-        c: DeviceBuffer | DeviceView,
-        a: DeviceBuffer | DeviceView,
-        b: DeviceBuffer | DeviceView,
-        stream: Stream,
-        *,
-        alpha: float = 1.0,
-        beta: float = 0.0,
-        trans_a: bool = False,
-        trans_b: bool = False,
-        tag: str = "gemm",
-    ) -> None:
-        c, a, b = as_view(c), as_view(a), as_view(b)
-        m, n, k = self._gemm_dims(c, a, b, trans_a, trans_b)
-        flops = 2 * m * n * k
-        self._record(
-            gemm_name(tag, m, n, k),
-            EngineKind.COMPUTE,
-            OpKind.GEMM,
-            stream,
-            flops=flops,
-            tags={
-                "tag": tag,
-                "accesses": [
-                    device_access(a, False),
-                    device_access(b, False),
-                    device_access(c, True),
-                ],
-            },
-        )
-        self.stats.gemm_flops += flops
-        self.stats.n_gemms += 1
-
-    def panel_qr(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        r_out: DeviceBuffer | DeviceView,
-        stream: Stream,
-        *,
-        tag: str = "panel",
-    ) -> None:
-        panel, r_out = as_view(panel), as_view(r_out)
-        if r_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_qr: R is {r_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        flops = 2 * panel.rows * panel.cols * panel.cols
-        self._record(
-            panel_name(tag, panel.rows, panel.cols),
-            EngineKind.COMPUTE,
-            OpKind.PANEL,
-            stream,
-            flops=flops,
-            tags={
-                "tag": tag,
-                "accesses": [device_access(panel, True), device_access(r_out, True)],
-            },
-        )
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-
-    def trsm(
-        self,
-        a_tri: DeviceBuffer | DeviceView,
-        b: DeviceBuffer | DeviceView,
-        stream: Stream,
-        *,
-        lower: bool = True,
-        unit_diag: bool = False,
-        trans_a: bool = False,
-        tag: str = "trsm",
-    ) -> None:
-        a_tri, b = as_view(a_tri), as_view(b)
-        if a_tri.rows != a_tri.cols or b.rows != a_tri.rows:
-            raise ExecutionError(
-                f"trsm: incompatible shapes {a_tri.shape} / {b.shape}"
-            )
-        k, n = a_tri.rows, b.cols
-        flops = k * k * n
-        self._record(
-            panel_name(tag, k, n),
-            EngineKind.COMPUTE,
-            OpKind.GEMM,
-            stream,
-            flops=flops,
-            tags={
-                "tag": tag,
-                "accesses": [device_access(a_tri, False), device_access(b, True)],
-            },
-        )
-        self.stats.gemm_flops += flops
-        self.stats.n_gemms += 1
-
-    def panel_lu(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        u_out: DeviceBuffer | DeviceView,
-        stream: Stream,
-        *,
-        tag: str = "panel-lu",
-    ) -> None:
-        panel, u_out = as_view(panel), as_view(u_out)
-        if u_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_lu: U is {u_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        flops = panel.rows * panel.cols * panel.cols
-        self._record(
-            panel_name(tag, panel.rows, panel.cols),
-            EngineKind.COMPUTE,
-            OpKind.PANEL,
-            stream,
-            flops=flops,
-            tags={
-                "tag": tag,
-                "accesses": [device_access(panel, True), device_access(u_out, True)],
-            },
-        )
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-
-    def panel_cholesky(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        stream: Stream,
-        *,
-        tag: str = "panel-chol",
-    ) -> None:
-        panel = as_view(panel)
-        if panel.rows < panel.cols:
-            raise ExecutionError(
-                f"panel_cholesky: panel {panel.shape} shorter than its width"
-            )
-        b = panel.cols
-        flops = b * b * b // 3 + (panel.rows - b) * b * b
-        self._record(
-            panel_name(tag, panel.rows, panel.cols),
-            EngineKind.COMPUTE,
-            OpKind.PANEL,
-            stream,
-            flops=flops,
-            tags={"tag": tag, "accesses": [device_access(panel, True)]},
-        )
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
+    def _issue(self, stream: Stream, *, body: Any, **spec: Any) -> None:
+        """Record the op with zero duration: a capture has no clock."""
+        self._stream_program.append(make_op(**spec), stream)
 
     # -- results ------------------------------------------------------------------------
 

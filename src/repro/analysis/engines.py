@@ -1,17 +1,21 @@
-"""Capture drivers: run every shipped OOC engine symbolically.
+"""Engine bindings: every shipped OOC engine, run symbolically.
 
-Each ``capture_*`` function drives a real engine — the very code the
-numeric and simulated executors run — over shape-only host matrices with a
-:class:`~repro.analysis.capture.CaptureExecutor`, producing a
-:class:`~repro.analysis.capture.CapturedProgram` for the verifier. Because
-the engines plan from ``ex.allocator.free_bytes``, a capture under a given
-config replays exactly the op stream a real run under that config would
-issue.
-
-:data:`ENGINE_CAPTURES` is the registry the CLI sweep and the CI
-``static-analysis`` job iterate: every engine/driver configuration the
+:data:`ENGINE_BINDINGS` is the one table of engine configurations the
 library ships (blocking/recursive QR — including the TSQR panel-algorithm
-config — LU, Cholesky, and both OOC GEMM engines).
+config — LU, Cholesky, and both OOC GEMM engines). Each
+:class:`EngineBinding` holds the driver, the shape-only operands it
+consumes and the §3.2 volume model its transfers answer to, so one
+binding runs on any executor. Two registries derive from the table:
+
+* :data:`ENGINE_CAPTURES` — name -> ``capture(config, m, n, b)``, a
+  :class:`~repro.analysis.capture.CapturedProgram` for the verifier (the
+  registry the CLI ``analyze --what plans`` sweep and CI iterate);
+* :data:`repro.runtime.GRAPH_BUILDERS` — the same runs recorded as task
+  graphs by a :class:`~repro.runtime.builder.GraphBuilder`.
+
+Because the engines plan from ``ex.allocator.free_bytes``, a capture
+under a given config replays exactly the op stream a real run under that
+config would issue.
 
 :func:`capture_job` maps a serve :class:`~repro.serve.job.JobSpec` onto
 the matching capture so admission can verify a plan before charging it.
@@ -19,162 +23,215 @@ the matching capture so admission can verify a plan before charging it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable
 
 from repro.analysis.capture import CapturedProgram, CaptureExecutor
 from repro.analysis.verify import AnalysisReport, verify_program
 from repro.config import PAPER_SYSTEM, SystemConfig
+from repro.execution.base import Executor
+from repro.factor.cholesky import ooc_blocking_cholesky, ooc_recursive_cholesky
+from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
 from repro.host.tiled import HostMatrix
+from repro.ooc.inner import run_ksplit_inner
+from repro.ooc.outer import run_rowstream_outer
+from repro.ooc.plan import plan_ksplit_inner, plan_rowstream_outer
+from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.options import QrOptions
+from repro.qr.recursive import ooc_recursive_qr
+
+#: ``(model, m, n, b)`` §3.2 transfer-volume hint of a factorization run.
+VolumeHint = tuple[str, int, int, int]
 
 
-def _options(b: int, options: QrOptions | None) -> QrOptions:
-    if options is None:
-        return QrOptions(blocksize=b)
-    return replace(options, blocksize=b)
-
-
-def capture_qr(
-    config: SystemConfig,
-    m: int,
-    n: int,
-    b: int,
-    *,
-    method: str = "blocking",
-    options: QrOptions | None = None,
-    label: str | None = None,
-) -> CapturedProgram:
-    """Symbolically capture one OOC QR run (blocking or recursive)."""
-    from repro.qr.blocking import ooc_blocking_qr
-    from repro.qr.recursive import ooc_recursive_qr
-
-    eb = config.element_bytes
-    ex = CaptureExecutor(config, label=label or f"qr-{method} {m}x{n} b={b}")
-    a = HostMatrix.shape_only(m, n, eb, name="A")
-    r = HostMatrix.shape_only(n, n, eb, name="R")
-    driver = ooc_recursive_qr if method == "recursive" else ooc_blocking_qr
-    driver(ex, a, r, _options(b, options))
-    program = ex.finish()
-    program.volume_hint = (method, m, n, min(b, n))
-    return program
-
-
-def capture_lu(
-    config: SystemConfig,
-    n: int,
-    b: int,
-    *,
-    method: str = "blocking",
-    options: QrOptions | None = None,
-) -> CapturedProgram:
-    """Symbolically capture one OOC LU run (square, unpivoted)."""
-    from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
-
-    ex = CaptureExecutor(config, label=f"lu-{method} {n}x{n} b={b}")
-    a = HostMatrix.shape_only(n, n, config.element_bytes, name="A")
-    driver = ooc_recursive_lu if method == "recursive" else ooc_blocking_lu
-    driver(ex, a, _options(b, options))
-    program = ex.finish()
-    # LU moves strictly less data per panel step than QR (no Q writeback),
-    # so the §3.2 QR closed forms bound it from above.
-    program.volume_hint = (method, n, n, min(b, n))
-    return program
-
-
-def capture_cholesky(
-    config: SystemConfig,
-    n: int,
-    b: int,
-    *,
-    method: str = "blocking",
-    options: QrOptions | None = None,
-) -> CapturedProgram:
-    """Symbolically capture one OOC Cholesky run (square SPD)."""
-    from repro.factor.cholesky import (
-        ooc_blocking_cholesky,
-        ooc_recursive_cholesky,
+def _gemm_inner(ex: Executor, a, b, c, options: QrOptions) -> None:
+    """The k-split inner-product engine, ``C = AᵀB`` (Fig 3)."""
+    budget = ex.allocator.free_bytes // ex.config.element_bytes
+    plan = plan_ksplit_inner(
+        a.rows, a.cols, b.cols, min(options.blocksize, a.rows), budget
+    )
+    run_ksplit_inner(
+        ex, a.full(), b.full(), c.full(), plan, pipelined=options.pipelined
     )
 
-    ex = CaptureExecutor(config, label=f"chol-{method} {n}x{n} b={b}")
-    a = HostMatrix.shape_only(n, n, config.element_bytes, name="A")
-    driver = (
-        ooc_recursive_cholesky if method == "recursive" else ooc_blocking_cholesky
+
+def _gemm_outer(ex: Executor, a, b, c, options: QrOptions) -> None:
+    """The row-streaming update engine, ``C -= A B`` (Fig 5)."""
+    budget = ex.allocator.free_bytes // ex.config.element_bytes
+    plan = plan_rowstream_outer(
+        a.rows, a.cols, b.cols, min(options.blocksize, a.rows), budget
     )
-    driver(ex, a, _options(b, options))
-    program = ex.finish()
-    # Cholesky touches only the lower triangle — again bounded by QR.
-    program.volume_hint = (method, n, n, min(b, n))
-    return program
+    run_rowstream_outer(
+        ex, c.full(), a.full(), b.full(), plan, pipelined=options.pipelined
+    )
 
 
-def capture_gemm(
-    config: SystemConfig,
-    m: int,
-    n: int,
-    k: int,
-    b: int,
-    *,
-    kind: str = "inner",
-    pipelined: bool = True,
-) -> CapturedProgram:
-    """Symbolically capture one OOC GEMM run.
+@dataclass(frozen=True)
+class EngineBinding:
+    """One shipped engine configuration, runnable on any executor.
 
-    ``kind="inner"`` is the k-split engine (``C = AᵀB``, Fig 3);
-    ``"outer"`` the row-streaming update engine (``C -= A B``, Fig 5).
-    No §3.2 QR model applies, so the volume pass records a skip.
+    An engine's *dims* are ``(m, n)`` for the factorizations (A is
+    m-by-n) and ``(m, n, k)`` for the GEMMs (C is m-by-n, k the reduction).
     """
-    from repro.ooc.inner import run_ksplit_inner
-    from repro.ooc.outer import run_rowstream_outer
-    from repro.ooc.plan import plan_ksplit_inner, plan_rowstream_outer
 
-    eb = config.element_bytes
-    ex = CaptureExecutor(config, label=f"gemm-{kind} {m}x{n}x{k} b={b}")
-    budget = ex.allocator.free_bytes // eb
-    if kind == "inner":
-        a = HostMatrix.shape_only(k, m, eb, name="A")
-        bm = HostMatrix.shape_only(k, n, eb, name="B")
-        c = HostMatrix.shape_only(m, n, eb, name="C")
-        plan = plan_ksplit_inner(k, m, n, min(b, k), budget)
-        run_ksplit_inner(
-            ex, a.full(), bm.full(), c.full(), plan, pipelined=pipelined
+    #: ``driver(ex, *operands, options)``.
+    driver: Callable[..., Any]
+    #: ``dims -> ((name, rows, cols), ...)``: the shape-only host operands,
+    #: in driver order.
+    operands: Callable[..., tuple[tuple[str, int, int], ...]]
+    #: The registry's ``(m, n)`` -> the engine's dims (GEMM entries fold
+    #: the reduction dimension into m; LU/Cholesky are n-by-n).
+    dims: Callable[[int, int], tuple[int, ...]]
+    #: §3.2 model (``"blocking"``/``"recursive"``) bounding the transfers;
+    #: None when no closed form applies (GEMM). LU moves strictly less per
+    #: panel step than QR (no Q writeback) and Cholesky touches only the
+    #: lower triangle, so the QR closed forms bound both from above.
+    volume: str | None = None
+    #: Panel algorithm the binding runs under (a config override).
+    panel_algorithm: str | None = None
+
+    def configure(self, config: SystemConfig) -> SystemConfig:
+        if self.panel_algorithm is None:
+            return config
+        return replace(config, panel_algorithm=self.panel_algorithm)
+
+    def run(
+        self,
+        ex: Executor,
+        dims: tuple[int, ...],
+        b: int,
+        options: QrOptions | None = None,
+    ) -> VolumeHint | None:
+        """Drive the engine on *ex* over shape-only operands; returns the
+        run's volume hint."""
+        eb = ex.config.element_bytes
+        hosts = [
+            HostMatrix.shape_only(rows, cols, eb, name=name)
+            for name, rows, cols in self.operands(*dims)
+        ]
+        opts = QrOptions(blocksize=b) if options is None else replace(
+            options, blocksize=b
         )
-    else:
-        a = HostMatrix.shape_only(m, k, eb, name="A")
-        bm = HostMatrix.shape_only(k, n, eb, name="B")
-        c = HostMatrix.shape_only(m, n, eb, name="C")
-        plan = plan_rowstream_outer(m, k, n, min(b, m), budget)
-        run_rowstream_outer(
-            ex, c.full(), a.full(), bm.full(), plan, pipelined=pipelined
-        )
-    return ex.finish()
+        self.driver(ex, *hosts, opts)
+        if self.volume is None:
+            return None
+        m, n = dims
+        return (self.volume, m, n, min(b, n))
+
+
+def engine_label(name: str, dims: tuple[int, ...], b: int) -> str:
+    """``"qr-recursive 96x64 b=16"``: a recorded program's label."""
+    return f"{name} {'x'.join(map(str, dims))} b={b}"
+
+
+def _qr_operands(m: int, n: int) -> tuple[tuple[str, int, int], ...]:
+    return (("A", m, n), ("R", n, n))
+
+
+def _square_operand(m: int, n: int) -> tuple[tuple[str, int, int], ...]:
+    return (("A", m, n),)
+
+
+def _identity(m: int, n: int) -> tuple[int, int]:
+    return (m, n)
+
+
+def _square(m: int, n: int) -> tuple[int, int]:
+    return (n, n)
+
+
+#: The shipped engines. The TSQR entry runs the recursive QR driver under
+#: ``panel_algorithm="tsqr"`` (same op stream on device, but a distinct
+#: shipped configuration that admission must be able to verify).
+ENGINE_BINDINGS: dict[str, EngineBinding] = {
+    "qr-blocking": EngineBinding(
+        ooc_blocking_qr, _qr_operands, _identity, "blocking"
+    ),
+    "qr-recursive": EngineBinding(
+        ooc_recursive_qr, _qr_operands, _identity, "recursive"
+    ),
+    "qr-tsqr": EngineBinding(
+        ooc_recursive_qr, _qr_operands, _identity, "recursive",
+        panel_algorithm="tsqr",
+    ),
+    "lu-blocking": EngineBinding(
+        ooc_blocking_lu, _square_operand, _square, "blocking"
+    ),
+    "lu-recursive": EngineBinding(
+        ooc_recursive_lu, _square_operand, _square, "recursive"
+    ),
+    "chol-blocking": EngineBinding(
+        ooc_blocking_cholesky, _square_operand, _square, "blocking"
+    ),
+    "chol-recursive": EngineBinding(
+        ooc_recursive_cholesky, _square_operand, _square, "recursive"
+    ),
+    "gemm-inner": EngineBinding(
+        _gemm_inner,
+        lambda m, n, k: (("A", k, m), ("B", k, n), ("C", m, n)),
+        lambda m, n: (n, n, m),
+    ),
+    "gemm-outer": EngineBinding(
+        _gemm_outer,
+        lambda m, n, k: (("A", m, k), ("B", k, n), ("C", m, n)),
+        lambda m, n: (m, n, n),
+    ),
+}
+
+
+def capture_engine(
+    name: str,
+    config: SystemConfig,
+    dims: tuple[int, ...],
+    b: int,
+    *,
+    options: QrOptions | None = None,
+) -> CapturedProgram:
+    """Symbolically capture one engine binding's run at *dims*."""
+    binding = ENGINE_BINDINGS[name]
+    ex = CaptureExecutor(
+        binding.configure(config), label=engine_label(name, dims, b)
+    )
+    volume_hint = binding.run(ex, dims, b, options)
+    program = ex.finish()
+    program.volume_hint = volume_hint
+    return program
+
+
+def _registry_capture(
+    name: str, config: SystemConfig, m: int, n: int, b: int
+) -> CapturedProgram:
+    return capture_engine(name, config, ENGINE_BINDINGS[name].dims(m, n), b)
 
 
 #: Engine registry for the sweep: name -> capture(config, m, n, b).
-#: GEMM entries fold the reduction dimension into m; the TSQR entry runs
-#: the QR drivers under the ``panel_algorithm="tsqr"`` config (same op
-#: stream on device, but a distinct shipped configuration that admission
-#: must be able to verify).
 ENGINE_CAPTURES: dict[
     str, Callable[[SystemConfig, int, int, int], CapturedProgram]
-] = {
-    "qr-blocking": lambda cfg, m, n, b: capture_qr(cfg, m, n, b, method="blocking"),
-    "qr-recursive": lambda cfg, m, n, b: capture_qr(cfg, m, n, b, method="recursive"),
-    "qr-tsqr": lambda cfg, m, n, b: capture_qr(
-        replace(cfg, panel_algorithm="tsqr"), m, n, b, method="recursive",
-        label=f"qr-tsqr {m}x{n} b={b}",
-    ),
-    "lu-blocking": lambda cfg, m, n, b: capture_lu(cfg, n, b, method="blocking"),
-    "lu-recursive": lambda cfg, m, n, b: capture_lu(cfg, n, b, method="recursive"),
-    "chol-blocking": lambda cfg, m, n, b: capture_cholesky(
-        cfg, n, b, method="blocking"
-    ),
-    "chol-recursive": lambda cfg, m, n, b: capture_cholesky(
-        cfg, n, b, method="recursive"
-    ),
-    "gemm-inner": lambda cfg, m, n, b: capture_gemm(cfg, n, n, m, b, kind="inner"),
-    "gemm-outer": lambda cfg, m, n, b: capture_gemm(cfg, m, n, n, b, kind="outer"),
-}
+] = {name: partial(_registry_capture, name) for name in ENGINE_BINDINGS}
+
+
+def verify_registry_entry(
+    registry: dict[str, Callable[..., Any]],
+    name: str,
+    config: SystemConfig | None,
+    *,
+    m: int,
+    n: int,
+    b: int,
+    tolerance: float | None,
+    precision,
+) -> AnalysisReport:
+    """Record one registry engine (a capture or a task graph) and verify
+    it. QR programs assert the ``m*n``-word input floor on top of the §3.2
+    upper bounds (every input element must be loaded at least once)."""
+    program = registry[name](config or PAPER_SYSTEM, m, n, b)
+    return verify_program(
+        program,
+        input_floor_words=m * n if name.startswith("qr-") else None,
+        tolerance=tolerance,
+        precision=precision,
+    )
 
 
 def verify_engine(
@@ -187,23 +244,12 @@ def verify_engine(
     tolerance: float | None = None,
     precision=None,
 ) -> AnalysisReport:
-    """Capture one registry engine and verify it.
-
-    QR captures assert the ``m*n``-word input floor on top of the §3.2
-    upper bounds (every input element must be loaded at least once).
-    ``tolerance`` / ``precision`` flow through to the precision pass
-    (see :func:`repro.analysis.verify.verify_program`).
-    """
-    config = config or PAPER_SYSTEM
-    program = ENGINE_CAPTURES[name](config, m, n, b)
-    floor = None
-    if name.startswith("qr-"):
-        floor = m * n
-    return verify_program(
-        program,
-        input_floor_words=floor,
-        tolerance=tolerance,
-        precision=precision,
+    """Capture one registry engine and verify it. ``tolerance`` /
+    ``precision`` flow through to the precision pass (see
+    :func:`repro.analysis.verify.verify_program`)."""
+    return verify_registry_entry(
+        ENGINE_CAPTURES, name, config, m=m, n=n, b=b,
+        tolerance=tolerance, precision=precision,
     )
 
 
@@ -233,18 +279,18 @@ def capture_job(spec, config: SystemConfig) -> CapturedProgram:
     if spec.kind == "gemm":
         (r_a, c_a), (_r_b, c_b) = shapes
         if spec.trans_a:
-            return capture_gemm(
-                config, c_a, c_b, r_a, opts.blocksize,
-                kind="inner", pipelined=opts.pipelined,
+            return capture_engine(
+                "gemm-inner", config, (c_a, c_b, r_a), opts.blocksize,
+                options=opts,
             )
-        return capture_gemm(
-            config, r_a, c_b, c_a, opts.blocksize,
-            kind="outer", pipelined=opts.pipelined,
+        return capture_engine(
+            "gemm-outer", config, (r_a, c_b, c_a), opts.blocksize,
+            options=opts,
         )
     m, n = shapes[0]
     b = min(opts.blocksize, n)
-    if spec.kind == "qr":
-        return capture_qr(config, m, n, b, method=spec.method, options=opts)
-    if spec.kind == "lu":
-        return capture_lu(config, n, b, method=spec.method, options=opts)
-    return capture_cholesky(config, n, b, method=spec.method, options=opts)
+    family = "chol" if spec.kind == "cholesky" else spec.kind
+    dims = (m, n) if family == "qr" else (n, n)
+    return capture_engine(
+        f"{family}-{spec.method}", config, dims, b, options=opts
+    )

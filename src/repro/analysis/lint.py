@@ -1,6 +1,6 @@
 """Repo lint pack: AST rules encoding this codebase's invariants.
 
-Six rules, each guarding a property the test suite and docs rely on but
+Seven rules, each guarding a property the test suite and docs rely on but
 ordinary linters cannot express:
 
 ``reproerror-raises``
@@ -58,6 +58,15 @@ ordinary linters cannot express:
     alone. The forbidden-edge map
     (:data:`_LAYERING_FORBIDDEN`) is the place to add further edges as
     layers accrete.
+
+``op-vocabulary``
+    The eight device ops (``h2d``, ``d2h``, ``d2d``, ``gemm``,
+    ``panel_qr``, ``trsm``, ``panel_lu``, ``panel_cholesky``) are defined
+    once, on :class:`~repro.execution.base.Executor`; executors differ only
+    in their ``_issue`` funnel, liveness hook and kernel bodies. A method
+    (or bound class attribute) with one of those names on any other class
+    is a finding: a second copy of an op drifts from the first (it skips
+    the liveness check, or prices the op differently).
 
 A finding on a given line is waived by a same-line comment
 ``# lint: allow[<rule>]``. Run via ``tools/lint_repro.py`` (CI runs it
@@ -157,6 +166,33 @@ _LAYERING_FORBIDDEN: dict[str, tuple[str, ...]] = {
 }
 
 
+#: The executor op vocabulary and the one module allowed to define it.
+_OP_VOCABULARY = {
+    "h2d", "d2h", "d2d", "gemm", "panel_qr", "trsm", "panel_lu",
+    "panel_cholesky",
+}
+_OP_HOME = ("execution", "base.py")
+
+
+def _class_member_names(node: ast.ClassDef):
+    """``(member node, name)`` for every def and attribute binding directly
+    in a class body (bare annotations — dataclass fields such as
+    ``StreamBundle.h2d`` — declare instance data, not behaviour)."""
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield item, item.name
+        elif isinstance(item, ast.Assign):
+            for target in item.targets:
+                if isinstance(target, ast.Name):
+                    yield item, target.id
+        elif (
+            isinstance(item, ast.AnnAssign)
+            and item.value is not None
+            and isinstance(item.target, ast.Name)
+        ):
+            yield item, item.target.id
+
+
 @dataclass(frozen=True)
 class LintFinding:
     """One rule violation at a specific source location."""
@@ -234,6 +270,7 @@ def lint_source(source: str, path: str, rel_parts: tuple[str, ...]) -> list[Lint
     in_tc = top == "tc"
     in_obs = top == _OBS_DIR
     in_scheduler = top in _SCHEDULER_DIRS
+    op_home = tuple(rel_parts) == _OP_HOME
     findings: list[LintFinding] = []
 
     def report(node: ast.AST, rule: str, message: str) -> None:
@@ -257,6 +294,16 @@ def lint_source(source: str, path: str, rel_parts: tuple[str, ...]) -> list[Lint
                 )
 
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and not op_home:
+            for member, name in _class_member_names(node):
+                if name in _OP_VOCABULARY:
+                    report(
+                        member,
+                        "op-vocabulary",
+                        f"{node.name}.{name} redefines a device op; ops are "
+                        f"defined once in execution/base.py — override "
+                        f"_issue or a _{name}_body hook instead",
+                    )
         if isinstance(node, ast.Import):
             for alias in node.names:
                 check_layering(node, alias.name)

@@ -65,7 +65,7 @@ class SystemConfig:
         return TransferModel(self.gpu, pinned=self.pinned)
 
     @property
-    def gemm(self) -> GemmModel:
+    def gemm(self) -> GemmModel:  # lint: allow[op-vocabulary] - a model, not an op
         """In-core GEMM time model for this system."""
         return GemmModel(self.gpu)
 

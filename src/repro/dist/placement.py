@@ -31,8 +31,9 @@ from repro.dist.topology import DeviceTopology
 from repro.errors import ValidationError
 from repro.execution.base import RunStats
 from repro.host.tiled import HostRegion
-from repro.runtime.task import Access, TaskGraph, TileTask
+from repro.runtime.task import TaskGraph, TileTask
 from repro.sim.ops import OpKind
+from repro.sim.scheduler import DeviceAccess
 from repro.util.regions import rects_overlap
 
 
@@ -140,7 +141,9 @@ class Placement:
         ]
 
 
-def _access_overlap_bytes(a: Access, b: Access, element_bytes: int) -> int:
+def _access_overlap_bytes(
+    a: DeviceAccess, b: DeviceAccess, element_bytes: int
+) -> int:
     """Bytes of the rectangle where two device accesses overlap."""
     if a[0] != b[0]:
         return 0

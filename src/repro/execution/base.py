@@ -9,7 +9,18 @@ factorizations, streams and events — and run on any executor:
   scale;
 * :class:`~repro.execution.sim.SimExecutor` feeds the same call stream into
   the discrete-event simulator — used for timing at paper scale (131072^2
-  and beyond) without touching real data.
+  and beyond) without touching real data;
+* :class:`~repro.analysis.capture.CaptureExecutor` records it for the
+  static verifier, and :class:`~repro.runtime.builder.GraphBuilder`
+  records it as a task graph for the DAG runtime.
+
+The eight device ops (``h2d``, ``d2h``, ``d2d``, ``gemm``, ``panel_qr``,
+``trsm``, ``panel_lu``, ``panel_cholesky``) are defined once, on
+:class:`Executor`: shape checks, liveness, :class:`RunStats` accounting,
+canonical names and the op's description (flops, bytes, device accesses,
+host regions, dims) are the same on every executor. Subclasses provide an
+``allocator`` and the streams, and implement the single funnel
+``_issue``; the numeric executor also supplies the kernel bodies.
 
 A hybrid run (numeric results plus a simulated timeline) is the numeric
 run followed by a sim replay of the same driver (:mod:`repro.execution.run`).
@@ -23,13 +34,20 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from typing import Any, Callable
 
 from repro.config import SystemConfig
-from repro.errors import ShapeError
+from repro.errors import ExecutionError, ShapeError
 from repro.host.tiled import HostRegion
+from repro.sim.ops import EngineKind, OpKind, SimOp
+from repro.sim.scheduler import (
+    DeviceAccess,
+    copy_name,
+    device_access,
+    gemm_name,
+    panel_name,
+)
+from repro.util.units import gemm_flops
 from repro.util.validation import check_shape_2d
 
 
@@ -164,13 +182,19 @@ class Executor(abc.ABC):
 
     # -- memory -----------------------------------------------------------------
 
-    @abc.abstractmethod
     def alloc(self, rows: int, cols: int, name: str = "buf") -> DeviceBuffer:
         """Allocate a rows-by-cols device buffer."""
+        buf = DeviceBuffer(name=name, rows=rows, cols=cols)
+        nbytes = rows * cols * self.config.element_bytes
+        buf.payload["allocation"] = self.allocator.alloc(nbytes, name=name)
+        return buf
 
-    @abc.abstractmethod
     def free(self, buf: DeviceBuffer) -> None:
         """Release a device buffer."""
+        if buf.freed:
+            raise ExecutionError(f"double free of device buffer {buf.name!r}")
+        self.allocator.free(buf.payload["allocation"])
+        buf.freed = True
 
     # -- streams / events ----------------------------------------------------------
 
@@ -198,25 +222,104 @@ class Executor(abc.ABC):
         should ``try/finally: ex.close()``.
         """
 
-    # -- data movement ----------------------------------------------------------------
+    # -- the op funnel ---------------------------------------------------------------
 
     @abc.abstractmethod
+    def _issue(
+        self,
+        stream: Any,
+        *,
+        op: str,
+        name: str,
+        engine: EngineKind,
+        kind: OpKind,
+        body: Callable[[], None] | None,
+        nbytes: int,
+        flops: int,
+        tag: str | None,
+        accesses: list[DeviceAccess],
+        host_reads: tuple[HostRegion, ...],
+        host_writes: tuple[HostRegion, ...],
+        dims: tuple[int, ...] | None,
+    ) -> None:
+        """Carry out one fully described op (see the op methods below).
+
+        *op* is the vocabulary word (``"h2d"`` ... ``"panel_cholesky"``),
+        *dims* its shape (``(m, n, k)`` for a GEMM, ``(k, n)`` for a TRSM,
+        ``(m, b)`` for a panel, ``None`` for a copy) and *body* the
+        kernel closure from the ``_<op>_body`` hooks (``None`` on
+        executors that compute nothing).
+        """
+
+    def _check_live(self, *views: DeviceView) -> None:
+        """Liveness hook: refuse an op on a freed operand."""
+        for view in views:
+            if view.buffer.freed:
+                raise ExecutionError(
+                    f"use of freed device buffer {view.buffer.name!r}"
+                )
+
+    def _no_body(self, *args: Any) -> None:
+        """Kernel-body hook default: symbolic executors compute nothing."""
+        return None
+
+    _h2d_body = _d2h_body = _d2d_body = _gemm_body = _no_body
+    _panel_qr_body = _trsm_body = _panel_lu_body = _panel_cholesky_body = _no_body
+
+    # -- the op vocabulary: each device op, defined once -----------------------------
+    #
+    # Every op normalizes its operands, checks shapes and liveness, accounts
+    # itself in ``stats``, takes its canonical name and hands the complete
+    # description to ``_issue``. Executors differ only in that funnel (and
+    # in the kernel bodies the numeric executor supplies).
+
     def h2d(self, dst: DeviceBuffer | DeviceView, src: HostRegion, stream: Any) -> None:
         """Copy a host region into a device view (shapes must match)."""
+        dst = as_view(dst)
+        self._check_copy_shapes(dst.shape, src.shape)
+        self._check_live(dst)
+        self.stats.h2d_bytes += src.nbytes
+        name = copy_name("h2d", src, dst)
+        self._issue(
+            stream, op="h2d", name=name, engine=EngineKind.H2D,
+            kind=OpKind.COPY_H2D, body=self._h2d_body(dst, src, name),
+            nbytes=src.nbytes, flops=0, tag=None,
+            accesses=[device_access(dst, True)],
+            host_reads=(src,), host_writes=(), dims=None,
+        )
 
-    @abc.abstractmethod
     def d2h(self, dst: HostRegion, src: DeviceBuffer | DeviceView, stream: Any) -> None:
         """Copy a device view back into a host region."""
+        src = as_view(src)
+        self._check_copy_shapes(dst.shape, src.shape)
+        self._check_live(src)
+        self.stats.d2h_bytes += dst.nbytes
+        name = copy_name("d2h", src, dst)
+        self._issue(
+            stream, op="d2h", name=name, engine=EngineKind.D2H,
+            kind=OpKind.COPY_D2H, body=self._d2h_body(dst, src, name),
+            nbytes=dst.nbytes, flops=0, tag=None,
+            accesses=[device_access(src, False)],
+            host_reads=(), host_writes=(dst,), dims=None,
+        )
 
-    @abc.abstractmethod
     def d2d(
         self, dst: DeviceBuffer | DeviceView, src: DeviceBuffer | DeviceView, stream: Any
     ) -> None:
         """On-device copy (the §4.1.2 staging-buffer fast path)."""
+        dst, src = as_view(dst), as_view(src)
+        self._check_copy_shapes(dst.shape, src.shape)
+        self._check_live(dst, src)
+        nbytes = dst.rows * dst.cols * self.config.element_bytes
+        self.stats.d2d_bytes += nbytes
+        self._issue(
+            stream, op="d2d", name=copy_name("d2d", src, dst),
+            engine=EngineKind.COMPUTE, kind=OpKind.COPY_D2D,
+            body=self._d2d_body(dst, src), nbytes=nbytes, flops=0, tag=None,
+            accesses=[device_access(src, False), device_access(dst, True)],
+            host_reads=(), host_writes=(), dims=None,
+        )
 
-    # -- compute -------------------------------------------------------------------------
-
-    @abc.abstractmethod
     def gemm(
         self,
         c: DeviceBuffer | DeviceView,
@@ -231,8 +334,26 @@ class Executor(abc.ABC):
         tag: str = "gemm",
     ) -> None:
         """``C = alpha * op(A) op(B) + beta * C`` on device views."""
+        c, a, b = as_view(c), as_view(a), as_view(b)
+        dims = self._gemm_dims(c, a, b, trans_a, trans_b)
+        self._check_live(c, a, b)
+        flops = gemm_flops(*dims)
+        self.stats.gemm_flops += flops
+        self.stats.n_gemms += 1
+        name = gemm_name(tag, *dims)
+        self._issue(
+            stream, op="gemm", name=name, engine=EngineKind.COMPUTE,
+            kind=OpKind.GEMM,
+            body=self._gemm_body(c, a, b, alpha, beta, trans_a, trans_b, name),
+            nbytes=0, flops=flops, tag=tag,
+            accesses=[
+                device_access(a, False),
+                device_access(b, False),
+                device_access(c, True),
+            ],
+            host_reads=(), host_writes=(), dims=dims,
+        )
 
-    @abc.abstractmethod
     def panel_qr(
         self,
         panel: DeviceBuffer | DeviceView,
@@ -247,10 +368,23 @@ class Executor(abc.ABC):
         (b-by-b) holds R. This is the LATER-style in-core recursive CGS
         factorization both OOC variants share.
         """
+        panel, r_out = as_view(panel), as_view(r_out)
+        self._check_square_out("panel_qr", "R", panel, r_out)
+        self._check_live(panel, r_out)
+        flops = self.config.panel.flops(panel.rows, panel.cols)
+        self.stats.panel_flops += flops
+        self.stats.n_panels += 1
+        self._issue(
+            stream, op="panel_qr", name=panel_name(tag, panel.rows, panel.cols),
+            engine=EngineKind.COMPUTE, kind=OpKind.PANEL,
+            body=self._panel_qr_body(panel, r_out), nbytes=0, flops=flops,
+            tag=tag,
+            accesses=[device_access(panel, True), device_access(r_out, True)],
+            host_reads=(), host_writes=(), dims=panel.shape,
+        )
 
     # -- extension ops for the §6 future-work factorizations (LU, Cholesky) --
 
-    @abc.abstractmethod
     def trsm(
         self,
         a_tri: DeviceBuffer | DeviceView,
@@ -267,8 +401,30 @@ class Executor(abc.ABC):
         *a_tri* is a k-by-k device triangle (lower when ``lower``), *b* a
         k-by-n device view overwritten with the solution.
         """
+        a_tri, b = as_view(a_tri), as_view(b)
+        if a_tri.rows != a_tri.cols:
+            raise ExecutionError(
+                f"trsm: triangle must be square, got {a_tri.shape}"
+            )
+        if b.rows != a_tri.rows:
+            raise ExecutionError(
+                f"trsm: B has {b.rows} rows, triangle is {a_tri.rows}"
+            )
+        self._check_live(a_tri, b)
+        k, n = a_tri.rows, b.cols
+        flops = k * k * n
+        self.stats.gemm_flops += flops
+        self.stats.n_gemms += 1
+        name = panel_name(tag, k, n)
+        self._issue(
+            stream, op="trsm", name=name, engine=EngineKind.COMPUTE,
+            kind=OpKind.GEMM,
+            body=self._trsm_body(a_tri, b, lower, unit_diag, trans_a, name),
+            nbytes=0, flops=flops, tag=tag,
+            accesses=[device_access(a_tri, False), device_access(b, True)],
+            host_reads=(), host_writes=(), dims=(k, n),
+        )
 
-    @abc.abstractmethod
     def panel_lu(
         self,
         panel: DeviceBuffer | DeviceView,
@@ -286,8 +442,22 @@ class Executor(abc.ABC):
         callers must supply matrices that are stable without pivoting
         (e.g. diagonally dominant).
         """
+        panel, u_out = as_view(panel), as_view(u_out)
+        self._check_square_out("panel_lu", "U", panel, u_out)
+        self._check_live(panel, u_out)
+        # LU panel work is m b^2 — half of QR's 2 m b^2
+        flops = self.config.panel.flops(panel.rows, panel.cols) // 2
+        self.stats.panel_flops += flops
+        self.stats.n_panels += 1
+        name = panel_name(tag, panel.rows, panel.cols)
+        self._issue(
+            stream, op="panel_lu", name=name, engine=EngineKind.COMPUTE,
+            kind=OpKind.PANEL, body=self._panel_lu_body(panel, u_out, name),
+            nbytes=0, flops=flops, tag=tag,
+            accesses=[device_access(panel, True), device_access(u_out, True)],
+            host_reads=(), host_writes=(), dims=panel.shape,
+        )
 
-    @abc.abstractmethod
     def panel_cholesky(
         self,
         panel: DeviceBuffer | DeviceView,
@@ -299,6 +469,25 @@ class Executor(abc.ABC):
         SPD panel and triangular-solve the rows below in place
         (``panel[:b] <- chol(panel[:b])``, ``panel[b:] <- panel[b:] L^{-T}``).
         """
+        panel = as_view(panel)
+        b = panel.cols
+        if panel.rows < b:
+            raise ExecutionError(
+                f"panel_cholesky: panel {panel.shape} shorter than its width"
+            )
+        self._check_live(panel)
+        # b^3/3 for the diagonal block + m b^2 for the TRSM below
+        flops = b * b * b // 3 + (panel.rows - b) * b * b
+        self.stats.panel_flops += flops
+        self.stats.n_panels += 1
+        name = panel_name(tag, panel.rows, b)
+        self._issue(
+            stream, op="panel_cholesky", name=name, engine=EngineKind.COMPUTE,
+            kind=OpKind.PANEL, body=self._panel_cholesky_body(panel, name),
+            nbytes=0, flops=flops, tag=tag,
+            accesses=[device_access(panel, True)],
+            host_reads=(), host_writes=(), dims=panel.shape,
+        )
 
     # -- shared shape checking helpers ----------------------------------------------------
 
@@ -324,3 +513,53 @@ class Executor(abc.ABC):
             raise ShapeError(
                 f"copy shape mismatch: dst {dst_shape}, src {src_shape}"
             )
+
+    @staticmethod
+    def _check_square_out(
+        op: str, what: str, panel: DeviceView, out: DeviceView
+    ) -> None:
+        if out.shape != (panel.cols, panel.cols):
+            raise ExecutionError(
+                f"{op}: {what} is {out.shape}, expected "
+                f"{(panel.cols, panel.cols)}"
+            )
+
+
+def host_tag(region: HostRegion) -> tuple[int, int, int, int, int]:
+    """Stable identity of a host region within one run (the verifier's
+    redundant-reload pass and the precision pass key on it)."""
+    return (id(region.matrix), region.row0, region.row1, region.col0, region.col1)
+
+
+def make_op(
+    *,
+    op: str,
+    name: str,
+    engine: EngineKind,
+    kind: OpKind,
+    nbytes: int,
+    flops: int,
+    tag: str | None,
+    accesses: list[DeviceAccess],
+    host_reads: tuple[HostRegion, ...],
+    host_writes: tuple[HostRegion, ...],
+    dims: tuple[int, ...] | None,
+    duration: float = 0.0,
+) -> SimOp:
+    """The recorded node of one issued op, built from the ``_issue``
+    description minus the body (*op* and *dims* are accepted so the
+    description passes through whole). Every executor's program carries
+    the same tags: ``tag``, ``accesses``, and for copies the
+    ``host_region``/``host_label`` of the host side."""
+    tags: dict[str, Any] = {}
+    if tag is not None:
+        tags["tag"] = tag
+    tags["accesses"] = accesses
+    host = host_reads or host_writes
+    if host:
+        tags["host_region"] = host_tag(host[0])
+        tags["host_label"] = host[0].label()
+    return SimOp(
+        name=name, engine=engine, kind=kind, duration=duration,
+        nbytes=nbytes, flops=flops, tags=tags,
+    )

@@ -45,12 +45,11 @@ from typing import Any, Callable
 
 from repro.config import SystemConfig
 from repro.errors import DeadlockError
-from repro.execution.base import DeviceBuffer
+from repro.execution.base import DeviceBuffer, make_op
 from repro.execution.numeric import NumericExecutor
 from repro.host.tiled import HostRegion
 from repro.obs.clock import monotonic as _monotonic
-from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.util.regions import rects_overlap
+from repro.sim.ops import EngineKind, SimOp
 
 #: Per-dependency wait budget. A correct program never hits this (the
 #: dependency graph is acyclic by construction); it exists to fail loudly
@@ -71,15 +70,6 @@ class _Task:
     obs_parent: int | None = None
     #: Issue metadata the worker needs to record the op span.
     obs_info: tuple | None = None
-
-
-def _regions_conflict(a: HostRegion, b: HostRegion) -> bool:
-    """Rectangles of the same host matrix overlap."""
-    if a.matrix is not b.matrix:
-        return False
-    return rects_overlap(
-        (a.row0, a.row1), (a.col0, a.col1), (b.row0, b.row1), (b.col0, b.col1)
-    )
 
 
 class ConcurrentNumericExecutor(NumericExecutor):
@@ -171,49 +161,34 @@ class ConcurrentNumericExecutor(NumericExecutor):
             log = self._host_log.setdefault(key, [])
             live = [entry for entry in log if not entry[0].done.is_set()]
             for task, other, other_write in live:
-                if (write or other_write) and _regions_conflict(region, other):
+                if (write or other_write) and region.overlaps(other):
                     deps.append(task)
             self._host_log[key] = live
 
-    def _issue(
-        self,
-        stream: Any,
-        *,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
-        body: Callable[[], None],
-        nbytes: int = 0,
-        flops: int = 0,
-        tag: str | None = None,
-        accesses: list | None = None,
-        host_reads: tuple[HostRegion, ...] = (),
-        host_writes: tuple[HostRegion, ...] = (),
-    ) -> None:
+    def _issue(self, stream: Any, *, body: Callable[[], None], **spec: Any) -> None:
         """Record the op and dispatch its body to the engine worker."""
         self._raise_failure()
         if self._t0 is None:
             self._t0 = _monotonic()
             if self.obs.enabled:
                 self._obs_t0 = self.obs.now()
-        op = self._make_op(
-            name=name, engine=engine, kind=kind, nbytes=nbytes, flops=flops,
-            tag=tag, accesses=accesses,
-        )
+        op = make_op(**spec)
         assert self.program is not None
         self.program.append(op, stream)
         deps = [self._task_of[d] for d in op.deps if d in self._task_of]
-        self._host_deps(host_reads, False, deps)
-        self._host_deps(host_writes, True, deps)
+        self._host_deps(spec["host_reads"], False, deps)
+        self._host_deps(spec["host_writes"], True, deps)
         task = _Task(op=op, body=body, deps=tuple(dict.fromkeys(deps)))
         if self.obs.enabled:
             task.obs_parent = self.obs.current_id()
-            task.obs_info = (nbytes, flops, tag, accesses, stream)
+            task.obs_info = (
+                op.nbytes, op.flops, spec["tag"], spec["accesses"], stream
+            )
         self._task_of[op] = task
         self._inflight.append(task)
-        for access in accesses or ():
+        for access in spec["accesses"]:
             self._buffer_pending.setdefault(access[0], []).append(task)
-        self._queues[engine].put(task)
+        self._queues[op.engine].put(task)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -34,22 +34,15 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.errors import ExecutionError
-from repro.execution.base import DeviceBuffer, DeviceView, Executor, as_view
+from repro.execution.base import DeviceBuffer, DeviceView, Executor, make_op
 from repro.health.sentinel import NULL_SENTINEL, HealthSentinel
 from repro.host.tiled import HostRegion
 from repro.obs.clock import monotonic as _monotonic
 from repro.sim.memory import DeviceAllocator
-from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.sim.scheduler import (
-    StreamProgram,
-    copy_name,
-    device_access,
-    gemm_name,
-    panel_name,
-)
+from repro.sim.ops import EngineKind, OpKind
+from repro.sim.scheduler import DeviceAccess, StreamProgram
 from repro.sim.trace import Trace
 from repro.tc.gemm import CacheSlot, RoundedCopies, tc_gemm
-from repro.util.units import gemm_flops
 
 
 class _NullStream:
@@ -101,23 +94,25 @@ class NumericExecutor(Executor):
         self,
         stream: Any,
         *,
+        op: str,
         name: str,
         engine: EngineKind,
         kind: OpKind,
         body: Callable[[], None],
-        nbytes: int = 0,
-        flops: int = 0,
-        tag: str | None = None,
-        accesses: list | None = None,
-        host_reads: tuple[HostRegion, ...] = (),
-        host_writes: tuple[HostRegion, ...] = (),
+        nbytes: int,
+        flops: int,
+        tag: str | None,
+        accesses: list[DeviceAccess],
+        host_reads: tuple[HostRegion, ...],
+        host_writes: tuple[HostRegion, ...],
+        dims: tuple[int, ...] | None,
     ) -> None:
         """Run (or dispatch) one operation.
 
         The serial executor executes *body* immediately; when recording it
-        also appends a :class:`~repro.sim.ops.SimOp` node to the program
-        with the op's stream/event dependency edges and wall-clock stamps.
-        Subclasses override this to schedule *body* elsewhere (the
+        also appends the op's :func:`~repro.execution.base.make_op` node to
+        the program with its stream/event dependency edges and wall-clock
+        stamps. Subclasses override this to schedule *body* elsewhere (the
         concurrent executor sends it to the op's engine worker).
         """
         if self._t0 is None:
@@ -136,19 +131,20 @@ class NumericExecutor(Executor):
             else:
                 body()
             return
-        op = self._make_op(
-            name=name, engine=engine, kind=kind, nbytes=nbytes, flops=flops,
-            tag=tag, accesses=accesses,
+        node = make_op(
+            op=op, name=name, engine=engine, kind=kind, nbytes=nbytes,
+            flops=flops, tag=tag, accesses=accesses, host_reads=host_reads,
+            host_writes=host_writes, dims=dims,
         )
-        self.program.append(op, stream)
-        op.start = self._now()
+        self.program.append(node, stream)
+        node.start = self._now()
         body()
-        op.end = self._now()
-        op.duration = op.end - op.start
+        node.end = self._now()
+        node.duration = node.end - node.start
         if self.obs.enabled:
             self._record_op_span(
                 name, engine, kind,
-                op.start + self._obs_t0, op.end + self._obs_t0,
+                node.start + self._obs_t0, node.end + self._obs_t0,
                 nbytes=nbytes, flops=flops, tag=tag,
                 accesses=accesses, stream=stream,
             )
@@ -200,29 +196,6 @@ class NumericExecutor(Executor):
             parent_id=parent_id, attrs=attrs,
         )
 
-    @staticmethod
-    def _make_op(
-        *,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
-        nbytes: int,
-        flops: int,
-        tag: str | None,
-        accesses: list | None,
-    ) -> SimOp:
-        """Build the recorded node for one numeric op (no duration model —
-        real durations are stamped at execution time)."""
-        tags: dict[str, Any] = {}
-        if tag is not None:
-            tags["tag"] = tag
-        if accesses is not None:
-            tags["accesses"] = accesses
-        return SimOp(
-            name=name, engine=engine, kind=kind, duration=0.0,
-            nbytes=nbytes, flops=flops, tags=tags,
-        )
-
     def recorded_trace(self) -> Trace:
         """The executed ops as a wall-clock :class:`~repro.sim.trace.Trace`.
 
@@ -241,30 +214,21 @@ class NumericExecutor(Executor):
                 trace.add(op)
         return trace
 
-    def close(self) -> None:
-        """Release executor resources (worker threads in subclasses)."""
-
     # -- memory -----------------------------------------------------------------
 
     def alloc(self, rows: int, cols: int, name: str = "buf") -> DeviceBuffer:
-        buf = DeviceBuffer(name=name, rows=rows, cols=cols)
-        nbytes = rows * cols * self.config.element_bytes
-        allocation = self.allocator.alloc(nbytes, name=name)
+        buf = super().alloc(rows, cols, name)
         # Device data lives in fp32 regardless of element_bytes: storage
         # sizing models the paper's fp32 matrices, math runs in fp32 with
         # fp16 rounding applied inside GEMMs.
         buf.payload["data"] = np.zeros((rows, cols), dtype=np.float32)
         buf.payload["rounded"] = RoundedCopies()
-        buf.payload["allocation"] = allocation
         return buf
 
     def free(self, buf: DeviceBuffer) -> None:
-        if buf.freed:
-            raise ExecutionError(f"double free of device buffer {buf.name!r}")
-        self.allocator.free(buf.payload["allocation"])
+        super().free(buf)
         buf.payload.pop("data", None)
         buf.payload.pop("rounded", None)
-        buf.freed = True
 
     # -- streams -----------------------------------------------------------------
 
@@ -324,104 +288,47 @@ class NumericExecutor(Executor):
         for view in views:
             self._data(view)
 
-    # -- data movement ------------------------------------------------------------
+    # -- kernel bodies (the op methods live in Executor) ----------------------------
 
-    def h2d(self, dst: DeviceBuffer | DeviceView, src: HostRegion, stream: Any) -> None:
-        dst = as_view(dst)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._check_live(dst)
-        self.stats.h2d_bytes += src.nbytes
-        op_name = copy_name("h2d", src, dst)
-
+    def _h2d_body(self, dst: DeviceView, src: HostRegion, name: str):
         def body() -> None:
             data = self._data(dst)
             self._written(dst)
             np.copyto(data, src.array)
             if self.health.enabled:
-                self.health.check_h2d(data, op_name)
+                self.health.check_h2d(data, name)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.H2D,
-            kind=OpKind.COPY_H2D,
-            body=body,
-            nbytes=src.nbytes,
-            accesses=[device_access(dst, True)],
-            host_reads=(src,),
-        )
+        return body
 
-    def d2h(self, dst: HostRegion, src: DeviceBuffer | DeviceView, stream: Any) -> None:
-        src = as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._check_live(src)
-        self.stats.d2h_bytes += dst.nbytes
-        op_name = copy_name("d2h", src, dst)
-
+    def _d2h_body(self, dst: HostRegion, src: DeviceView, name: str):
         def body() -> None:
             data = self._data(src)
             # writeback scan: the last probed boundary before results reach
             # the host — device-side NaNs must never land silently
             if self.health.enabled:
-                self.health.check_d2h(data, op_name)
+                self.health.check_d2h(data, name)
             np.copyto(dst.array, data)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.D2H,
-            kind=OpKind.COPY_D2H,
-            body=body,
-            nbytes=dst.nbytes,
-            accesses=[device_access(src, False)],
-            host_writes=(dst,),
-        )
+        return body
 
-    def d2d(
-        self, dst: DeviceBuffer | DeviceView, src: DeviceBuffer | DeviceView, stream: Any
-    ) -> None:
-        dst, src = as_view(dst), as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._check_live(dst, src)
-        nbytes = dst.rows * dst.cols * self.config.element_bytes
-        self.stats.d2d_bytes += nbytes
-
+    def _d2d_body(self, dst: DeviceView, src: DeviceView):
         def body() -> None:
             self._written(dst)
             np.copyto(self._data(dst), self._data(src))
 
-        self._issue(
-            stream,
-            name=copy_name("d2d", src, dst),
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.COPY_D2D,
-            body=body,
-            nbytes=nbytes,
-            accesses=[device_access(src, False), device_access(dst, True)],
-        )
+        return body
 
-    # -- compute --------------------------------------------------------------------
-
-    def gemm(
+    def _gemm_body(
         self,
-        c: DeviceBuffer | DeviceView,
-        a: DeviceBuffer | DeviceView,
-        b: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        alpha: float = 1.0,
-        beta: float = 0.0,
-        trans_a: bool = False,
-        trans_b: bool = False,
-        tag: str = "gemm",
-    ) -> None:
-        c, a, b = as_view(c), as_view(a), as_view(b)
-        m, n, k = self._gemm_dims(c, a, b, trans_a, trans_b)
-        self._check_live(c, a, b)
-        self.stats.gemm_flops += gemm_flops(m, n, k)
-        self.stats.n_gemms += 1
-        op_name = gemm_name(tag, m, n, k)
-
+        c: DeviceView,
+        a: DeviceView,
+        b: DeviceView,
+        alpha: float,
+        beta: float,
+        trans_a: bool,
+        trans_b: bool,
+        name: str,
+    ):
         def body() -> None:
             health = self.health
             c_data = self._data(c)
@@ -468,47 +375,16 @@ class NumericExecutor(Executor):
                     )
 
                 health.check_gemm(
-                    c_data, op_name,
+                    c_data, name,
                     retry_fp32 if (beta == 0.0 or c_prev is not None) else None,
                 )
             # after the write: C may alias an input (multi-GPU TSQR updates
             # a slab in place), whose copy was just stored
             self._written(c)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.GEMM,
-            body=body,
-            flops=gemm_flops(m, n, k),
-            tag=tag,
-            accesses=[
-                device_access(a, False),
-                device_access(b, False),
-                device_access(c, True),
-            ],
-        )
+        return body
 
-    def panel_qr(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        r_out: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        tag: str = "panel",
-    ) -> None:
-        panel, r_out = as_view(panel), as_view(r_out)
-        if r_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_qr: R is {r_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        self._check_live(panel, r_out)
-        flops = self.config.panel.flops(panel.rows, panel.cols)
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-
+    def _panel_qr_body(self, panel: DeviceView, r_out: DeviceView):
         def body() -> None:
             a_data = self._data(panel)
             self._written(panel)
@@ -523,16 +399,7 @@ class NumericExecutor(Executor):
             np.copyto(a_data, q)
             np.copyto(self._data(r_out), r)
 
-        self._issue(
-            stream,
-            name=panel_name(tag, panel.rows, panel.cols),
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(panel, True), device_access(r_out, True)],
-        )
+        return body
 
     def _factorize_panel(self, a_data: np.ndarray):
         """Dispatch on ``config.panel_algorithm``; imports are lazy because
@@ -552,36 +419,16 @@ class NumericExecutor(Executor):
 
         return incore_recursive_qr(a_data, input_format=self._input_format)
 
-    # -- §6 extension ops (LU / Cholesky) -------------------------------------
-
-    def trsm(
+    def _trsm_body(
         self,
-        a_tri: DeviceBuffer | DeviceView,
-        b: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        lower: bool = True,
-        unit_diag: bool = False,
-        trans_a: bool = False,
-        tag: str = "trsm",
-    ) -> None:
+        a_tri: DeviceView,
+        b: DeviceView,
+        lower: bool,
+        unit_diag: bool,
+        trans_a: bool,
+        name: str,
+    ):
         import scipy.linalg
-
-        a_tri, b = as_view(a_tri), as_view(b)
-        if a_tri.rows != a_tri.cols:
-            raise ExecutionError(
-                f"trsm: triangle must be square, got {a_tri.shape}"
-            )
-        if b.rows != a_tri.rows:
-            raise ExecutionError(
-                f"trsm: B has {b.rows} rows, triangle is {a_tri.rows}"
-            )
-        self._check_live(a_tri, b)
-        flops = a_tri.rows * a_tri.rows * b.cols
-        self.stats.gemm_flops += flops
-        self.stats.n_gemms += 1
-
-        op_name = panel_name(tag, a_tri.rows, b.cols)
 
         def body() -> None:
             b_data = self._data(b)
@@ -596,42 +443,12 @@ class NumericExecutor(Executor):
             )
             np.copyto(b_data, solved.astype(np.float32, copy=False))
             if self.health.enabled:
-                self.health.check_output(b_data, op_name)
+                self.health.check_output(b_data, name)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.GEMM,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(a_tri, False), device_access(b, True)],
-        )
+        return body
 
-    def panel_lu(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        u_out: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        tag: str = "panel-lu",
-    ) -> None:
+    def _panel_lu_body(self, panel: DeviceView, u_out: DeviceView, name: str):
         from repro.factor.incore import incore_lu_nopivot
-
-        panel, u_out = as_view(panel), as_view(u_out)
-        if u_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_lu: U is {u_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        self._check_live(panel, u_out)
-        # LU panel work is m b^2 — half of QR's 2 m b^2
-        flops = self.config.panel.flops(panel.rows, panel.cols) // 2
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-
-        op_name = panel_name(tag, panel.rows, panel.cols)
 
         def body() -> None:
             a_data = self._data(panel)
@@ -639,43 +456,18 @@ class NumericExecutor(Executor):
             self._written(u_out)
             packed = incore_lu_nopivot(a_data, input_format=self._input_format)
             if self.health.enabled:
-                self.health.check_output(packed, op_name)
+                self.health.check_output(packed, name)
             np.copyto(a_data, packed)
             np.copyto(self._data(u_out), np.triu(packed[: panel.cols]))
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(panel, True), device_access(u_out, True)],
-        )
+        return body
 
-    def panel_cholesky(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        tag: str = "panel-chol",
-    ) -> None:
+    def _panel_cholesky_body(self, panel: DeviceView, name: str):
         import scipy.linalg
 
         from repro.errors import ValidationError
 
-        panel = as_view(panel)
         b = panel.cols
-        if panel.rows < b:
-            raise ExecutionError(
-                f"panel_cholesky: panel {panel.shape} shorter than its width"
-            )
-        self._check_live(panel)
-        flops = b * b * b // 3 + (panel.rows - b) * b * b
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-        op_name = panel_name(tag, panel.rows, panel.cols)
 
         def body() -> None:
             data = self._data(panel)
@@ -695,15 +487,6 @@ class NumericExecutor(Executor):
                     check_finite=False,
                 ).T.astype(np.float32)
             if self.health.enabled:
-                self.health.check_output(data, op_name)
+                self.health.check_output(data, name)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(panel, True)],
-        )
+        return body

@@ -1,10 +1,10 @@
 """Simulated executor: timing without data.
 
-Feeds the executor call stream into the discrete-event simulator. Copies
-and kernels become :class:`~repro.sim.ops.SimOp`s with durations from the
-calibrated hardware models; ``synchronize``/``finish`` run the event loop.
-Paper-scale problems (131072 x 131072 = 68 GB matrices) cost only the op
-graph, not the data.
+Feeds the executor call stream into the discrete-event simulator. Every op
+becomes a :class:`~repro.sim.ops.SimOp` timed by the one duration model
+(:func:`~repro.sim.simulator.op_duration`); ``synchronize``/``finish`` run
+the event loop. Paper-scale problems (131072 x 131072 = 68 GB matrices)
+cost only the op graph, not the data.
 """
 
 from __future__ import annotations
@@ -12,13 +12,18 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import SystemConfig
-from repro.errors import ExecutionError
-from repro.execution.base import DeviceBuffer, DeviceView, Executor, as_view
-from repro.host.tiled import HostRegion
-from repro.sim.scheduler import copy_name, device_access, gemm_name, panel_name
-from repro.sim.simulator import GpuSimulator
+from repro.execution.base import Executor, make_op
+from repro.sim.simulator import GpuSimulator, op_duration
 from repro.sim.stream import Event, Stream
 from repro.sim.trace import Trace
+
+#: Shape tags sim ops carry next to the op description.
+_DIM_TAGS = {
+    "gemm": ("m", "n", "k"),
+    "panel_qr": ("m", "b"),
+    "panel_lu": ("m", "b"),
+    "panel_cholesky": ("m", "b"),
+}
 
 
 class SimExecutor(Executor):
@@ -28,20 +33,6 @@ class SimExecutor(Executor):
         super().__init__(config)
         self.sim = GpuSimulator(config)
         self.allocator = self.sim.allocator
-
-    # -- memory -----------------------------------------------------------------
-
-    def alloc(self, rows: int, cols: int, name: str = "buf") -> DeviceBuffer:
-        buf = DeviceBuffer(name=name, rows=rows, cols=cols)
-        nbytes = rows * cols * self.config.element_bytes
-        buf.payload["allocation"] = self.allocator.alloc(nbytes, name=name)
-        return buf
-
-    def free(self, buf: DeviceBuffer) -> None:
-        if buf.freed:
-            raise ExecutionError(f"double free of device buffer {buf.name!r}")
-        self.allocator.free(buf.payload["allocation"])
-        buf.freed = True
 
     # -- streams ------------------------------------------------------------------
 
@@ -59,183 +50,18 @@ class SimExecutor(Executor):
         self.sim.barrier()
         self.stats.makespan = self.sim.now
 
-    # -- data movement --------------------------------------------------------------
+    # -- the op funnel --------------------------------------------------------------
 
-    def _bytes_of(self, view: DeviceView | HostRegion) -> int:
-        return view.rows * view.cols * self.config.element_bytes
-
-    def h2d(self, dst: DeviceBuffer | DeviceView, src: HostRegion, stream: Stream) -> None:
-        dst = as_view(dst)
-        self._check_copy_shapes(dst.shape, src.shape)
-        nbytes = src.nbytes
-        op = self.sim.op_h2d(nbytes, name=copy_name("h2d", src, dst))
-        op.tags["accesses"] = [device_access(dst, True)]
-        self.sim.enqueue(op, stream)
-        self.stats.h2d_bytes += nbytes
-
-    def d2h(self, dst: HostRegion, src: DeviceBuffer | DeviceView, stream: Stream) -> None:
-        src = as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        nbytes = dst.nbytes
-        op = self.sim.op_d2h(nbytes, name=copy_name("d2h", src, dst))
-        op.tags["accesses"] = [device_access(src, False)]
-        self.sim.enqueue(op, stream)
-        self.stats.d2h_bytes += nbytes
-
-    def d2d(
-        self, dst: DeviceBuffer | DeviceView, src: DeviceBuffer | DeviceView, stream: Stream
-    ) -> None:
-        dst, src = as_view(dst), as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        nbytes = self._bytes_of(dst)
-        op = self.sim.op_d2d(nbytes, name=copy_name("d2d", src, dst))
-        op.tags["accesses"] = [device_access(src, False), device_access(dst, True)]
-        self.sim.enqueue(op, stream)
-        self.stats.d2d_bytes += nbytes
-
-    # -- compute -----------------------------------------------------------------------
-
-    def gemm(
-        self,
-        c: DeviceBuffer | DeviceView,
-        a: DeviceBuffer | DeviceView,
-        b: DeviceBuffer | DeviceView,
-        stream: Stream,
-        *,
-        alpha: float = 1.0,
-        beta: float = 0.0,
-        trans_a: bool = False,
-        trans_b: bool = False,
-        tag: str = "gemm",
-    ) -> None:
-        c, a, b = as_view(c), as_view(a), as_view(b)
-        m, n, k = self._gemm_dims(c, a, b, trans_a, trans_b)
-        op = self.sim.op_gemm(m, n, k, name=gemm_name(tag, m, n, k), tag=tag)
-        op.tags["accesses"] = [
-            device_access(a, False),
-            device_access(b, False),
-            device_access(c, True),
-        ]
-        self.sim.enqueue(op, stream)
-        self.stats.gemm_flops += op.flops
-        self.stats.n_gemms += 1
-
-    def panel_qr(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        r_out: DeviceBuffer | DeviceView,
-        stream: Stream,
-        *,
-        tag: str = "panel",
-    ) -> None:
-        panel, r_out = as_view(panel), as_view(r_out)
-        if r_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_qr: R is {r_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        op = self.sim.op_panel(
-            panel.rows, panel.cols, name=panel_name(tag, panel.rows, panel.cols), tag=tag
+    def _issue(self, stream: Stream, *, body: Any, **spec: Any) -> None:
+        op, dims = spec["op"], spec["dims"]
+        node = make_op(
+            **spec,
+            duration=op_duration(
+                self.config, op, dims, spec["nbytes"], spec["flops"]
+            ),
         )
-        op.tags["accesses"] = [device_access(panel, True), device_access(r_out, True)]
-        self.sim.enqueue(op, stream)
-        self.stats.panel_flops += op.flops
-        self.stats.n_panels += 1
-
-    # -- §6 extension ops (LU / Cholesky) -------------------------------------
-
-    #: TRSM runs below GEMM rate on TensorCore (serial dependency chain in
-    #: the triangular solve); cuBLAS achieves roughly half.
-    TRSM_EFFICIENCY = 0.5
-
-    def trsm(
-        self,
-        a_tri: "DeviceBuffer | DeviceView",
-        b: "DeviceBuffer | DeviceView",
-        stream: Stream,
-        *,
-        lower: bool = True,
-        unit_diag: bool = False,
-        trans_a: bool = False,
-        tag: str = "trsm",
-    ) -> None:
-        from repro.sim.ops import EngineKind, OpKind, SimOp
-
-        a_tri, b = as_view(a_tri), as_view(b)
-        if a_tri.rows != a_tri.cols or b.rows != a_tri.rows:
-            raise ExecutionError(
-                f"trsm: incompatible shapes {a_tri.shape} / {b.shape}"
-            )
-        k, n = a_tri.rows, b.cols
-        flops = k * k * n
-        rate = self.config.gemm.rate(k, n, k, self.config.precision)
-        op = SimOp(
-            name=panel_name(tag, k, n),
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.GEMM,
-            duration=self.config.gpu.kernel_launch_s
-            + flops / (rate * self.TRSM_EFFICIENCY),
-            flops=flops,
-            tags={
-                "tag": tag,
-                "accesses": [device_access(a_tri, False), device_access(b, True)],
-            },
-        )
-        self.sim.enqueue(op, stream)
-        self.stats.gemm_flops += flops
-        self.stats.n_gemms += 1
-
-    def panel_lu(
-        self,
-        panel: "DeviceBuffer | DeviceView",
-        u_out: "DeviceBuffer | DeviceView",
-        stream: Stream,
-        *,
-        tag: str = "panel-lu",
-    ) -> None:
-        panel, u_out = as_view(panel), as_view(u_out)
-        if u_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_lu: U is {u_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        # LU panel work (m b^2 flops) is half of QR's 2 m b^2; charge it at
-        # the same calibrated panel rate
-        op = self.sim.op_panel(
-            panel.rows, panel.cols, name=panel_name(tag, panel.rows, panel.cols), tag=tag
-        )
-        op.duration /= 2.0
-        op.flops //= 2
-        op.tags["accesses"] = [device_access(panel, True), device_access(u_out, True)]
-        self.sim.enqueue(op, stream)
-        self.stats.panel_flops += op.flops
-        self.stats.n_panels += 1
-
-    def panel_cholesky(
-        self,
-        panel: "DeviceBuffer | DeviceView",
-        stream: Stream,
-        *,
-        tag: str = "panel-chol",
-    ) -> None:
-        panel = as_view(panel)
-        if panel.rows < panel.cols:
-            raise ExecutionError(
-                f"panel_cholesky: panel {panel.shape} shorter than its width"
-            )
-        # b^3/3 for the diagonal block + m b^2 for the TRSM below, charged
-        # at the calibrated panel rate
-        op = self.sim.op_panel(
-            panel.rows, panel.cols, name=panel_name(tag, panel.rows, panel.cols), tag=tag
-        )
-        b = panel.cols
-        flops = b * b * b // 3 + (panel.rows - b) * b * b
-        op.duration *= flops / max(op.flops, 1)
-        op.flops = flops
-        op.tags["accesses"] = [device_access(panel, True)]
-        self.sim.enqueue(op, stream)
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
+        node.tags.update(zip(_DIM_TAGS.get(op, ()), dims or ()))
+        self.sim.enqueue(node, stream)
 
     # -- results ------------------------------------------------------------------------
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
+from repro.util.regions import rects_overlap
 from repro.util.validation import check_shape_2d, positive_int
 
 
@@ -185,6 +186,13 @@ class HostRegion:
                 f"region of shape-only matrix {self.matrix.name!r} has no data"
             )
         return self.matrix.data[self.row0 : self.row1, self.col0 : self.col1]
+
+    def overlaps(self, other: "HostRegion") -> bool:
+        """Whether the two regions share an element of the same matrix."""
+        return self.matrix is other.matrix and rects_overlap(
+            (self.row0, self.row1), (self.col0, self.col1),
+            (other.row0, other.row1), (other.col0, other.col1),
+        )
 
     def sub(
         self, row0: int = 0, row1: int | None = None, col0: int = 0, col1: int | None = None

@@ -1,7 +1,8 @@
 """Tile-task DAG dataflow runtime (ROADMAP item 1).
 
 Engines emit :class:`TaskGraph` objects — tasks carrying engine class
-(h2d/compute/d2h), tile read/write sets, and a cost hint — via
+(h2d/compute/d2h), tile read/write sets, and the simulator's duration
+as a cost hint — via
 :class:`GraphBuilder`; :class:`DagScheduler` executes them with dynamic
 dataflow scheduling (lookahead, work stealing) on either the numeric
 backend or the discrete-event simulator; and
@@ -19,10 +20,7 @@ from repro.runtime.builder import GraphBuilder
 from repro.runtime.engines import (
     ENGINE_RUNTIME_STATUS,
     GRAPH_BUILDERS,
-    build_cholesky_graph,
-    build_gemm_graph,
-    build_lu_graph,
-    build_qr_graph,
+    build_engine_graph,
     verify_all_engine_graphs,
     verify_engine_graph,
 )
@@ -45,10 +43,7 @@ __all__ = [
     "SimGraphBackend",
     "TaskGraph",
     "TileTask",
-    "build_cholesky_graph",
-    "build_gemm_graph",
-    "build_lu_graph",
-    "build_qr_graph",
+    "build_engine_graph",
     "edges_consistent",
     "node_signature",
     "verify_all_engine_graphs",

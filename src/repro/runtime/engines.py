@@ -1,10 +1,12 @@
-"""Graph adapters: build task graphs from every shipped OOC engine.
+"""Graph registry: every shipped OOC engine recorded as a task graph.
 
-These mirror the ``capture_*`` drivers in :mod:`repro.analysis.engines`,
-but record a first-class :class:`~repro.runtime.task.TaskGraph` with a
-:class:`~repro.runtime.builder.GraphBuilder` instead of a flat captured
-op stream. :data:`GRAPH_BUILDERS` is the registry the CLI ``analyze
---what graphs`` sweep and the CI ``runtime-dag`` leg iterate.
+The engines and their shape-only operands come from the one binding table,
+:data:`repro.analysis.engines.ENGINE_BINDINGS` — the same runs the capture
+registry records, here driven through a
+:class:`~repro.runtime.builder.GraphBuilder` so each yields a first-class
+:class:`~repro.runtime.task.TaskGraph`. :data:`GRAPH_BUILDERS` is the
+registry the CLI ``analyze --what graphs`` sweep and the CI
+``runtime-dag`` leg iterate.
 
 Migration status lives in :data:`ENGINE_RUNTIME_STATUS`: engines marked
 ``"dag"`` also *execute* through ``runtime="dag"`` on the public APIs
@@ -18,179 +20,53 @@ follow-up migration. TSQR's migration is also what anchors the
 
 from __future__ import annotations
 
-from dataclasses import replace
+from functools import partial
 from typing import Callable
 
-from repro.analysis.verify import AnalysisReport, verify_program
-from repro.config import PAPER_SYSTEM, SystemConfig
-from repro.host.tiled import HostMatrix
+from repro.analysis.engines import (
+    ENGINE_BINDINGS,
+    engine_label,
+    verify_registry_entry,
+)
+from repro.analysis.verify import AnalysisReport
+from repro.config import SystemConfig
 from repro.qr.options import QrOptions
 from repro.runtime.builder import GraphBuilder
 from repro.runtime.task import TaskGraph
 
 
-def _options(b: int, options: QrOptions | None) -> QrOptions:
-    if options is None:
-        return QrOptions(blocksize=b)
-    return replace(options, blocksize=b)
-
-
-def build_qr_graph(
+def build_engine_graph(
+    name: str,
     config: SystemConfig,
-    m: int,
-    n: int,
+    dims: tuple[int, ...],
     b: int,
     *,
-    method: str = "blocking",
     options: QrOptions | None = None,
-    label: str | None = None,
 ) -> TaskGraph:
-    """Record one OOC QR run (blocking or recursive) as a task graph."""
-    from repro.qr.blocking import ooc_blocking_qr
-    from repro.qr.recursive import ooc_recursive_qr
-
-    eb = config.element_bytes
+    """Record one engine binding's run at *dims* as a task graph."""
+    binding = ENGINE_BINDINGS[name]
     ex = GraphBuilder(
-        config,
-        label=label or f"qr-{method}[dag] {m}x{n} b={b}",
+        binding.configure(config),
+        label=engine_label(f"{name}[dag]", dims, b),
         materialize=False,
     )
-    a = HostMatrix.shape_only(m, n, eb, name="A")
-    r = HostMatrix.shape_only(n, n, eb, name="R")
-    driver = ooc_recursive_qr if method == "recursive" else ooc_blocking_qr
-    driver(ex, a, r, _options(b, options))
+    volume_hint = binding.run(ex, dims, b, options)
     ex.allocator.check_balanced()
-    graph = ex.graph
-    graph.volume_hint = (method, m, n, min(b, n))
-    return graph
-
-
-def build_lu_graph(
-    config: SystemConfig,
-    n: int,
-    b: int,
-    *,
-    method: str = "blocking",
-    options: QrOptions | None = None,
-) -> TaskGraph:
-    """Record one OOC LU run (square, unpivoted) as a task graph."""
-    from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
-
-    ex = GraphBuilder(
-        config, label=f"lu-{method}[dag] {n}x{n} b={b}", materialize=False
-    )
-    a = HostMatrix.shape_only(n, n, config.element_bytes, name="A")
-    driver = ooc_recursive_lu if method == "recursive" else ooc_blocking_lu
-    driver(ex, a, _options(b, options))
-    ex.allocator.check_balanced()
-    graph = ex.graph
-    graph.volume_hint = (method, n, n, min(b, n))
-    return graph
-
-
-def build_cholesky_graph(
-    config: SystemConfig,
-    n: int,
-    b: int,
-    *,
-    method: str = "blocking",
-    options: QrOptions | None = None,
-) -> TaskGraph:
-    """Record one OOC Cholesky run (square SPD) as a task graph."""
-    from repro.factor.cholesky import (
-        ooc_blocking_cholesky,
-        ooc_recursive_cholesky,
-    )
-
-    ex = GraphBuilder(
-        config, label=f"chol-{method}[dag] {n}x{n} b={b}", materialize=False
-    )
-    a = HostMatrix.shape_only(n, n, config.element_bytes, name="A")
-    driver = (
-        ooc_recursive_cholesky if method == "recursive" else ooc_blocking_cholesky
-    )
-    driver(ex, a, _options(b, options))
-    ex.allocator.check_balanced()
-    graph = ex.graph
-    graph.volume_hint = (method, n, n, min(b, n))
-    return graph
-
-
-def build_gemm_graph(
-    config: SystemConfig,
-    m: int,
-    n: int,
-    k: int,
-    b: int,
-    *,
-    kind: str = "inner",
-    pipelined: bool = True,
-) -> TaskGraph:
-    """Record one OOC GEMM run (k-split inner or row-streaming outer)."""
-    from repro.ooc.inner import run_ksplit_inner
-    from repro.ooc.outer import run_rowstream_outer
-    from repro.ooc.plan import plan_ksplit_inner, plan_rowstream_outer
-
-    eb = config.element_bytes
-    ex = GraphBuilder(
-        config, label=f"gemm-{kind}[dag] {m}x{n}x{k} b={b}", materialize=False
-    )
-    budget = ex.allocator.free_bytes // eb
-    if kind == "inner":
-        a = HostMatrix.shape_only(k, m, eb, name="A")
-        bm = HostMatrix.shape_only(k, n, eb, name="B")
-        c = HostMatrix.shape_only(m, n, eb, name="C")
-        plan = plan_ksplit_inner(k, m, n, min(b, k), budget)
-        run_ksplit_inner(
-            ex, a.full(), bm.full(), c.full(), plan, pipelined=pipelined
-        )
-    else:
-        a = HostMatrix.shape_only(m, k, eb, name="A")
-        bm = HostMatrix.shape_only(k, n, eb, name="B")
-        c = HostMatrix.shape_only(m, n, eb, name="C")
-        plan = plan_rowstream_outer(m, k, n, min(b, m), budget)
-        run_rowstream_outer(
-            ex, c.full(), a.full(), bm.full(), plan, pipelined=pipelined
-        )
-    ex.allocator.check_balanced()
+    ex.graph.volume_hint = volume_hint
     return ex.graph
 
 
+def _registry_graph(
+    name: str, config: SystemConfig, m: int, n: int, b: int
+) -> TaskGraph:
+    return build_engine_graph(name, config, ENGINE_BINDINGS[name].dims(m, n), b)
+
+
 #: Graph registry for the sweep: name -> builder(config, m, n, b), with
-#: the exact argument conventions of ``ENGINE_CAPTURES`` (GEMM entries
-#: fold the reduction dimension into m).
+#: the exact argument conventions of ``ENGINE_CAPTURES``.
 GRAPH_BUILDERS: dict[
     str, Callable[[SystemConfig, int, int, int], TaskGraph]
-] = {
-    "qr-blocking": lambda cfg, m, n, b: build_qr_graph(
-        cfg, m, n, b, method="blocking"
-    ),
-    "qr-recursive": lambda cfg, m, n, b: build_qr_graph(
-        cfg, m, n, b, method="recursive"
-    ),
-    "qr-tsqr": lambda cfg, m, n, b: build_qr_graph(
-        replace(cfg, panel_algorithm="tsqr"), m, n, b, method="recursive",
-        label=f"qr-tsqr[dag] {m}x{n} b={b}",
-    ),
-    "lu-blocking": lambda cfg, m, n, b: build_lu_graph(
-        cfg, n, b, method="blocking"
-    ),
-    "lu-recursive": lambda cfg, m, n, b: build_lu_graph(
-        cfg, n, b, method="recursive"
-    ),
-    "chol-blocking": lambda cfg, m, n, b: build_cholesky_graph(
-        cfg, n, b, method="blocking"
-    ),
-    "chol-recursive": lambda cfg, m, n, b: build_cholesky_graph(
-        cfg, n, b, method="recursive"
-    ),
-    "gemm-inner": lambda cfg, m, n, b: build_gemm_graph(
-        cfg, n, n, m, b, kind="inner"
-    ),
-    "gemm-outer": lambda cfg, m, n, b: build_gemm_graph(
-        cfg, m, n, n, b, kind="outer"
-    ),
-}
+] = {name: partial(_registry_graph, name) for name in ENGINE_BINDINGS}
 
 #: Per-engine migration status: "dag" = executable via ``runtime="dag"``
 #: on the public APIs; "graph-adapter" = DAG built and verified here,
@@ -221,16 +97,9 @@ def verify_engine_graph(
     """Build one registry engine's task graph and verify it directly —
     no capture pass; ``verify_program`` consumes the DAG itself.
     ``tolerance`` / ``precision`` flow through to the precision pass."""
-    config = config or PAPER_SYSTEM
-    graph = GRAPH_BUILDERS[name](config, m, n, b)
-    floor = None
-    if name.startswith("qr-"):
-        floor = m * n
-    return verify_program(
-        graph,
-        input_floor_words=floor,
-        tolerance=tolerance,
-        precision=precision,
+    return verify_registry_entry(
+        GRAPH_BUILDERS, name, config, m=m, n=n, b=b,
+        tolerance=tolerance, precision=precision,
     )
 
 
@@ -251,10 +120,7 @@ def verify_all_engine_graphs(
 __all__ = [
     "ENGINE_RUNTIME_STATUS",
     "GRAPH_BUILDERS",
-    "build_cholesky_graph",
-    "build_gemm_graph",
-    "build_lu_graph",
-    "build_qr_graph",
+    "build_engine_graph",
     "verify_all_engine_graphs",
     "verify_engine_graph",
 ]

@@ -38,25 +38,7 @@ from repro.errors import DeadlockError
 from repro.execution.base import DeviceBuffer, RunStats
 from repro.host.tiled import HostRegion
 from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.util.regions import rects_overlap
-
-#: Device access record: ``(handle, row0, row1, col0, col1, is_write)`` —
-#: identical to :data:`repro.sim.scheduler.DeviceAccess`.
-Access = tuple[int, int, int, int, int, bool]
-
-
-def _accesses_conflict(a: Access, b: Access) -> bool:
-    if a[0] != b[0] or not (a[5] or b[5]):
-        return False
-    return rects_overlap((a[1], a[2]), (a[3], a[4]), (b[1], b[2]), (b[3], b[4]))
-
-
-def _host_conflict(a: HostRegion, b: HostRegion) -> bool:
-    if a.matrix is not b.matrix:
-        return False
-    return rects_overlap(
-        (a.row0, a.row1), (a.col0, a.col1), (b.row0, b.row1), (b.col0, b.col1)
-    )
+from repro.sim.scheduler import DeviceAccess, accesses_conflict
 
 
 @dataclass(eq=False)
@@ -79,7 +61,7 @@ class TileTask:
     buffer: DeviceBuffer | None = None
     nbytes: int = 0
     deps: list["TileTask"] = field(default_factory=list)
-    accesses: tuple[Access, ...] = ()
+    accesses: tuple[DeviceAccess, ...] = ()
     host_reads: tuple[HostRegion, ...] = ()
     host_writes: tuple[HostRegion, ...] = ()
 
@@ -124,7 +106,7 @@ class TaskGraph:
         self.volume_hint: tuple[str, int, int, int] | None = None
         self._ops: list[SimOp] = []
         # dataflow wiring state: per-buffer and per-host-matrix access logs
-        self._device_log: dict[int, list[tuple[TileTask, Access]]] = {}
+        self._device_log: dict[int, list[tuple[TileTask, DeviceAccess]]] = {}
         self._host_log: dict[int, list[tuple[TileTask, HostRegion, bool]]] = {}
         self._last_mem: TileTask | None = None
 
@@ -155,9 +137,9 @@ class TaskGraph:
             if task.op is not None and dep.op is not None:
                 task.op.deps.add(dep.op)
 
-    def _device_deps(self, task: TileTask, access: Access) -> list[TileTask]:
+    def _device_deps(self, task: TileTask, access: DeviceAccess) -> list[TileTask]:
         log = self._device_log.setdefault(access[0], [])
-        deps = [t for t, other in log if _accesses_conflict(access, other)]
+        deps = [t for t, other in log if accesses_conflict(access, other)]
         log.append((task, access))
         return deps
 
@@ -168,7 +150,7 @@ class TaskGraph:
         deps = [
             t
             for t, other, other_write in log
-            if (write or other_write) and _host_conflict(region, other)
+            if (write or other_write) and region.overlaps(other)
         ]
         log.append((task, region, write))
         return deps
@@ -179,7 +161,7 @@ class TaskGraph:
         *,
         body: Callable[[], None] | None = None,
         cost: float = 0.0,
-        accesses: Iterable[Access] = (),
+        accesses: Iterable[DeviceAccess] = (),
         host_reads: tuple[HostRegion, ...] = (),
         host_writes: tuple[HostRegion, ...] = (),
     ) -> TileTask:
@@ -213,7 +195,7 @@ class TaskGraph:
         )
         # whole-buffer write: orders the task against every touch of the
         # buffer (first toucher waits for alloc; free waits for the last)
-        access: Access = (handle, 0, max(buf.rows, 1), 0, max(buf.cols, 1), True)
+        access: DeviceAccess = (handle, 0, max(buf.rows, 1), 0, max(buf.cols, 1), True)
         deps = self._device_deps(task, access)
         if self._last_mem is not None:
             deps.append(self._last_mem)  # emission-order allocator chain
@@ -331,13 +313,12 @@ def _device_conflict(a: SimOp, b: SimOp) -> bool:
     """Whether two ops touch overlapping device data with a writer."""
     for access_a in a.tags.get("accesses", ()):
         for access_b in b.tags.get("accesses", ()):
-            if _accesses_conflict(access_a, access_b):
+            if accesses_conflict(access_a, access_b):
                 return True
     return False
 
 
 __all__ = [
-    "Access",
     "TaskGraph",
     "TileTask",
     "edges_consistent",

@@ -32,10 +32,20 @@ from typing import Any
 
 from repro.sim.ops import SimOp
 from repro.sim.stream import Event, Stream
+from repro.util.regions import rects_overlap
 
-#: Access record consumed by :mod:`repro.sim.race`:
+#: Device access record every op carries in ``tags["accesses"]``:
 #: ``(buffer_handle, row0, row1, col0, col1, is_write)``.
 DeviceAccess = tuple[int, int, int, int, int, bool]
+
+
+def accesses_conflict(a: DeviceAccess, b: DeviceAccess) -> bool:
+    """Whether two accesses touch overlapping elements of one buffer with
+    at least one writer — the hazard the race detector reports and the
+    DAG runtime orders."""
+    if a[0] != b[0] or not (a[5] or b[5]):
+        return False
+    return rects_overlap((a[1], a[2]), (a[3], a[4]), (b[1], b[2]), (b[3], b[4]))
 
 
 class StreamProgram:

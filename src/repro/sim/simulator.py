@@ -24,10 +24,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
-from repro.errors import SimulationError
 from repro.errors import DeadlockError
+from repro.hw.transfer import Direction
 from repro.sim.memory import DeviceAllocator
-from repro.sim.ops import EngineKind, OpKind, SimOp
+from repro.sim.ops import EngineKind, SimOp
 from repro.sim.scheduler import StreamProgram
 from repro.sim.stream import Event, Stream
 from repro.sim.trace import Trace
@@ -131,67 +131,47 @@ class GpuSimulator:
         """Current simulated time (end of the last retired op)."""
         return self._trace.makespan
 
-    # -- convenience op builders (durations from the config's models) ---------
 
-    def op_h2d(self, nbytes: int, name: str, **tags) -> SimOp:
-        """Build (not enqueue) a host-to-device copy op."""
-        from repro.hw.transfer import Direction
+#: TRSM runs below GEMM rate on TensorCore (serial dependency chain in the
+#: triangular solve); cuBLAS achieves roughly half.
+TRSM_EFFICIENCY = 0.5
 
-        return SimOp(
-            name=name,
-            engine=EngineKind.H2D,
-            kind=OpKind.COPY_H2D,
-            duration=self.config.transfer.time(nbytes, Direction.H2D),
-            nbytes=nbytes,
-            tags=tags,
-        )
+_COPY_DIRECTION = {
+    "h2d": Direction.H2D,
+    "d2h": Direction.D2H,
+    "d2d": Direction.D2D,
+}
 
-    def op_d2h(self, nbytes: int, name: str, **tags) -> SimOp:
-        """Build a device-to-host copy op."""
-        from repro.hw.transfer import Direction
 
-        return SimOp(
-            name=name,
-            engine=EngineKind.D2H,
-            kind=OpKind.COPY_D2H,
-            duration=self.config.transfer.time(nbytes, Direction.D2H),
-            nbytes=nbytes,
-            tags=tags,
-        )
+def op_duration(
+    config: SystemConfig,
+    op: str,
+    dims: tuple[int, ...] | None,
+    nbytes: int,
+    flops: int,
+) -> float:
+    """Model seconds of one device op under *config*'s §2 hardware models.
 
-    def op_d2d(self, nbytes: int, name: str, **tags) -> SimOp:
-        """Build an on-device copy op (runs on the compute engine)."""
-        from repro.hw.transfer import Direction
-
-        return SimOp(
-            name=name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.COPY_D2D,
-            duration=self.config.transfer.time(nbytes, Direction.D2D),
-            nbytes=nbytes,
-            tags=tags,
-        )
-
-    def op_gemm(self, m: int, n: int, k: int, name: str, **tags) -> SimOp:
-        """Build an in-core GEMM op timed by the shape-efficiency model."""
-        from repro.util.units import gemm_flops
-
-        return SimOp(
-            name=name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.GEMM,
-            duration=self.config.gemm.time(m, n, k, self.config.precision),
-            flops=gemm_flops(m, n, k),
-            tags={"m": m, "n": n, "k": k, **tags},
-        )
-
-    def op_panel(self, m: int, b: int, name: str, **tags) -> SimOp:
-        """Build an in-core panel-factorization op."""
-        return SimOp(
-            name=name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            duration=self.config.panel.time(m, b),
-            flops=self.config.panel.flops(m, b),
-            tags={"m": m, "b": b, **tags},
-        )
+    The one duration model: the simulator times its ops with it and the
+    DAG runtime uses it as the task cost hint. *op* is the executor
+    vocabulary word and *dims* its shape (see
+    :meth:`repro.execution.base.Executor._issue`).
+    """
+    if dims is None:
+        return config.transfer.time(nbytes, _COPY_DIRECTION[op])
+    if op == "gemm":
+        m, n, k = dims
+        return config.gemm.time(m, n, k, config.precision)
+    if op == "trsm":
+        k, n = dims
+        rate = config.gemm.rate(k, n, k, config.precision)
+        return config.gpu.kernel_launch_s + flops / (rate * TRSM_EFFICIENCY)
+    m, b = dims
+    duration = config.panel.time(m, b)
+    if op == "panel_lu":
+        # m b^2 flops, half of QR's 2 m b^2, at the calibrated panel rate
+        return duration / 2.0
+    if op == "panel_cholesky":
+        # b^3/3 + m b^2 flops at the calibrated panel rate
+        return duration * (flops / max(config.panel.flops(m, b), 1))
+    return duration

@@ -178,6 +178,41 @@ class TestSchedulerBypass:
             assert rules("op.deps = []", parts=parts) == [], parts
 
 
+class TestOpVocabulary:
+    def test_op_redefined_on_an_executor_flagged(self):
+        src = """
+        class FastExecutor(NumericExecutor):
+            def gemm(self, c, a, b, stream, **kw):
+                pass
+
+            trsm = None
+        """
+        assert rules(src, parts=("execution", "fast.py")) == [
+            "op-vocabulary", "op-vocabulary",
+        ]
+
+    def test_waived_member_clean(self):
+        src = """
+        class Config:
+            @property
+            def gemm(self):  # lint: allow[op-vocabulary]
+                return Model()
+        """
+        assert rules(src, parts=("config.py",)) == []
+
+    def test_base_module_and_other_names_clean(self):
+        src = """
+        class Executor:
+            def gemm(self, c, a, b, stream):
+                self._issue(stream)
+        """
+        assert rules(src, parts=("execution", "base.py")) == []
+        assert rules("class X:\n    def _gemm_body(self): pass") == []
+        # a dataclass field named like an op is data (StreamBundle.h2d)
+        assert rules("class Streams:\n    h2d: Any\n    d2h: Any") == []
+        assert rules("def gemm(a, b): return a @ b") == []
+
+
 class TestLayeringImports:
     def test_dist_may_not_import_serve(self):
         assert rules(

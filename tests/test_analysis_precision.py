@@ -38,7 +38,7 @@ from repro.analysis import (
     CaptureExecutor,
     PrecisionPlan,
     assert_precision_ok,
-    capture_qr,
+    capture_engine,
     check_precision,
     propagate,
     verify_program,
@@ -80,7 +80,7 @@ def config_with(precision: Precision, element_bytes: int = 4) -> SystemConfig:
 
 
 def recursive_program(config: SystemConfig = PAPER_SYSTEM):
-    return capture_qr(config, M, N, B, method="recursive")
+    return capture_engine("qr-recursive", config, (M, N), B)
 
 
 def rule_counts(findings) -> Counter:

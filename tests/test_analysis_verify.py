@@ -18,8 +18,7 @@ from repro.analysis import (
     ENGINE_CAPTURES,
     CaptureExecutor,
     PrecisionPlan,
-    capture_gemm,
-    capture_qr,
+    capture_engine,
     check_precision,
     verify_all_engines,
     verify_engine,
@@ -252,9 +251,9 @@ class TestBudget:
 
 
 def build_qr_task_graph():
-    from repro.runtime import build_qr_graph
+    from repro.runtime import build_engine_graph
 
-    return build_qr_graph(PAPER_SYSTEM, M, N, B, method="blocking")
+    return build_engine_graph("qr-blocking", PAPER_SYSTEM, (M, N), B)
 
 
 def _conflicts(op_a, op_b) -> bool:
@@ -364,7 +363,7 @@ class TestDagDuplicatedH2d:
 
 
 def capture_recursive_qr(config=PAPER_SYSTEM):
-    return capture_qr(config, M, N, B, method="recursive")
+    return capture_engine("qr-recursive", config, (M, N), B)
 
 
 class TestPrecisionMutations:
@@ -484,13 +483,13 @@ class TestPrecisionProperties:
         bounds = []
         for k in (64, 128, 256):
             flow, findings = check_precision(
-                capture_gemm(PAPER_SYSTEM, 32, 32, k, 16)
+                capture_engine("gemm-inner", PAPER_SYSTEM, (32, 32, k), 16)
             )
             assert findings == []
             bounds.append(flow.bound)
         assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), bounds
 
     def test_max_k_tracks_the_deepest_chain(self):
-        flow, _ = check_precision(capture_gemm(PAPER_SYSTEM, 32, 32, 128, 16))
+        flow, _ = check_precision(capture_engine("gemm-inner", PAPER_SYSTEM, (32, 32, 128), 16))
         assert flow.n_gemms > 0
         assert flow.max_k >= 16  # at least one full k-chunk GEMM

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import verify_program
-from repro.analysis.engines import capture_gemm, capture_qr
+from repro.analysis.engines import capture_engine
 from repro.config import SystemConfig
 from repro.errors import ValidationError
 from repro.hw.gemm import Precision
@@ -31,8 +31,7 @@ from repro.qr.api import ooc_qr
 from repro.runtime import (
     ENGINE_RUNTIME_STATUS,
     GRAPH_BUILDERS,
-    build_gemm_graph,
-    build_qr_graph,
+    build_engine_graph,
     edges_consistent,
     node_signature,
     verify_engine_graph,
@@ -130,8 +129,8 @@ class TestProgramEquivalence:
     @pytest.mark.parametrize("method", ["blocking", "recursive"])
     def test_qr_node_for_node(self, method, tag, m, n):
         cfg = _config()
-        graph = build_qr_graph(cfg, m, n, BLOCK, method=method)
-        capture = capture_qr(cfg, m, n, BLOCK, method=method)
+        graph = build_engine_graph(f"qr-{method}", cfg, (m, n), BLOCK)
+        capture = capture_engine(f"qr-{method}", cfg, (m, n), BLOCK)
         assert node_signature(graph.ops) == node_signature(capture.ops)
         assert edges_consistent(graph.ops, capture.ops)
         # allocator logs line up event-for-event too
@@ -144,8 +143,8 @@ class TestProgramEquivalence:
     @pytest.mark.parametrize("kind", ["inner", "outer"])
     def test_gemm_node_for_node(self, kind):
         cfg = _config()
-        graph = build_gemm_graph(cfg, 64, 64, 128, 32, kind=kind)
-        capture = capture_gemm(cfg, 64, 64, 128, 32, kind=kind)
+        graph = build_engine_graph(f"gemm-{kind}", cfg, (64, 64, 128), 32)
+        capture = capture_engine(f"gemm-{kind}", cfg, (64, 64, 128), 32)
         assert node_signature(graph.ops) == node_signature(capture.ops)
         assert edges_consistent(graph.ops, capture.ops)
 
@@ -187,7 +186,7 @@ class TestGraphVerification:
     @pytest.mark.parametrize("tag,m,n", QR_SHAPES)
     def test_qr_graph_verifies_directly(self, tag, m, n):
         cfg = _config()
-        graph = build_qr_graph(cfg, m, n, BLOCK, method="recursive")
+        graph = build_engine_graph("qr-recursive", cfg, (m, n), BLOCK)
         report = verify_program(graph, input_floor_words=m * n)
         assert report.ok, [str(f) for f in report.findings]
         assert report.peak_bytes > 0

@@ -5,9 +5,12 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import DeadlockError
+from repro.execution import SimExecutor
+from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
+from repro.hw.transfer import Direction
 from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.sim.simulator import GpuSimulator
+from repro.sim.simulator import GpuSimulator, op_duration
 from tests.conftest import make_tiny_spec
 
 
@@ -159,26 +162,44 @@ class TestDeadlock:
 
 
 class TestOpBuilders:
-    def test_h2d_duration_from_model(self, sim):
-        o = sim.op_h2d(10**9, "move")
-        assert o.duration == pytest.approx(
-            sim.config.transfer.time(10**9, __import__("repro.hw.transfer", fromlist=["Direction"]).Direction.H2D)
-        )
-        assert o.kind == OpKind.COPY_H2D
-        assert o.nbytes == 10**9
+    """Sim ops come from the executor vocabulary, timed by ``op_duration``."""
 
-    def test_gemm_flops_and_tags(self, sim):
-        o = sim.op_gemm(8, 9, 10, "g", tag="inner")
+    @pytest.fixture
+    def ex(self, sim):
+        return SimExecutor(sim.config)
+
+    def _last(self, ex):
+        return ex.sim.program.ops[-1]
+
+    def test_h2d_duration_from_model(self, ex):
+        host = HostMatrix.shape_only(1000, 250, name="H").full()
+        ex.h2d(ex.alloc(1000, 250, "d"), host, ex.stream("s"))
+        o = self._last(ex)
+        assert o.duration == ex.config.transfer.time(10**6, Direction.H2D)
+        assert o.duration == op_duration(ex.config, "h2d", None, 10**6, 0)
+        assert o.kind == OpKind.COPY_H2D
+        assert o.nbytes == 10**6
+
+    def test_gemm_flops_and_tags(self, ex):
+        c, a, b = ex.alloc(8, 9), ex.alloc(8, 10), ex.alloc(10, 9)
+        ex.gemm(c, a, b, ex.stream("s"), tag="inner")
+        o = self._last(ex)
         assert o.flops == 2 * 8 * 9 * 10
         assert o.tags["tag"] == "inner"
+        assert (o.tags["m"], o.tags["n"], o.tags["k"]) == (8, 9, 10)
         assert o.engine == EngineKind.COMPUTE
+        assert o.duration == ex.config.gemm.time(8, 9, 10, ex.config.precision)
 
-    def test_panel_op(self, sim):
-        o = sim.op_panel(64, 8, "p", tag="panel")
+    def test_panel_op(self, ex):
+        ex.panel_qr(ex.alloc(64, 8), ex.alloc(8, 8), ex.stream("s"))
+        o = self._last(ex)
         assert o.kind == OpKind.PANEL
         assert o.flops == 2 * 64 * 8 * 8
+        assert (o.tags["m"], o.tags["b"]) == (64, 8)
+        assert o.duration == ex.config.panel.time(64, 8)
 
-    def test_d2d_runs_on_compute_engine(self, sim):
-        o = sim.op_d2d(1000, "stage")
+    def test_d2d_runs_on_compute_engine(self, ex):
+        ex.d2d(ex.alloc(25, 10), ex.alloc(25, 10), ex.stream("s"))
+        o = self._last(ex)
         assert o.engine == EngineKind.COMPUTE
         assert o.kind == OpKind.COPY_D2D
