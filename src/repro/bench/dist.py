@@ -110,6 +110,30 @@ def _row(result: DistSimResult, baseline: DistSimResult) -> dict[str, Any]:
     }
 
 
+def sweep_document(
+    config: SystemConfig, sweep: dict[int, DistSimResult]
+) -> DistBenchResult:
+    """The persisted document of an already-run sweep ({P: result}).
+
+    ``shared_host_link`` enters the params only when the sweep ran
+    behind one shared host link, so default sweeps keep their layout.
+    """
+    baseline = sweep[min(sweep)]
+    params = {
+        "m": baseline.m,
+        "n": baseline.n,
+        "tree": baseline.tree.kind,
+        "device_counts": list(sweep),
+        "gpu": config.gpu.name,
+    }
+    if baseline.topology.shared_host_link:
+        params["shared_host_link"] = True
+    result = DistBenchResult(params=params)
+    for p in sorted(sweep):
+        result.rows.append(_row(sweep[p], baseline))
+    return result
+
+
 def run_dist_bench(
     config: SystemConfig = PAPER_SYSTEM,
     *,
@@ -122,19 +146,7 @@ def run_dist_bench(
     sweep = dist_scaling_sweep(
         config, m=m, n=n, device_counts=device_counts, tree=tree
     )
-    baseline = sweep[min(sweep)]
-    result = DistBenchResult(
-        params={
-            "m": m,
-            "n": n,
-            "tree": tree,
-            "device_counts": list(device_counts),
-            "gpu": config.gpu.name,
-        }
-    )
-    for p in sorted(sweep):
-        result.rows.append(_row(sweep[p], baseline))
-    return result
+    return sweep_document(config, sweep)
 
 
 def exp_dist_scaling(config: SystemConfig = PAPER_SYSTEM) -> ExperimentResult:
@@ -210,4 +222,5 @@ __all__ = [
     "exp_dist_scaling",
     "main",
     "run_dist_bench",
+    "sweep_document",
 ]

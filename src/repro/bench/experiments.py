@@ -418,10 +418,3 @@ def exp_qr_timeline(fig: int) -> ExperimentResult:
         )
     return res
 
-
-def run_core_experiments() -> list[ExperimentResult]:
-    """Tables 1-4, the headline, and all nine figures."""
-    results = [exp_table1(), exp_table2(), exp_table3(), exp_table4(), exp_headline()]
-    results += [exp_gemm_timeline(f) for f in (7, 8, 9, 10, 11)]
-    results += [exp_qr_timeline(f) for f in (12, 13, 14, 15)]
-    return results

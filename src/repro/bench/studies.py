@@ -37,6 +37,8 @@ from repro.models.movement import (
 )
 from repro.models.overlap import machine_balance, overlap_threshold
 from repro.models.predict import predict, predicted_speedup
+from repro.ooc.api import GemmResult, ooc_gemm
+from repro.ooc.plan import split_even
 from repro.qr.api import ooc_qr
 from repro.qr.options import QrOptions
 
@@ -402,50 +404,85 @@ def exp_blocksize_sensitivity(config: SystemConfig = PAPER_SYSTEM) -> Experiment
     return res
 
 
+def column_split_gemm(
+    config: SystemConfig,
+    n_devices: int,
+    *,
+    M: int,
+    N: int,
+    K: int,
+    blocksize: int,
+    shared_host_link: bool = False,
+) -> list[GemmResult]:
+    """``C(M, N) = AᵀB`` with C's columns split evenly across *n_devices*.
+
+    Each device runs the public :func:`~repro.ooc.api.ooc_gemm` on its
+    column slice, simulated on the topology's per-device config (PCIe
+    derated by the device count behind a shared host link); the slices
+    are independent, so the makespan is the max over the returned runs.
+    """
+    from repro.dist.topology import DeviceTopology
+
+    dev = DeviceTopology.symmetric(
+        config, n_devices, shared_host_link=shared_host_link
+    ).device_config(0)
+    return [
+        ooc_gemm((K, M), (K, w), trans_a=True, mode="sim", config=dev,
+                 blocksize=blocksize)
+        for _, w in split_even(N, n_devices)
+    ]
+
+
 def exp_multi_gpu_scaling(config: SystemConfig = PAPER_SYSTEM) -> ExperimentResult:
     """S13: multi-GPU OOC GEMM scaling (§2.2's cuBLASXt/BLASX territory).
 
-    Naive output-column splitting re-reads the shared operand on every
-    device, so aggregate traffic grows with the GPU count: with independent
-    PCIe links scaling is sub-linear; behind one shared host link it
-    *collapses* — which is precisely the problem BLASX's tile caching (and
-    this paper's single-GPU data-movement discipline) exists to solve.
+    Naive output-column splitting (:func:`column_split_gemm`) re-reads
+    the shared operand on every device, so aggregate traffic grows with
+    the GPU count: with independent PCIe links scaling is sub-linear;
+    behind one shared host link it *collapses* — which is precisely the
+    problem BLASX's tile caching (and this paper's single-GPU
+    data-movement discipline) exists to solve.
     """
-    from repro.multi import scaling_sweep
-
     res = ExperimentResult("S13", "Multi-GPU OOC GEMM scaling (§2.2)")
-    kwargs = dict(kind="inner", M=32768, N=65536, K=65536, blocksize=8192)
     results = {}
     for shared in (False, True):
-        sweep = scaling_sweep(config, gpu_counts=(1, 2, 4, 8),
-                              shared_link=shared, **kwargs)
-        results[shared] = sweep
         label = "shared link" if shared else "own links"
-        for g, r in sweep.items():
+        for g in (1, 2, 4, 8):
+            runs = column_split_gemm(
+                config, g, M=32768, N=65536, K=65536, blocksize=8192,
+                shared_host_link=shared,
+            )
+            makespan = max(r.makespan for r in runs)
+            h2d = sum(r.stats.h2d_bytes for r in runs)
+            flops = sum(r.stats.gemm_flops for r in runs)
+            results[shared, g] = makespan, h2d, flops
             res.add_row(
                 f"{label}, {g} GPU{'s' if g > 1 else ''}",
                 "sub-linear (redundant A reads)" if not shared
                 else "collapses (host bottleneck)",
-                f"{fmt_s(r.makespan)} ({r.speedup_over(sweep[1]):.2f}x)",
-                f"{r.total_h2d_bytes / 1e9:.0f} GB total in",
+                f"{fmt_s(makespan)} ({results[shared, 1][0] / makespan:.2f}x)",
+                f"{h2d / 1e9:.0f} GB total in",
             )
-    own, shared_res = results[False], results[True]
+
+    def speedup(shared: bool, g: int) -> float:
+        return results[shared, 1][0] / results[shared, g][0]
+
     res.add_check(
         "with independent links, 4 GPUs give a real but sub-linear speedup",
-        1.5 <= own[4].speedup_over(own[1]) <= 4.0,
+        1.5 <= speedup(False, 4) <= 4.0,
     )
     res.add_check(
         "aggregate H2D traffic grows with GPU count (the shared operand is "
         "re-read per device — BLASX's motivating waste)",
-        own[8].total_h2d_bytes > 2 * own[1].total_h2d_bytes,
+        results[False, 8][1] > 2 * results[False, 1][1],
     )
     res.add_check(
         "behind one shared host link, adding GPUs stops helping",
-        shared_res[8].speedup_over(shared_res[1]) < 1.2,
+        speedup(True, 8) < 1.2,
     )
     res.add_check(
         "per-device results are identical across link models in compute",
-        own[1].total_flops == shared_res[1].total_flops,
+        results[False, 1][2] == results[True, 1][2],
     )
     return res
 
@@ -455,19 +492,20 @@ def exp_multi_gpu_panel(config: SystemConfig = PAPER_SYSTEM) -> ExperimentResult
 
     Panel factorization is the serial floor of both OOC algorithms (Table 4
     charges it identically to both). TSQR splits a panel across devices;
-    the sweep shows the regime split: skinny panels approach linear scaling
-    (the tree reduction is negligible), while at the paper's fat b = 8192
-    panels the (2b x b) reduction QRs eat the gain — multi-GPU TSQR is not
-    the fix for the paper's configuration, only for skinny-panel variants.
+    each point is the verified, globally list-scheduled
+    :func:`~repro.dist.sim.simulate_dist_qr` run (binomial tree, factor
+    broadcasts staged through the host). The sweep shows the regime
+    split: skinny panels approach linear scaling (the tree reduction is
+    negligible), while at the paper's fat b = 8192 panels the (2b x b)
+    reduction QRs eat the gain — multi-GPU TSQR is not the fix for the
+    paper's configuration, only for skinny-panel variants.
     """
-    from repro.multi import panel_scaling_sweep
+    from repro.dist.sim import dist_scaling_sweep
 
     res = ExperimentResult("S14", "Multi-GPU TSQR panels (Table 4's serial floor)")
     speedups = {}
     for b in (1024, 8192):
-        sweep = panel_scaling_sweep(
-            config, m=131072, b=b, gpu_counts=(1, 2, 4), shared_link=False
-        )
+        sweep = dist_scaling_sweep(config, m=131072, n=b, device_counts=(1, 2, 4))
         for g, r in sweep.items():
             s = r.speedup_over(sweep[1])
             speedups[(b, g)] = s
@@ -475,7 +513,8 @@ def exp_multi_gpu_panel(config: SystemConfig = PAPER_SYSTEM) -> ExperimentResult
                 f"b={b}, {g} GPU{'s' if g > 1 else ''}",
                 "skinny scales, fat hits the tree",
                 f"{fmt_s(r.makespan)} ({s:.2f}x)",
-                f"tree {fmt_s(r.tree_phase)}",
+                f"{r.transfer_bytes / 1e6:.0f} MB moved, "
+                + ("verified" if r.all_verified else "FINDINGS"),
             )
     res.add_check(
         "skinny panels (b=1024) scale well on 4 GPUs (> 2.5x)",
@@ -496,19 +535,3 @@ def exp_multi_gpu_panel(config: SystemConfig = PAPER_SYSTEM) -> ExperimentResult
     )
     return res
 
-
-def run_studies() -> list[ExperimentResult]:
-    """S2-S8, S10-S14 (S9/S12 live in bench.numerics)."""
-    return [
-        exp_gradual_blocksize(),
-        exp_qr_level_opt(),
-        exp_movement_validation(),
-        exp_overlap_crossover(),
-        exp_future_hardware(),
-        exp_prediction_accuracy(),
-        exp_lu_cholesky_extension(),
-        exp_communication_analysis(),
-        exp_blocksize_sensitivity(),
-        exp_multi_gpu_scaling(),
-        exp_multi_gpu_panel(),
-    ]

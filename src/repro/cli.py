@@ -475,55 +475,15 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "experiments":
-        from repro.bench import run_all
-        from repro.bench.experiments import (
-            exp_gemm_timeline,
-            exp_headline,
-            exp_qr_timeline,
-            exp_table1,
-            exp_table2,
-            exp_table3,
-            exp_table4,
-        )
-        from repro.bench.numerics import exp_numerics_study, exp_precision_tradeoff
-        from repro.bench.studies import (
-            exp_blocksize_sensitivity,
-            exp_communication_analysis,
-            exp_future_hardware,
-            exp_gradual_blocksize,
-            exp_lu_cholesky_extension,
-            exp_movement_validation,
-            exp_multi_gpu_panel,
-            exp_multi_gpu_scaling,
-            exp_overlap_crossover,
-            exp_prediction_accuracy,
-            exp_qr_level_opt,
-        )
+        from repro.bench import EXPERIMENTS
 
-        registry = {
-            "T1": exp_table1, "T2": exp_table2, "T3": exp_table3,
-            "T4": exp_table4, "S1": exp_headline,
-            "S2": exp_gradual_blocksize, "S3": exp_qr_level_opt,
-            "S4": exp_movement_validation, "S5": exp_overlap_crossover,
-            "S6": exp_future_hardware, "S7": exp_prediction_accuracy,
-            "S8": exp_lu_cholesky_extension, "S9": exp_numerics_study,
-            "S10": exp_communication_analysis,
-            "S11": exp_blocksize_sensitivity,
-            "S12": exp_precision_tradeoff,
-            "S13": exp_multi_gpu_scaling,
-            "S14": exp_multi_gpu_panel,
-            **{f"F{f}": (lambda f=f: exp_gemm_timeline(f)) for f in range(7, 12)},
-            **{f"F{f}": (lambda f=f: exp_qr_timeline(f)) for f in range(12, 16)},
-        }
-        if args.ids:
-            unknown = [i for i in args.ids if i.upper() not in registry]
-            if unknown:
-                print(f"unknown ids {unknown}; available: {', '.join(registry)}",
-                      file=sys.stderr)
-                return 2
-            results = [registry[i.upper()]() for i in args.ids]
-        else:
-            results = run_all()
+        ids = [i.upper() for i in args.ids] or list(EXPERIMENTS)
+        unknown = [i for i in ids if i not in EXPERIMENTS]
+        if unknown:
+            print(f"unknown ids {unknown}; available: {', '.join(EXPERIMENTS)}",
+                  file=sys.stderr)
+            return 2
+        results = [EXPERIMENTS[i]() for i in ids]
         failures = 0
         for res in results:
             print(res.render(include_artifacts=not args.no_artifacts))
@@ -645,13 +605,9 @@ def _run_dist(args) -> int:
             if r.faults is not None and not r.faults.clean:
                 print(f"faults @{p} devices: {r.faults.summary()}")
     if args.bench_out is not None:
-        from repro.bench.dist import run_dist_bench
+        from repro.bench.dist import sweep_document
 
-        doc = run_dist_bench(
-            config, m=args.rows, n=args.cols,
-            device_counts=tuple(counts), tree=args.tree,
-        )
-        print(f"wrote {doc.write(args.bench_out)}")
+        print(f"wrote {sweep_document(config, sweep).write(args.bench_out)}")
     if args.trace_out is not None:
         from repro.obs import spans_to_chrome_trace
 

@@ -12,7 +12,8 @@ Links are per-device: with ``shared_host_link=False`` (the default)
 every device owns its PCIe lanes, which is what makes near-linear
 scaling possible; with ``shared_host_link=True`` all devices contend
 for one root complex and each link's bandwidth is derated by the device
-count, exactly as :func:`repro.multi.gemm._derated` models it.
+count. :meth:`DeviceTopology.symmetric` is the one place that derating
+is modelled; study S13 runs its per-device GEMMs on the derated config.
 """
 
 from __future__ import annotations

@@ -120,6 +120,55 @@ class TestExperiments:
         assert rc == 0
         assert "legend:" in capsys.readouterr().out
 
+    def test_dist_scaling_is_reachable(self, capsys):
+        rc = main(["experiments", "S15", "--no-artifacts"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "S15" in out
+        assert "1 experiments, 0 failed shape checks" in out
+
+    def test_table_appends_s15(self):
+        from repro.bench import EXPERIMENTS
+
+        assert list(EXPERIMENTS)[-1] == "S15"
+        assert len(EXPERIMENTS) == 28
+
+
+class TestDist:
+    def _rows(self, path):
+        import json
+
+        doc = json.loads(path.read_text())
+        return doc["params"], {r["n_devices"]: r for r in doc["rows"]}
+
+    def test_bench_out_writes_the_printed_shared_link_sweep(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "bench.json"
+        rc = main([
+            "dist", "--devices", "1", "4", "-m", "262144", "-n", "256",
+            "--shared-link", "--bench-out", str(out),
+        ])
+        assert rc == 0
+        params, rows = self._rows(out)
+        assert params["shared_host_link"] is True
+        speedup = rows[4]["speedup"]
+        assert speedup < 1.2
+        assert f"{speedup:.2f}x" in capsys.readouterr().out
+
+    def test_bench_out_keeps_injected_fault_recovery(self, capsys, tmp_path):
+        out = tmp_path / "bench.json"
+        rc = main([
+            "dist", "--devices", "4", "8", "-m", "262144", "-n", "256",
+            "--inject", "device_loss:1", "--bench-out", str(out),
+        ])
+        assert rc == 0
+        params, rows = self._rows(out)
+        assert "shared_host_link" not in params
+        printed = capsys.readouterr().out
+        for row in rows.values():
+            assert f"{row['makespan_s'] * 1e3:.1f} ms" in printed
+
 
 class TestAnalyze:
     def test_full_sweep_clean(self, capsys):

@@ -143,6 +143,18 @@ class TestSimulatedPipeline:
         with pytest.raises(ValidationError):
             simulate_dist_qr(PAPER_SYSTEM, m=256, n=64, n_devices=8)
 
+    @pytest.mark.parametrize(
+        "n,lo,hi", [(1024, 2.5, 4.0), (8192, 1.0, 2.0)], ids=["skinny", "fat"]
+    )
+    def test_panel_width_regimes(self, n, lo, hi):
+        """Skinny panels scale on 4 devices; at the paper's fat b = 8192
+        the (2b x b) reduction merges eat the gain."""
+        sweep = dist_scaling_sweep(
+            PAPER_SYSTEM, m=131_072, n=n, device_counts=(1, 4)
+        )
+        assert lo < sweep[4].speedup_over(sweep[1]) < hi
+        assert sweep[4].all_verified
+
     def test_shared_host_link_hurts(self):
         contended = simulate_dist_qr(
             PAPER_SYSTEM, n_devices=8, shared_host_link=True, **SIM_SHAPE

@@ -81,3 +81,56 @@ class TestStudies:
     def test_future_hardware(self):
         res = exp_future_hardware()
         assert res.all_passed, res.render(include_artifacts=False)
+
+
+# S13's eight sweep points (own links, then one shared host link), taken
+# from the column-split simulation at M=32768, N=65536, K=65536, b=8192:
+# (shared link, GPUs, makespan s, total H2D bytes, total flops).
+S13_GOLDEN = [
+    (False, 1, 3.585482034061211, 25769803776, 281474976710656),
+    (False, 2, 1.950243235451462, 34359738368, 281474976710656),
+    (False, 4, 1.3407133390376171, 51539607552, 281474976710656),
+    (False, 8, 1.0353863223341344, 85899345920, 281474976710656),
+    (True, 1, 3.585482034061211, 25769803776, 281474976710656),
+    (True, 2, 3.7315406630426278, 34359738368, 281474976710656),
+    (True, 4, 5.104600318390467, 51539607552, 281474976710656),
+    (True, 8, 7.974449753500032, 85899345920, 281474976710656),
+]
+
+
+class TestS13Golden:
+    """S13 pinned point by point: each GPU runs the public ``ooc_gemm``
+    on its column slice of C, on the topology's per-device config."""
+
+    @pytest.mark.parametrize("shared,gpus,makespan,h2d,flops", S13_GOLDEN)
+    def test_sweep_point(self, shared, gpus, makespan, h2d, flops):
+        from repro.config import PAPER_SYSTEM
+        from repro.dist.topology import DeviceTopology
+        from repro.ooc.api import ooc_gemm
+        from repro.ooc.plan import split_even
+
+        dev = DeviceTopology.symmetric(
+            PAPER_SYSTEM, gpus, shared_host_link=shared
+        ).device_config(0)
+        runs = [
+            ooc_gemm((65536, 32768), (65536, w), trans_a=True, mode="sim",
+                     config=dev, blocksize=8192)
+            for _, w in split_even(65536, gpus)
+        ]
+        assert [r.makespan for r in runs] == [makespan] * gpus
+        assert sum(r.stats.h2d_bytes for r in runs) == h2d
+        assert sum(r.stats.gemm_flops for r in runs) == flops
+
+    def test_report_rows_match(self):
+        from repro.bench.report import fmt_s
+        from repro.bench.studies import exp_multi_gpu_scaling
+
+        res = exp_multi_gpu_scaling()
+        assert res.all_passed, res.render(include_artifacts=False)
+        assert len(res.rows) == len(S13_GOLDEN)
+        base = {s: m for s, g, m, _, _ in S13_GOLDEN if g == 1}
+        for row, (shared, _, makespan, h2d, _) in zip(res.rows, S13_GOLDEN):
+            assert row.measured == (
+                f"{fmt_s(makespan)} ({base[shared] / makespan:.2f}x)"
+            )
+            assert row.note == f"{h2d / 1e9:.0f} GB total in"

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.bench.studies import column_split_gemm
 from repro.config import SystemConfig
-from repro.errors import ShapeError, ValidationError
+from repro.errors import PlanError, ShapeError, ValidationError
 from repro.hw.gemm import Precision
 from repro.ooc.api import ooc_gemm
 from tests.conftest import make_tiny_spec
@@ -95,3 +96,47 @@ class TestValidation:
         assert res.config.gpu.mem_bytes == 256 << 10
         # default precision is fp16 TensorCore emulation: loose check
         np.testing.assert_allclose(res.c, a.T @ b, rtol=5e-2, atol=5e-2)
+
+
+class TestColumnSplit:
+    """S13's multi-device GEMM: C's columns split across devices, one
+    ``ooc_gemm`` per slice on the topology's per-device config."""
+
+    SHAPE = dict(M=512, N=1024, K=2048, blocksize=256)
+
+    @pytest.fixture
+    def split(self):
+        config = SystemConfig(gpu=make_tiny_spec(4 << 20), precision=Precision.FP32)
+        return lambda n_devices, shared=False: column_split_gemm(
+            config, n_devices, shared_host_link=shared, **self.SHAPE
+        )
+
+    @pytest.mark.parametrize("n_devices", [1, 3, 4])
+    def test_flops_conserved_across_splits(self, split, n_devices):
+        runs = split(n_devices)
+        assert len(runs) == n_devices
+        assert sum(r.stats.gemm_flops for r in runs) == 2 * 512 * 1024 * 2048
+
+    def test_shared_operand_reread_grows_h2d(self, split):
+        """Each device reads all of A: total traffic grows with the count."""
+        a_bytes = 2048 * 512 * 4
+        assert sum(r.stats.h2d_bytes for r in split(4)) >= (
+            split(1)[0].stats.h2d_bytes + 2 * a_bytes
+        )
+
+    @staticmethod
+    def makespan(runs):
+        return max(r.makespan for r in runs)
+
+    def test_independent_links_speed_up(self, split):
+        speedup = self.makespan(split(1)) / self.makespan(split(2))
+        assert speedup > 1.2
+        assert 0 < speedup / 2 <= 1.0
+
+    def test_shared_link_scales_worse(self, split):
+        own = self.makespan(split(2))
+        assert self.makespan(split(2, shared=True)) > own
+
+    def test_too_many_devices_rejected(self, config):
+        with pytest.raises(PlanError):
+            column_split_gemm(config, 8, M=8, N=4, K=8, blocksize=4)
