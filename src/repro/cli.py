@@ -6,7 +6,6 @@ Commands
 ``qr``            simulated (or numeric) OOC QR with a timeline
 ``lu``/``chol``   the §6 extension factorizations, simulated or numeric
 ``gemm``          out-of-core GEMM (cuBLASXt-style)
-``serve-bench``   benchmark the multi-tenant factorization service
 ``loadgen``       open-loop Poisson load test of the service (BENCH_serve.json)
 ``trace``         run a numeric QR under the span recorder and render the
                   measured per-engine timeline (docs/observability.md)
@@ -266,37 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         help="dag: execute as a tile-task graph (docs/runtime.md)",
     )
 
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark the factorization service vs the serial baseline",
-    )
-    p_serve.add_argument("--jobs", type=int, default=24,
-                         help="synthetic mixed QR/GEMM/LU/Cholesky jobs")
-    p_serve.add_argument("--size", type=int, default=96,
-                         help="base matrix dimension of the workload")
-    p_serve.add_argument("-b", "--blocksize", type=int, default=32)
-    p_serve.add_argument(
-        "--workers", type=int, nargs="+", default=[1, 2, 4],
-        help="worker counts to benchmark (each vs the serial baseline)",
-    )
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--job-concurrency", choices=["serial", "threads"], default="serial",
-        help="executor flavour inside each job (docs/concurrency.md)",
-    )
-    p_serve.add_argument(
-        "--metrics", action="store_true",
-        help="also print the final run's metrics snapshot as JSON, plus "
-        "per-job fault/retry provenance (attempts, degraded pool size, "
-        "injected faults) for any job that needed them",
-    )
-    p_serve.add_argument(
-        "--inject", action="append", default=None,
-        metavar="KIND[:DEV[:ROUND]]",
-        help="inject one fault per flag into every service job "
-        "(docs/robustness.md); the serial baseline stays fault-free",
-    )
-
     p_lg = sub.add_parser(
         "loadgen",
         help="open-loop Poisson load test of the factorization service "
@@ -325,6 +293,12 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out", default=None, metavar="JSON",
         help="also record per-job spans and export a Chrome trace "
         "(load in Perfetto / chrome://tracing)",
+    )
+    p_lg.add_argument(
+        "--inject", action="append", default=None,
+        metavar="KIND[:DEV[:ROUND]]",
+        help="inject one fault per flag into every job and print each "
+        "affected job's retry provenance (docs/robustness.md)",
     )
 
     p_tr = sub.add_parser(
@@ -494,9 +468,6 @@ def _dispatch(args) -> int:
 
     if args.command == "gemm":
         return _run_gemm(args)
-
-    if args.command == "serve-bench":
-        return _run_serve_bench(args)
 
     if args.command == "loadgen":
         return _run_loadgen(args)
@@ -748,39 +719,6 @@ def _run_analyze(args) -> int:
     return 1 if failures else 0
 
 
-def _run_serve_bench(args) -> int:
-    from repro.bench.serve import bench_serve
-
-    result = bench_serve(
-        args.jobs,
-        workers=tuple(args.workers),
-        size=args.size,
-        blocksize=args.blocksize,
-        seed=args.seed,
-        job_concurrency=args.job_concurrency,
-        faults=_parse_inject(args.inject),
-    )
-    print(result.render())
-    if args.metrics:
-        import json
-
-        # snapshots captured from the benchmark runs themselves — no
-        # second service pass
-        for level in result.levels:
-            print(f"metrics (workers={level.n_workers}):")
-            print(json.dumps(level.metrics, indent=2))
-            for row in level.provenance:
-                degraded = (
-                    "" if row["degraded_to"] is None
-                    else f", degraded to {row['degraded_to']} devices"
-                )
-                print(
-                    f"  {row['job']}: {row['attempts']} attempt(s)"
-                    f"{degraded}; {row['faults'] or 'no faults'}"
-                )
-    return 0
-
-
 def _run_loadgen(args) -> int:
     from repro.bench.loadgen import run_loadgen
 
@@ -799,6 +737,7 @@ def _run_loadgen(args) -> int:
         mix=tuple(args.mix),
         job_concurrency=args.job_concurrency,
         obs=obs,
+        faults=_parse_inject(args.inject),
     )
     print(result.render())
     print(f"wrote {result.write(args.out)}")

@@ -44,7 +44,7 @@ class FaultReport:
         return not self.events
 
     def summary(self) -> str:
-        """One line for CLI tables and the serve-bench metrics snapshot."""
+        """One line for CLI tables and loadgen's per-job provenance."""
         if self.clean:
             return "no faults"
         kinds = ", ".join(ev.describe() for ev in self.events[:4])

@@ -235,6 +235,10 @@ class _Job:
     spec: JobSpec
     handle: JobHandle
     cache_key: str | None
+    #: ``submit()`` entry: turnaround runs from here, like the root span.
+    received_at: float
+    #: Enqueue instant: queue wait runs from here, so it excludes the
+    #: plan verification done in the caller's thread.
     submitted_at: float
     #: Pre-allocated root span id (admission -> verify -> wait -> execute
     #: -> cache); the span itself is recorded when the job retires.
@@ -373,7 +377,7 @@ class FactorService:
         self._queue_depth_g = m.gauge("queue_depth", "jobs waiting to be dispatched")
         self._running_g = m.gauge("jobs_running", "jobs currently executing")
         self._admitted_g = m.gauge("admitted_bytes", "device bytes charged to running jobs")
-        self._wait_h = m.histogram("queue_wait_s", "submit-to-dispatch latency")
+        self._wait_h = m.histogram("queue_wait_s", "enqueue-to-dispatch latency")
         self._run_h = m.histogram("run_s", "execution time of the final attempt")
         self._turnaround_h = m.histogram("turnaround_s", "submit-to-done latency")
         self._ckpt_written_c = m.counter(
@@ -535,6 +539,7 @@ class FactorService:
         carries a ``tolerance`` (waived if the job's ``health=escalate``
         runtime fallback can recover per-panel; see docs/analysis.md).
         """
+        received_at = _monotonic()
         obs = self.obs
         # Root span id + start are fixed at submit; the span itself is
         # recorded whenever the job retires (any thread, any outcome).
@@ -608,7 +613,7 @@ class FactorService:
             handle = JobHandle(next(self._seq), spec, footprint, charged_bytes=charge)
             job = _Job(
                 spec=spec, handle=handle, cache_key=key,
-                submitted_at=_monotonic(),
+                received_at=received_at, submitted_at=_monotonic(),
                 obs_root=rid, obs_t0=t_submit,
             )
             heapq.heappush(
@@ -891,7 +896,7 @@ class FactorService:
             handle.run_s = _monotonic() - t0
             record_attempt("ok")
             self._run_h.observe(handle.run_s)
-            self._turnaround_h.observe(_monotonic() - job.submitted_at)
+            self._turnaround_h.observe(_monotonic() - job.received_at)
             if result.ckpt is not None:
                 self._ckpt_written_c.inc(result.ckpt.checkpoints_written)
                 self._ckpt_bytes_c.inc(result.ckpt.checkpoint_bytes)

@@ -91,15 +91,22 @@ class TestGemm:
         assert "legend:" in out
 
 
-class TestServeBench:
-    def test_smoke(self, capsys):
-        rc = main(["serve-bench", "--jobs", "4", "--size", "48",
-                   "-b", "16", "--workers", "2"])
+class TestLoadgen:
+    def test_inject_prints_provenance(self, capsys, tmp_path):
+        import json
+
+        out_json = tmp_path / "BENCH_serve.json"
+        rc = main(["loadgen", "--jobs", "4", "--size", "48", "-b", "16",
+                   "--workers", "2", "--inject", "worker_crash",
+                   "--out", str(out_json)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "serve-bench" in out
         assert "workers=2" in out
-        assert "speedup" in out
+        assert "2 attempt(s)" in out and "worker_crash" in out
+        doc = json.loads(out_json.read_text())
+        assert doc["metrics"]["faults_injected"]["value"] > 0
+        assert doc["metrics"]["job_retries"]["value"] > 0
+        assert doc["jobs"]["failed"] == 0
 
 
 class TestExperiments:

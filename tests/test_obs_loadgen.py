@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import time
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.bench.loadgen import (
     SCHEMA_VERSION,
     arrival_schedule,
     run_loadgen,
+    synthetic_workload,
 )
 from repro.errors import ValidationError
 from repro.obs import SpanRecorder
@@ -25,6 +29,41 @@ def result():
     return run_loadgen(
         N_JOBS, rate_jobs_s=500.0, workers=2, size=48, blocksize=16, seed=0
     )
+
+
+class TestSyntheticWorkload:
+    def test_mixed_and_deterministic(self):
+        specs = synthetic_workload(8, size=48, blocksize=16, seed=1)
+        assert len(specs) == 8
+        assert {s.kind for s in specs} == {"qr", "gemm", "lu", "cholesky"}
+        again = synthetic_workload(8, size=48, blocksize=16, seed=1)
+        for s1, s2 in zip(specs, again):
+            assert s1.kind == s2.kind
+            assert s1.shapes() == s2.shapes()
+
+    def test_golden_stream(self):
+        # Pins the exact job stream (kinds, names, priorities, shapes and
+        # operand bytes), so moving or refactoring the generator cannot
+        # silently change what every serve benchmark submits.
+        specs = synthetic_workload(8, size=48, blocksize=16, seed=1)
+        assert [(s.kind, s.name, s.priority, s.shapes()) for s in specs] == [
+            ("qr", "qr-0", 0, ((48, 48),)),
+            ("gemm", "gemm-1", 1, ((80, 64), (80, 32))),
+            ("lu", "lu-2", 2, ((80, 80),)),
+            ("cholesky", "cholesky-3", 0, ((48, 48),)),
+            ("qr", "qr-4", 1, ((64, 64),)),
+            ("gemm", "gemm-5", 2, ((96, 80), (96, 40))),
+            ("lu", "lu-6", 0, ((48, 48),)),
+            ("cholesky", "cholesky-7", 1, ((64, 64),)),
+        ]
+        digest = hashlib.sha256()
+        for spec in specs:
+            for operand in spec.operands:
+                digest.update(operand.dtype.str.encode())
+                digest.update(operand.tobytes())
+        assert digest.hexdigest() == (
+            "64ed8c12fd85e54710aef8d619c316a765999bb4c01383b0ae1362c641a57c22"
+        )
 
 
 class TestArrivalSchedule:
@@ -70,18 +109,40 @@ class TestLoadgenRun:
         assert result.metrics["turnaround_s"]["count"] == result.completed
 
 
+class TestLoadgenLag:
+    def test_blocking_submit_shows_as_lag(self, monkeypatch):
+        # submit() verifies the plan in the caller's thread; when it
+        # blocks, the generator falls behind its schedule and must say so
+        import repro.analysis
+
+        capture = repro.analysis.capture_job
+
+        def slow_capture(spec, config):
+            time.sleep(0.05)
+            return capture(spec, config)
+
+        monkeypatch.setattr(repro.analysis, "capture_job", slow_capture)
+        result = run_loadgen(
+            4, rate_jobs_s=500.0, workers=2, size=48, blocksize=16,
+            seed=0, mix=("qr",),
+        )
+        assert result.lag_s["max"] >= 0.05
+        assert 0 <= result.lag_s["p50"] <= result.lag_s["max"]
+
+
 class TestBenchServeJson:
     def test_schema(self, result, tmp_path):
         path = result.write(tmp_path / "BENCH_serve.json")
         doc = json.loads(path.read_text())
         assert list(doc) == [
             "bench", "schema_version", "generated_by", "params", "jobs",
-            "latency_s", "goodput_jobs_s", "wall_s", "metrics",
+            "latency_s", "lag_s", "goodput_jobs_s", "wall_s", "metrics",
         ]
         assert doc["bench"] == "serve-loadgen"
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["generated_by"] == "repro.bench.loadgen"
         assert list(doc["latency_s"]) == list(LATENCY_KEYS)
+        assert list(doc["lag_s"]) == ["p50", "max"]
         assert doc["jobs"]["submitted"] == result.submitted
         assert doc["goodput_jobs_s"] == pytest.approx(result.goodput_jobs_s)
 
@@ -94,6 +155,27 @@ class TestBenchServeJson:
     def test_render_mentions_goodput(self, result):
         out = result.render()
         assert "goodput" in out and "latency p99" in out
+
+    def test_clean_run_prints_no_provenance(self, result):
+        assert result.provenance == []
+        assert "attempt(s)" not in result.render()
+
+
+class TestLoadgenPerf:
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_PERF") or (os.cpu_count() or 1) < 4,
+        reason="perf assertion needs REPRO_PERF=1 and >=4 cores",
+    )
+    def test_four_workers_beat_one(self):
+        # a saturating rate: the whole stream is offered at once, so
+        # goodput is bounded by the workers, not by the arrivals
+        def goodput(workers: int) -> float:
+            return run_loadgen(
+                16, rate_jobs_s=1e6, workers=workers, size=384,
+                blocksize=128,
+            ).goodput_jobs_s
+
+        assert goodput(4) > goodput(1)
 
 
 class TestLoadgenWithSpans:

@@ -116,7 +116,7 @@ class TestObsCoreShim:
         assert repro.serve.MetricsRegistry is repro.obs.MetricsRegistry
 
     def test_snapshot_shape_unchanged(self):
-        # the byte-level contract serve-bench --metrics relies on
+        # the byte-level contract BENCH_serve.json's metrics block relies on
         reg = MetricsRegistry()
         reg.histogram("turnaround_s").observe(0.5)
         snap = reg.snapshot()["turnaround_s"]

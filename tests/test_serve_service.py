@@ -449,6 +449,26 @@ class TestPlanVerification:
         assert snap["plans_verified"]["value"] == 0
         assert not ran.is_set()  # never reached a worker
 
+    def test_turnaround_counts_plan_verification(self, monkeypatch):
+        import repro.analysis
+
+        capture = repro.analysis.capture_job
+
+        def slow_capture(spec, config):
+            time.sleep(0.05)
+            return capture(spec, config)
+
+        monkeypatch.setattr(repro.analysis, "capture_job", slow_capture)
+        with FactorService(make_config()) as svc:
+            handle = svc.submit(self._spec())
+            handle.result(timeout=60)
+            snap = svc.snapshot_metrics()
+        # turnaround runs from submit() entry, so the verifier's time in
+        # the caller's thread is part of it (as it is of the job's root
+        # span); the queue wait still runs from enqueue
+        assert snap["turnaround_s"]["min"] >= 0.05
+        assert handle.wait_s <= snap["turnaround_s"]["min"]
+
     def test_explicit_reservation_charged_as_requested(self):
         config = make_config()
         reservation = 1 << 19
