@@ -23,6 +23,8 @@ from repro.config import SystemConfig
 from repro.hw.gemm import Precision
 from repro.hw.specs import GpuSpec
 from repro.obs.clock import monotonic as _monotonic
+from repro.obs.derive import run_summary
+from repro.obs.span import SpanRecorder
 from repro.ooc.api import ooc_gemm
 from repro.util.rng import default_rng
 
@@ -48,7 +50,7 @@ class ConcurrencyBenchResult:
     blocksize: int
     serial_s: float                 # best-of-repeats serial wall time
     threads_s: float                # best-of-repeats threaded wall time
-    overlap_ratio: float            # from the threaded run's recorded trace
+    overlap_ratio: float            # from the threaded run's recorded spans
     identical: bool                 # outputs bitwise equal across modes
 
     @property
@@ -82,7 +84,10 @@ def bench_gemm_concurrency(
 
     Both modes run ``repeats`` times on identical inputs; the best time of
     each is compared (standard practice for wall-clock microbenchmarks —
-    the minimum is the least noise-contaminated estimate).
+    the minimum is the least noise-contaminated estimate). Every run
+    records its spans, so both modes pay the same recording cost; the
+    overlap ratio is the best threaded run's, from
+    :func:`~repro.obs.derive.run_summary`.
     """
     config = config or SystemConfig(gpu=bench_spec(), precision=Precision.FP32)
     rng = default_rng(0)
@@ -92,17 +97,16 @@ def bench_gemm_concurrency(
     def run(concurrency: str) -> tuple[float, np.ndarray, float]:
         best, out, overlap = float("inf"), None, 0.0
         for _ in range(repeats):
+            rec = SpanRecorder()
             t0 = _monotonic()
             res = ooc_gemm(
                 a, b, trans_a=True, config=config, blocksize=blocksize,
-                concurrency=concurrency,
+                concurrency=concurrency, obs=rec,
             )
             elapsed = _monotonic() - t0
             if elapsed < best:
                 best, out = elapsed, res.c
-                overlap = (
-                    res.trace.overlap_ratio() if res.trace is not None else 0.0
-                )
+                overlap = run_summary(rec.spans()).overlap_ratio
         return best, out, overlap
 
     serial_s, serial_c, _ = run("serial")

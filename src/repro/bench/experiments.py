@@ -25,9 +25,9 @@ from repro.bench.workloads import (
 )
 from repro.errors import ValidationError
 from repro.config import PAPER_SYSTEM, PAPER_SYSTEM_16GB, SystemConfig
+from repro.obs import render_summary, render_timeline, run_summary
 from repro.qr.api import QrResult, ooc_qr
 from repro.qr.options import QrOptions
-from repro.sim.timeline import render_summary, render_timeline
 
 #: Published numbers transcribed from the paper (seconds / TFLOPS).
 PAPER = {
@@ -335,10 +335,9 @@ def exp_gemm_timeline(fig: int, config: SystemConfig = PAPER_SYSTEM) -> Experime
     title, run = specs[fig]
     metrics = run()
     res = ExperimentResult(f"F{fig}", f"Figure {fig}: {title}")
-    res.artifacts["timeline"] = render_timeline(
-        metrics.trace, width=100, title=title
-    )
-    res.artifacts["summary"] = render_summary(metrics.trace)
+    spans = metrics.trace.spans()
+    res.artifacts["timeline"] = render_timeline(spans, width=100, title=title)
+    res.artifacts["summary"] = render_summary(spans)
     res.add_row("makespan", "(timeline)", fmt_s(metrics.makespan))
     res.add_row("overlap ratio", "(timeline)", f"{metrics.overlap_ratio:.2f}")
 
@@ -394,15 +393,17 @@ def exp_qr_timeline(fig: int) -> ExperimentResult:
         options=QrOptions(blocksize=b),
     )
     res = ExperimentResult(f"F{fig}", f"Figure {fig}: {title}")
-    res.artifacts["timeline"] = render_timeline(result.trace, width=100, title=title)
-    res.artifacts["summary"] = render_summary(result.trace)
+    spans = result.trace.spans()
+    summary = run_summary(spans)
+    res.artifacts["timeline"] = render_timeline(spans, width=100, title=title)
+    res.artifacts["summary"] = render_summary(spans)
     res.add_row("makespan", "(timeline)", fmt_s(result.makespan))
     res.add_row("achieved rate", "(timeline)", f"{result.achieved_tflops:.1f} TFLOPS")
-    res.add_row("overlap ratio", "(timeline)", f"{result.trace.overlap_ratio():.2f}")
+    res.add_row("overlap ratio", "(timeline)", f"{summary.overlap_ratio:.2f}")
     if fig in (13, 15):
         res.add_check(
             "recursive QR keeps the compute engine mostly busy",
-            result.trace.compute_time() / result.makespan > 0.65,
+            summary.lane_busy_s["compute"] / result.makespan > 0.65,
         )
     if fig == 14:
         # the small forced blocksize ruins blocking QR twice over: the
@@ -414,7 +415,7 @@ def exp_qr_timeline(fig: int) -> ExperimentResult:
         )
         res.add_check(
             "significant transfer time is exposed (overlap ratio drops)",
-            result.trace.overlap_ratio() < 0.85,
+            summary.overlap_ratio < 0.85,
         )
     return res
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from repro.config import SystemConfig
 from repro.execution.sim import SimExecutor
 from repro.host.tiled import HostMatrix
+from repro.obs.derive import run_summary
 from repro.ooc.inner import run_ksplit_inner, run_panel_inner
 from repro.ooc.outer import run_rowstream_outer, run_tile_outer
 from repro.ooc.plan import (
@@ -18,7 +19,7 @@ from repro.ooc.plan import (
     plan_rowstream_outer,
     plan_tile_outer,
 )
-from repro.sim.ops import EngineKind, OpKind
+from repro.sim.ops import OpKind
 from repro.sim.trace import Trace
 
 
@@ -59,8 +60,7 @@ def _metrics(ex: SimExecutor, t0: float, flops: int, h2d0: int, d2h0: int) -> Ge
     gemms = [op for op in window if op.kind == OpKind.GEMM]
     h2ds = [op for op in window if op.kind == OpKind.COPY_H2D]
     d2hs = [op for op in window if op.kind == OpKind.COPY_D2H]
-    sub = Trace()
-    sub.extend(window)
+    in_window = [s for s in trace.spans() if s.end_s > t0 + 1e-12]
     return GemmRunMetrics(
         makespan=trace.makespan - t0,
         total_flops=flops,
@@ -70,7 +70,7 @@ def _metrics(ex: SimExecutor, t0: float, flops: int, h2d0: int, d2h0: int) -> Ge
         median_h2d=_median([op.duration for op in h2ds]),
         median_gemm=_median([op.duration for op in gemms]),
         median_d2h=_median([op.duration for op in d2hs]),
-        overlap_ratio=sub.overlap_ratio(),
+        overlap_ratio=run_summary(in_window).overlap_ratio,
         trace=trace,
         t0=t0,
     )

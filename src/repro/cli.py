@@ -110,10 +110,28 @@ def _options(args) -> QrOptions:
     return opts
 
 
+def _timeline_recorder(args):
+    """A span recorder for a numeric run's ``--timeline``, else None."""
+    if not args.timeline:
+        return None
+    from repro.obs import SpanRecorder
+
+    return SpanRecorder()
+
+
+def _print_timeline(result, rec, *, title: str) -> None:
+    """The Gantt chart and summary of a run: its recorded spans (numeric)
+    or its simulated trace's."""
+    from repro.obs import render_summary, render_timeline
+
+    spans = rec.spans() if rec is not None else result.trace.spans()
+    print(render_timeline(spans, width=100, title=title))
+    print(render_summary(spans))
+
+
 def _run_factorization(args, kind: str) -> int:
     from repro.factor.api import ooc_cholesky, ooc_lu
     from repro.qr.api import ooc_qr
-    from repro.sim.timeline import render_summary, render_timeline
 
     runners = {"qr": ooc_qr, "lu": ooc_lu, "chol": ooc_cholesky}
     run = runners[kind]
@@ -161,6 +179,7 @@ def _run_factorization(args, kind: str) -> int:
 
     times = {}
     for method in methods:
+        rec = None
         if args.mode == "numeric":
             import numpy as np
 
@@ -179,10 +198,11 @@ def _run_factorization(args, kind: str) -> int:
             else:
                 a = default_rng(0).standard_normal(shape).astype(np.float32)
             extra = {"runtime": runtime} if kind == "qr" else {}
+            rec = _timeline_recorder(args)
             result = run(
                 a, method=method, mode="numeric", config=config,
                 options=options, concurrency=args.concurrency,
-                checkpoint=checkpoint, **extra,
+                checkpoint=checkpoint, obs=rec, **extra,
             )
         else:
             extra = {"runtime": runtime} if kind == "qr" else {}
@@ -208,10 +228,8 @@ def _run_factorization(args, kind: str) -> int:
             )
         if result.health is not None:
             print(f"  health: {result.health.summary()}")
-        if args.timeline and result.trace is not None:
-            print(render_timeline(result.trace, width=100,
-                                  title=f"{kind} {method}"))
-            print(render_summary(result.trace))
+        if args.timeline:
+            _print_timeline(result, rec, title=f"{kind} {method}")
     if len(times) == 2:
         print(f"speedup (blocking / recursive): "
               f"{times['blocking'] / times['recursive']:.2f}x")
@@ -755,12 +773,12 @@ def _run_trace(args) -> int:
     from repro.obs import (
         SpanRecorder,
         render_sim_vs_measured,
+        render_summary,
+        render_timeline,
         run_summary,
         spans_to_chrome_trace,
-        spans_to_trace,
     )
     from repro.qr.api import ooc_qr
-    from repro.sim.timeline import render_summary, render_timeline
     from repro.util.rng import default_rng
 
     config = _config(args)
@@ -775,24 +793,23 @@ def _run_trace(args) -> int:
         runtime=args.runtime, obs=rec,
     )
     spans = rec.spans()
-    trace = spans_to_trace(spans)
     summary = run_summary(spans)
     print(render_timeline(
-        trace, width=100,
+        spans, width=100,
         title=f"qr {args.method} {args.rows}x{args.cols} "
         f"b={options.blocksize} — measured ({args.runtime} runtime)",
     ))
-    print(render_summary(trace))
+    print(render_summary(spans))
     print(f"  spans           : {summary.n_spans} "
           f"(+{summary.n_events} events)")
     if args.compare_sim:
         sim = ooc_qr(
             (args.rows, args.cols), method=args.method, mode="sim",
-            config=config, options=options,
+            config=config, options=options, runtime=args.runtime,
         )
         print()
         print(render_sim_vs_measured(
-            sim.trace, spans,
+            sim.trace.spans(), spans,
             title=f"sim vs measured: qr {args.method} "
             f"{args.rows}x{args.cols} b={options.blocksize}",
         ))
@@ -804,22 +821,23 @@ def _run_trace(args) -> int:
 
 def _run_gemm(args) -> int:
     from repro.ooc.api import ooc_gemm
-    from repro.sim.timeline import render_summary, render_timeline
 
     config = _config(args)
+    rec = None
     if args.mode == "numeric":
         import numpy as np
 
         from repro.util.rng import default_rng
 
         rng = default_rng(0)
+        rec = _timeline_recorder(args)
         if args.kind == "inner":
             a = rng.standard_normal((args.K, args.M)).astype(np.float32)
             b = rng.standard_normal((args.K, args.N)).astype(np.float32)
             result = ooc_gemm(
                 a, b, trans_a=True, mode="numeric", config=config,
                 blocksize=args.blocksize, pipelined=not args.sync,
-                concurrency=args.concurrency, runtime=args.runtime,
+                concurrency=args.concurrency, runtime=args.runtime, obs=rec,
             )
         else:
             a = rng.standard_normal((args.M, args.K)).astype(np.float32)
@@ -829,7 +847,7 @@ def _run_gemm(args) -> int:
                 a, b, alpha=-1.0, beta=1.0, c=c, mode="numeric",
                 config=config, blocksize=args.blocksize,
                 pipelined=not args.sync, concurrency=args.concurrency,
-                runtime=args.runtime,
+                runtime=args.runtime, obs=rec,
             )
     elif args.kind == "inner":
         result = ooc_gemm(
@@ -852,9 +870,8 @@ def _run_gemm(args) -> int:
         f"{result.achieved_tflops:6.1f} TFLOPS, "
         f"H2D {result.movement.h2d_bytes / 1e9:6.1f} GB"
     )
-    if args.timeline and result.trace is not None:
-        print(render_timeline(result.trace, width=100, title=f"gemm {args.kind}"))
-        print(render_summary(result.trace))
+    if args.timeline:
+        _print_timeline(result, rec, title=f"gemm {args.kind}")
     return 0
 
 

@@ -469,18 +469,12 @@ def dist_trace_spans(result: DistSimResult) -> list[Span]:
     spans: list[Span] = []
     sid = 0
     for d, trace in enumerate(result.traces):
-        for op in trace.ops:
+        for span in trace.spans():
             sid += 1
             spans.append(
-                Span(
-                    span_id=sid,
-                    parent_id=None,
-                    name=op.name,
-                    cat=op.kind.value,
-                    lane=f"dev{d}",
-                    start_s=op.start,
-                    end_s=op.end,
-                    attrs={"device": d, "engine": op.engine.value},
+                replace(
+                    span, span_id=sid, lane=f"dev{d}",
+                    attrs={"device": d, "engine": span.lane},
                 )
             )
     t = max(result.local_makespans, default=0.0)

@@ -33,7 +33,8 @@ subsequent bodies are skipped (their done-flags still set, so the pipeline
 drains instead of deadlocking) and the original exception re-raises on the
 issuing thread at the next :meth:`ConcurrentNumericExecutor._issue` or
 :meth:`ConcurrentNumericExecutor.synchronize`. Failed and skipped ops keep
-``start is None`` and are excluded from :meth:`recorded_trace`.
+``start is None``: only ops that ran carry start/end stamps in
+``program.ops``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ executor additionally records the stream program — the same
 :class:`~repro.sim.scheduler.StreamProgram` happens-before graph the
 simulator builds — stamping every executed op with wall-clock times, which is
 what the differential test harness compares across backends and what the
-race detector consumes.
+race detector consumes (``executor.program.ops``). The measured timeline
+of a run is its span list (``obs=``), not these stamps.
 
 :class:`~repro.execution.concurrent.ConcurrentNumericExecutor` subclasses
 this executor and overrides :meth:`NumericExecutor._issue` to dispatch op
@@ -41,7 +42,6 @@ from repro.obs.clock import monotonic as _monotonic
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind
 from repro.sim.scheduler import DeviceAccess, StreamProgram
-from repro.sim.trace import Trace
 from repro.tc.gemm import CacheSlot, RoundedCopies, tc_gemm
 
 
@@ -66,8 +66,8 @@ class NumericExecutor(Executor):
     record
         When true, streams/events are real (the shared
         :class:`~repro.sim.scheduler.StreamProgram` wiring) and every op is
-        recorded with its dependency edges, device accesses and wall-clock
-        start/end stamps — see :meth:`recorded_trace`.
+        recorded in :attr:`program` with its dependency edges, device
+        accesses and wall-clock start/end stamps.
     """
 
     def __init__(self, config: SystemConfig, *, record: bool = False):
@@ -195,24 +195,6 @@ class NumericExecutor(Executor):
             cat=kind.value, lane=engine.value,
             parent_id=parent_id, attrs=attrs,
         )
-
-    def recorded_trace(self) -> Trace:
-        """The executed ops as a wall-clock :class:`~repro.sim.trace.Trace`.
-
-        Requires ``record=True``. Ops carry their real start/end times and
-        the stream/event dependency edges, so the simulator's causality
-        checks and the :mod:`repro.sim.race` detector run on it unchanged.
-        """
-        if self.program is None:
-            raise ExecutionError(
-                "recorded_trace() requires a recording executor "
-                "(NumericExecutor(config, record=True))"
-            )
-        trace = Trace()
-        for op in self.program.ops:
-            if op.scheduled:
-                trace.add(op)
-        return trace
 
     # -- memory -----------------------------------------------------------------
 

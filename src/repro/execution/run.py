@@ -175,9 +175,9 @@ class TimedResult:
 
     @property
     def makespan(self) -> float:
-        """The trace's length (simulated, or the recorded wall-clock
-        schedule of a threaded run); measured wall seconds
-        (:attr:`RunStats.wall_s`) for serial numeric runs."""
+        """The simulated makespan when the run has a trace (``mode="sim"``
+        or ``"hybrid"``); measured wall seconds (:attr:`RunStats.wall_s`)
+        otherwise."""
         if self.trace is not None:
             return self.trace.makespan
         return self.stats.wall_s
@@ -242,27 +242,25 @@ def _run_graph(
     concurrency: str = "serial",
     obs: SpanRecorder = NULL_RECORDER,
 ) -> Trace | None:
-    """Execute a recorded task graph: simulate it (``mode="sim"``), or run
-    it on the numeric backend serially or on work-stealing threads (which
-    also return the recorded wall-clock trace)."""
+    """Execute a recorded task graph: simulate it (``mode="sim"``, returns
+    the simulated trace), or run it on the numeric backend serially or on
+    work-stealing threads (returns None; ``obs`` records the timeline)."""
     from repro.runtime import DagScheduler, NumericGraphBackend, SimGraphBackend
 
     if mode == "sim":
         return SimGraphBackend(config).run(graph)
     backend = NumericGraphBackend(config, obs=obs)
     scheduler = DagScheduler(graph)
-    trace = None
     if concurrency == "threads":
         scheduler.run_threaded(backend)
-        trace = backend.recorded_trace(graph)
     else:
         scheduler.run_serial(backend)
     backend.allocator.check_balanced()
-    return trace
+    return None
 
 
 def _drain(ex: Executor, config: SystemConfig, spec: RunSpec, volume_hint):
-    """Complete the issued work; the run's trace (None for serial numeric)."""
+    """Complete the issued work; the run's trace (None for numeric runs)."""
     if spec.runtime == "dag":
         ex.graph.volume_hint = volume_hint
         return _run_graph(
@@ -272,7 +270,7 @@ def _drain(ex: Executor, config: SystemConfig, spec: RunSpec, volume_hint):
     if spec.mode == "sim":
         return ex.finish()
     ex.synchronize()
-    return ex.recorded_trace() if spec.concurrency == "threads" else None
+    return None
 
 
 def sim_replay(driver, config: SystemConfig, stats: RunStats) -> Trace:

@@ -21,6 +21,7 @@ from repro.execution.run import (
 from repro.factor.cholesky import ooc_blocking_cholesky, ooc_recursive_cholesky
 from repro.factor.common import FactorRunInfo
 from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
+from repro.obs.span import SpanRecorder
 from repro.ooc.accounting import MovementReport
 from repro.qr.options import QrOptions, with_blocksize
 from repro.sim.trace import Trace
@@ -83,6 +84,7 @@ def _run(
     device_memory: int | None,
     concurrency: str,
     checkpoint: CheckpointConfig | None = None,
+    obs: SpanRecorder | None = None,
 ) -> FactorResult:
     config = system_config(config, device_memory)
     host_a, shape_only = host_operand(a, config.element_bytes, "A", copy=True)
@@ -90,6 +92,7 @@ def _run(
     spec = run_spec(
         mode, shape_only=shape_only, modes=("numeric", "sim"),
         concurrency=concurrency, checkpoint=checkpoint, health=options.health,
+        obs=obs,
     )
     config.check_host_capacity(
         host_a.rows * host_a.cols, what=f"OOC {kind} (A, factored in place)"
@@ -127,14 +130,16 @@ def ooc_lu(
     device_memory: int | None = None,
     concurrency: str = "serial",
     checkpoint: CheckpointConfig | None = None,
+    obs: SpanRecorder | None = None,
 ) -> FactorResult:
     """Out-of-core unpivoted LU: ``A = L U`` packed in place.
 
     Same calling convention as :func:`repro.qr.api.ooc_qr` — including
     ``concurrency="threads"`` for per-engine worker threads in numeric
     mode (bitwise identical to serial, see docs/concurrency.md) and
-    ``checkpoint=`` for resumable runs (see docs/checkpoint.md); the
-    input must be stable without pivoting (e.g. diagonally dominant).
+    ``checkpoint=`` for resumable runs (see docs/checkpoint.md) and
+    ``obs=`` for the measured timeline; the input must be stable without
+    pivoting (e.g. diagonally dominant).
     """
     method = one_of(method, ("recursive", "blocking"), "method")
     return _run(
@@ -149,6 +154,7 @@ def ooc_lu(
         device_memory=device_memory,
         concurrency=concurrency,
         checkpoint=checkpoint,
+        obs=obs,
     )
 
 
@@ -163,13 +169,15 @@ def ooc_cholesky(
     device_memory: int | None = None,
     concurrency: str = "serial",
     checkpoint: CheckpointConfig | None = None,
+    obs: SpanRecorder | None = None,
 ) -> FactorResult:
     """Out-of-core Cholesky: lower factor L of a symmetric positive
     definite matrix, written into the lower triangle in place.
 
     ``concurrency="threads"`` overlaps H2D/compute/D2H on worker threads
     in numeric mode; results stay bitwise identical to serial.
-    ``checkpoint=`` makes the run resumable (see docs/checkpoint.md)."""
+    ``checkpoint=`` makes the run resumable (see docs/checkpoint.md);
+    ``obs=`` records the measured timeline."""
     method = one_of(method, ("recursive", "blocking"), "method")
     return _run(
         "cholesky",
@@ -183,4 +191,5 @@ def ooc_cholesky(
         device_memory=device_memory,
         concurrency=concurrency,
         checkpoint=checkpoint,
+        obs=obs,
     )

@@ -1,18 +1,18 @@
 """Derived run figures: one place that turns spans into summary numbers.
 
-``RunStats`` used to be the only source of wall-clock figures for real
-executions, and each executor computed its own — a double-counting risk
-whenever a layer both timed itself and was timed by its caller (the DAG
-backend stamps op times *and* the scheduler stamps task times). This
-module is now the single derivation point: every makespan / busy-time /
-overlap figure reported for a measured run comes from the recorded span
-list, via the same interval arithmetic the simulator's
-:class:`~repro.sim.trace.Trace` uses for its overlap accounting — so
-sim and measured numbers are definitionally comparable.
+Every makespan / busy-time / exposed-transfer / overlap figure the repo
+reports comes from a span list through :func:`run_summary` — a measured
+run's recorded spans, or a simulated schedule's
+:meth:`~repro.sim.trace.Trace.spans` — so sim and measured numbers are
+the same computation on the same type. Busy time is merged per lane,
+which also rules out the double counting of a layer that both timed
+itself and was timed by its caller (the DAG backend stamps op times
+*and* the scheduler stamps task times).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.obs.span import ENGINE_LANES, Span
@@ -38,8 +38,10 @@ class RunSummary:
     lane_busy_s: dict[str, float] = field(default_factory=dict)
     #: Timeline length where a DMA lane is busy but compute is idle.
     exposed_transfer_s: float = 0.0
-    #: ``1 - exposed / dma_busy`` — same definition as
-    #: :meth:`repro.sim.trace.Trace.overlap_ratio`.
+    #: Fraction of DMA busy time hidden under compute:
+    #: ``1 - exposed / (h2d busy + d2h busy)``. 1.0 means every byte moved
+    #: while the compute engine ran (the paper's "perfectly overlapped"),
+    #: and also when nothing was transferred; 0.0 means fully serialized.
     overlap_ratio: float = 1.0
 
 
@@ -82,7 +84,7 @@ def run_summary(spans: list[Span]) -> RunSummary:
         if s.lane in ENGINE_LANES and s.lane != "compute"
     )
     exposed = interval_length(interval_difference(dma_iv, compute_iv))
-    dma_busy = interval_length(dma_iv)
+    dma_busy = sum(busy.get(lane, 0.0) for lane in ENGINE_LANES if lane != "compute")
     overlap = 1.0 if dma_busy == 0 else max(0.0, 1.0 - exposed / dma_busy)
 
     return RunSummary(
@@ -95,3 +97,14 @@ def run_summary(spans: list[Span]) -> RunSummary:
         exposed_transfer_s=exposed,
         overlap_ratio=overlap,
     )
+
+
+def phase_times(spans: list[Span]) -> dict[str, float]:
+    """Compute-lane time per phase: spans grouped by their ``tag`` attr
+    (QR drivers tag ops ``panel`` / ``inner`` / ``outer``; the paper's
+    Table 4 GEMMs-vs-panel split), untagged ones by ``cat``."""
+    times: dict[str, float] = defaultdict(float)
+    for s in spans:
+        if s.lane == "compute" and not s.is_event:
+            times[s.attrs.get("tag", s.cat)] += s.duration_s
+    return dict(times)

@@ -1,15 +1,12 @@
-"""Span exporters: Chrome trace JSON, sim-Trace adapter, sim-vs-measured diff.
+"""Span exporters: Chrome trace JSON and the sim-vs-measured diff.
 
-Three ways out of a recorded span list:
+Two ways out of a span list (recorded, or a simulated schedule's
+:meth:`~repro.sim.trace.Trace.spans`):
 
 * :func:`spans_to_chrome_trace` — Chrome ``trace_event`` JSON with one
-  timeline row per lane, loadable at https://ui.perfetto.dev (same format
-  the simulator's :func:`repro.sim.export.to_chrome_trace` emits, so sim
-  and measured traces open side by side in the same viewer).
-* :func:`spans_to_trace` — adapt engine-lane op spans into a
-  :class:`repro.sim.trace.Trace` so every sim-side analysis (timeline
-  rendering, overlap accounting, the race detector's interval math)
-  applies unchanged to measured runs.
+  timeline row per lane, loadable at https://ui.perfetto.dev; the one
+  Chrome exporter, so sim and measured traces open side by side in the
+  same viewer.
 * :func:`render_sim_vs_measured` — the paper's argument in one table:
   predicted vs measured makespan, per-engine busy time and overlap ratio
   for the same plan.
@@ -23,13 +20,7 @@ from typing import Any
 
 from repro.obs.derive import run_summary
 from repro.obs.span import ENGINE_LANES, Span
-from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.sim.trace import Trace
 from repro.util.tables import render_table
-
-#: cat values that map onto sim op kinds; anything else on an engine lane
-#: becomes ``small`` (the sim's own bucket for untyped minor work).
-_CAT_TO_OPKIND = {k.value: k for k in OpKind}
 
 
 def _format_attrs(attrs: dict[str, Any]) -> dict[str, Any]:
@@ -112,75 +103,46 @@ def spans_to_chrome_trace(spans: list[Span], path: str | Path) -> Path:
     return path
 
 
-def spans_to_trace(spans: list[Span]) -> Trace:
-    """Adapt engine-lane op spans into a sim :class:`Trace`.
-
-    Only interval spans on the three engine lanes become ops (driver root
-    spans, serve phases and events are timeline furniture, not engine
-    work). The span's ``cat`` maps to an :class:`OpKind` when it names
-    one; anything else falls back to ``small``. Timestamps are shifted so
-    the first engine op starts at t=0 — a Trace models engine work, and
-    setup time before the first op (input generation, graph build) would
-    otherwise read as leading idle.
-    """
-    trace = Trace()
-    ops = [s for s in spans if s.lane in ENGINE_LANES and not s.is_event]
-    t0 = min((s.start_s for s in ops), default=0.0)
-    for span in ops:
-        op = SimOp(
-            name=span.name,
-            engine=EngineKind(span.lane),
-            kind=_CAT_TO_OPKIND.get(span.cat, OpKind.SMALL),
-            duration=span.duration_s,
-            nbytes=int(span.attrs.get("nbytes", 0)),
-            flops=int(span.attrs.get("flops", 0)),
-            tags={"tag": span.attrs["tag"]} if "tag" in span.attrs else {},
-        )
-        op.start = span.start_s - t0
-        op.end = span.end_s - t0
-        trace.add(op)
-    return trace
-
-
 def render_sim_vs_measured(
-    sim_trace: Trace, spans: list[Span], *, title: str | None = None
+    sim_spans: list[Span], measured_spans: list[Span], *, title: str | None = None
 ) -> str:
-    """Side-by-side table of predicted (sim) vs measured (span) figures.
+    """Side-by-side table of predicted (sim) vs measured figures.
 
-    Measured busy times come from :func:`repro.obs.derive.run_summary`
-    (merged intervals per lane) and sim figures from the Trace's own
-    accounting — both use the same interval arithmetic, so a row's ratio
-    is a genuine model error, not a definition mismatch.
+    Both columns come from :func:`repro.obs.derive.run_summary` — the sim
+    column over a simulated schedule's :meth:`~repro.sim.trace.Trace.spans`
+    — so a row's ratio is a genuine model error, not a definition
+    mismatch.
     """
-    summary = run_summary(spans)
+    sim = run_summary(sim_spans)
+    measured = run_summary(measured_spans)
 
-    def ratio(measured: float, predicted: float) -> str:
-        return f"{measured / predicted:.2f}x" if predicted > 0 else "-"
+    def ratio(meas: float, predicted: float) -> str:
+        return f"{meas / predicted:.2f}x" if predicted > 0 else "-"
 
     rows: list[list[object]] = [
         [
             "makespan_s",
-            f"{sim_trace.makespan:.6f}",
-            f"{summary.makespan_s:.6f}",
-            ratio(summary.makespan_s, sim_trace.makespan),
+            f"{sim.makespan_s:.6f}",
+            f"{measured.makespan_s:.6f}",
+            ratio(measured.makespan_s, sim.makespan_s),
         ]
     ]
-    for engine in (EngineKind.H2D, EngineKind.COMPUTE, EngineKind.D2H):
-        predicted = sim_trace.busy_time(engine)
-        measured = summary.lane_busy_s.get(engine.value, 0.0)
+    for lane in ENGINE_LANES:
+        predicted = sim.lane_busy_s.get(lane, 0.0)
+        meas = measured.lane_busy_s.get(lane, 0.0)
         rows.append(
             [
-                f"busy_{engine.value}_s",
+                f"busy_{lane}_s",
                 f"{predicted:.6f}",
-                f"{measured:.6f}",
-                ratio(measured, predicted),
+                f"{meas:.6f}",
+                ratio(meas, predicted),
             ]
         )
     rows.append(
         [
             "overlap_ratio",
-            f"{sim_trace.overlap_ratio():.3f}",
-            f"{summary.overlap_ratio:.3f}",
+            f"{sim.overlap_ratio:.3f}",
+            f"{measured.overlap_ratio:.3f}",
             "-",
         ]
     )

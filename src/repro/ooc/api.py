@@ -32,6 +32,7 @@ from repro.execution.run import (
     system_config,
 )
 from repro.host.tiled import HostMatrix
+from repro.obs.span import SpanRecorder
 from repro.ooc.accounting import MovementReport
 from repro.ooc.inner import run_ksplit_inner
 from repro.ooc.outer import run_rowstream_outer
@@ -67,6 +68,7 @@ def ooc_gemm(
     pipelined: bool = True,
     concurrency: str = "serial",
     runtime: str = "legacy",
+    obs: SpanRecorder | None = None,
 ) -> GemmResult:
     """Out-of-core ``C = alpha op(A) B + beta C`` for host-resident operands.
 
@@ -83,9 +85,10 @@ def ooc_gemm(
 
     ``concurrency="threads"`` (numeric mode only) runs the op stream on the
     concurrent executor — per-engine worker threads overlapping H2D,
-    compute and D2H, see docs/concurrency.md — and attaches the recorded
-    wall-clock trace to the result. Results are bitwise identical to
-    ``"serial"``.
+    compute and D2H, see docs/concurrency.md. Results are bitwise
+    identical to ``"serial"``. A live ``obs=``
+    :class:`~repro.obs.span.SpanRecorder` records the measured timeline
+    (``trace`` is set only for simulated runs).
 
     ``runtime="dag"`` records the run as a tile-task graph
     (:mod:`repro.runtime`) and executes it with the dynamic dataflow
@@ -102,7 +105,7 @@ def ooc_gemm(
         raise ValidationError("A and B must both be data or both be shapes")
     spec = run_spec(
         mode, shape_only=shape_only, modes=("numeric", "sim"),
-        concurrency=concurrency, runtime=runtime,
+        concurrency=concurrency, runtime=runtime, obs=obs,
     )
     # every executor starts with the whole usable device free
     budget = config.usable_device_bytes // config.element_bytes

@@ -35,6 +35,7 @@ from repro.execution.run import (
 )
 from repro.health.report import HealthReport
 from repro.host.tiled import HostMatrix
+from repro.obs.derive import phase_times
 from repro.obs.span import SpanRecorder
 from repro.ooc.accounting import MovementReport
 from repro.qr.blocking import QrRunInfo, ooc_blocking_qr
@@ -64,7 +65,7 @@ class QrResult(TimedResult):
 
     def phase_times(self) -> dict[str, float]:
         """Compute time per phase (panel / inner / outer), simulated runs."""
-        return self.trace.compute_time_by_tag() if self.trace is not None else {}
+        return phase_times(self.trace.spans()) if self.trace is not None else {}
 
     @property
     def health(self) -> HealthReport | None:
@@ -114,9 +115,9 @@ def ooc_qr(
     concurrency
         ``"serial"`` (default) or ``"threads"`` — numeric mode only. With
         ``"threads"`` the op stream runs on per-engine worker threads
-        (H2D/compute/D2H overlap, see docs/concurrency.md), the result is
-        bitwise identical to serial, and ``trace`` holds the recorded
-        wall-clock schedule.
+        (H2D/compute/D2H overlap, see docs/concurrency.md) and the result
+        is bitwise identical to serial; pass ``obs=`` to record the
+        measured timeline.
     checkpoint
         Optional :class:`~repro.ckpt.CheckpointConfig` making the run
         resumable (numeric mode only): progress is persisted at panel /

@@ -136,15 +136,6 @@ class NumericGraphBackend:
             self.wall_s = _monotonic() - self._t0
             graph.stats.wall_s = self.wall_s
 
-    def recorded_trace(self, graph: TaskGraph) -> Trace:
-        """Wall-clock trace of the executed ops (mirrors the concurrent
-        executor's recorded trace: real timestamps, zero model time)."""
-        trace = Trace()
-        for op in graph.ops:
-            if op.scheduled:
-                trace.add(op)
-        return trace
-
 
 class SimGraphBackend:
     """Discrete-event simulation of a task graph.

@@ -1,14 +1,13 @@
-"""Discrete-event CPU-GPU simulator: streams, events, engines, allocator,
-traces and ASCII timelines."""
+"""Discrete-event CPU-GPU simulator: streams, events, engines, allocator
+and the scheduled trace (whose ``spans()`` feed every timeline view in
+:mod:`repro.obs`)."""
 
-from repro.sim.export import to_chrome_trace, to_csv, to_json, trace_rows
 from repro.sim.memory import Allocation, DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.race import Race, assert_race_free, detect_races
 from repro.sim.scheduler import StreamProgram, happens_before_signature
 from repro.sim.simulator import GpuSimulator
 from repro.sim.stream import Event, Stream
-from repro.sim.timeline import Segment, render_summary, render_timeline, segments
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "GpuSimulator",
     "OpKind",
     "Race",
-    "Segment",
     "SimOp",
     "Stream",
     "StreamProgram",
@@ -27,11 +25,4 @@ __all__ = [
     "assert_race_free",
     "detect_races",
     "happens_before_signature",
-    "render_summary",
-    "render_timeline",
-    "segments",
-    "to_chrome_trace",
-    "to_csv",
-    "to_json",
-    "trace_rows",
 ]

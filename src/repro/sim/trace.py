@@ -1,14 +1,23 @@
-"""Execution traces: the simulator's output and the source of every
-"figure" (timeline) and accounting number the benchmark harness reports."""
+"""Execution traces: the simulator's schedule.
+
+A :class:`Trace` holds the scheduled ops with their dependency edges and
+answers what only the schedule knows (makespan, byte and flop totals,
+causality and engine-serial checks). Every timeline view — the Gantt
+charts, summaries, Chrome export and busy/overlap accounting — reads the
+span list :meth:`Trace.spans` produces, the same type a measured run's
+:class:`~repro.obs.span.SpanRecorder` records.
+"""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import SimulationError
 from repro.sim.ops import EngineKind, OpKind, SimOp
+
+if TYPE_CHECKING:
+    from repro.obs.span import Span
 
 
 @dataclass
@@ -34,101 +43,61 @@ class Trace:
         for op in ops:
             self.add(op)
 
-    # -- time queries --------------------------------------------------------
-
     @property
     def makespan(self) -> float:
         """End of the last op (total simulated execution time)."""
         return max((op.end for op in self.ops), default=0.0)
 
-    def by_engine(self, engine: EngineKind) -> list[SimOp]:
-        """Ops on *engine*, sorted by start time."""
-        return sorted(
-            (op for op in self.ops if op.engine == engine),
-            key=lambda op: (op.start, op.op_id),
-        )
-
-    def busy_time(self, engine: EngineKind) -> float:
-        """Total time *engine* spent executing ops."""
-        return sum(op.end - op.start for op in self.ops if op.engine == engine)
-
-    def select(self, pred: Callable[[SimOp], bool]) -> list[SimOp]:
-        """Ops satisfying *pred*, in schedule order."""
-        return sorted(
-            (op for op in self.ops if pred(op)), key=lambda op: (op.start, op.op_id)
-        )
-
-    # -- volume / rate queries ------------------------------------------------
-
-    def bytes_moved(self, kind: OpKind) -> int:
-        """Total bytes moved by ops of copy kind *kind*."""
-        return sum(op.nbytes for op in self.ops if op.kind == kind)
+    # -- volume totals ---------------------------------------------------------
 
     @property
     def h2d_bytes(self) -> int:
         """Total host-to-device traffic in bytes."""
-        return self.bytes_moved(OpKind.COPY_H2D)
+        return sum(op.nbytes for op in self.ops if op.kind == OpKind.COPY_H2D)
 
     @property
     def d2h_bytes(self) -> int:
         """Total device-to-host traffic in bytes."""
-        return self.bytes_moved(OpKind.COPY_D2H)
+        return sum(op.nbytes for op in self.ops if op.kind == OpKind.COPY_D2H)
 
     @property
     def total_flops(self) -> int:
         """Total flops across compute ops."""
         return sum(op.flops for op in self.ops)
 
-    @property
-    def achieved_flops_rate(self) -> float:
-        """End-to-end flops/s (total flops over makespan)."""
-        span = self.makespan
-        return self.total_flops / span if span > 0 else 0.0
+    # -- timeline view ---------------------------------------------------------
 
-    def compute_time(self) -> float:
-        """Busy time of the compute engine."""
-        return self.busy_time(EngineKind.COMPUTE)
+    def spans(self) -> list[Span]:
+        """The schedule as a span list: one span per op on its engine lane.
 
-    def compute_time_by_tag(self) -> dict[str, float]:
-        """Compute-engine busy time grouped by the op's ``tag`` (phase).
-
-        QR drivers tag their ops ``panel`` / ``inner`` / ``outer``, so this
-        is the source of the paper's Table 4 GEMMs-vs-panel split.
+        ``cat`` is the op kind; ``nbytes``/``flops``/``tag``/``stream``
+        become attrs when set. Spans are sorted by (start, op id), the
+        order a :class:`~repro.obs.span.SpanRecorder` drains in, so every
+        timeline view (Gantt, summary, Chrome export, overlap accounting)
+        reads a simulated schedule exactly as it reads a measured one.
         """
-        times: dict[str, float] = defaultdict(float)
-        for op in self.ops:
-            if op.engine == EngineKind.COMPUTE:
-                tag = op.tags.get("tag", op.kind.value)
-                times[tag] += op.end - op.start
-        return dict(times)
+        from repro.obs.span import Span
 
-    def transfer_time(self) -> float:
-        """Busy time of both DMA engines combined."""
-        return self.busy_time(EngineKind.H2D) + self.busy_time(EngineKind.D2H)
-
-    def overlap_ratio(self) -> float:
-        """Fraction of DMA busy time hidden under other engines' work.
-
-        1.0 means every byte moved while something else ran (the paper's
-        "perfectly overlapped"); 0.0 means fully serialized. Defined as
-        ``1 - exposed_transfer / transfer_busy`` where *exposed* transfer
-        time is the part of the timeline where only DMA engines are active.
-        """
-        transfer = self.transfer_time()
-        if transfer == 0:
-            return 1.0
-        exposed = self._exposed_transfer_time()
-        return max(0.0, 1.0 - exposed / transfer)
-
-    def _exposed_transfer_time(self) -> float:
-        """Timeline length where a DMA engine is busy but compute is idle."""
-        compute_iv = merge_intervals(
-            (op.start, op.end) for op in self.ops if op.engine == EngineKind.COMPUTE
-        )
-        dma_iv = merge_intervals(
-            (op.start, op.end) for op in self.ops if op.engine != EngineKind.COMPUTE
-        )
-        return interval_length(interval_difference(dma_iv, compute_iv))
+        spans = []
+        for op in sorted(self.ops, key=lambda op: (op.start, op.op_id)):
+            attrs: dict[str, Any] = {}
+            if op.nbytes:
+                attrs["nbytes"] = op.nbytes
+            if op.flops:
+                attrs["flops"] = op.flops
+            if "tag" in op.tags:
+                attrs["tag"] = op.tags["tag"]
+            stream = getattr(op.stream, "name", "")
+            if stream:
+                attrs["stream"] = stream
+            spans.append(
+                Span(
+                    span_id=op.op_id, parent_id=None, name=op.name,
+                    cat=op.kind.value, lane=op.engine.value,
+                    start_s=op.start, end_s=op.end, attrs=attrs,
+                )
+            )
+        return spans
 
     # -- structural checks (used by tests and the simulator itself) ----------
 
@@ -136,7 +105,8 @@ class Trace:
         """Raise unless no engine ever runs two ops at once."""
         for engine in EngineKind:
             prev_end = 0.0
-            for op in self.by_engine(engine):
+            on_engine = (op for op in self.ops if op.engine == engine)
+            for op in sorted(on_engine, key=lambda op: (op.start, op.op_id)):
                 if op.start < prev_end - 1e-12:
                     raise SimulationError(
                         f"engine {engine.value} overlap at op {op.name!r}"
@@ -157,9 +127,8 @@ class Trace:
 def merge_intervals(intervals: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
     """Union of (start, end) intervals as a sorted, disjoint list.
 
-    Shared by the sim's overlap accounting and the measured-span summary
-    in :mod:`repro.obs.derive`, so both layers define "busy time" and
-    "exposed transfer" identically.
+    The interval arithmetic behind :func:`repro.obs.derive.run_summary`,
+    the one busy/exposed-transfer/overlap implementation.
     """
     ivs = sorted((s, e) for s, e in intervals if e > s)
     merged: list[tuple[float, float]] = []

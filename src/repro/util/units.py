@@ -68,8 +68,12 @@ def fmt_time(seconds: float) -> str:
 
 
 def fmt_rate(flops_per_s: float) -> str:
-    """Format a compute rate, e.g. ``99.9 TFLOPS``."""
-    return f"{flops_per_s / TERA:.1f} TFLOPS"
+    """Format a compute rate, e.g. ``99.9 TFLOPS`` / ``1.4 GFLOPS``."""
+    flops_per_s = float(flops_per_s)
+    for unit, scale in (("TFLOPS", TERA), ("GFLOPS", GIGA)):
+        if abs(flops_per_s) >= scale:
+            return f"{flops_per_s / scale:.1f} {unit}"
+    return f"{flops_per_s / MEGA:.1f} MFLOPS"
 
 
 def fmt_bandwidth(bytes_per_s: float) -> str:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import json
+
+import pytest
+
 from repro.cli import main
 
 
@@ -73,6 +77,20 @@ class TestFactorizations:
             assert rc == 0
         assert "measured" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["qr", "-m", "128", "-n", "64", "-b", "16", "--method", "recursive"],
+        ["gemm", "-M", "64", "-N", "64", "-K", "128", "-b", "32"],
+    ])
+    def test_numeric_timeline_is_the_recorded_run(self, capsys, argv):
+        # serial numeric runs have no simulated trace: the chart comes from
+        # the spans the run records
+        rc = main(argv + ["--mode", "numeric", "--timeline",
+                          "--memory-gib", "0.0005"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "measured" in out
+        assert "H2D copy" in out and "achieved rate" in out
+
     def test_numeric_lu_rejects_rectangular(self, capsys):
         rc = main(["lu", "-m", "128", "-n", "64", "--mode", "numeric"])
         assert rc == 2
@@ -89,6 +107,43 @@ class TestGemm:
         assert "ksplit-inner" in out
         assert "rowstream-outer" in out
         assert "legend:" in out
+
+
+class TestTrace:
+    @pytest.mark.parametrize("runtime", ["legacy", "dag"])
+    def test_compare_sim_simulates_the_measured_runtime(self, capsys, runtime):
+        from repro.config import SystemConfig
+        from repro.hw.specs import V100_32GB
+        from repro.qr.api import ooc_qr
+
+        rc = main(["trace", "--compare-sim", "--runtime", runtime])
+        assert rc == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "makespan_s" in line)
+        simulated = {
+            rt: ooc_qr(
+                (256, 128), mode="sim", config=SystemConfig(gpu=V100_32GB),
+                blocksize=32, runtime=rt,
+            ).makespan
+            for rt in ("legacy", "dag")
+        }
+        # the two runtimes schedule differently, so the row names one
+        assert f"{simulated['legacy']:.6f}" != f"{simulated['dag']:.6f}"
+        assert f"{simulated[runtime]:.6f}" in row
+
+    def test_out_has_engine_lanes_and_a_scaled_rate(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        assert main(["trace", "--concurrency", "threads", "--out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "H2D copy" in out and "Compute" in out
+        rate = next(line for line in out.splitlines() if "achieved rate" in line)
+        assert "0.0 TFLOPS" not in rate
+        lanes = {
+            e["args"]["name"]
+            for e in json.loads(path.read_text())["traceEvents"]
+            if e["ph"] == "M"
+        }
+        assert {"h2d", "compute", "d2h"} <= lanes
 
 
 class TestLoadgen:

@@ -7,6 +7,11 @@ from repro.host.tiled import HostMatrix
 from repro.sim.ops import EngineKind, OpKind
 
 
+def first_on(trace, engine):
+    """The earliest op *trace* ran on *engine*."""
+    return min((op for op in trace if op.engine == engine), key=lambda op: op.start)
+
+
 class TestShapeOnlyExecution:
     def test_no_data_required(self, sim_ex):
         host = HostMatrix.shape_only(100, 100)
@@ -34,7 +39,7 @@ class TestShapeOnlyExecution:
         c = sim_ex.alloc(10, 30)
         sim_ex.gemm(c, a, b, sim_ex.stream("s"), tag="inner")
         trace = sim_ex.finish()
-        gemm = trace.by_engine(EngineKind.COMPUTE)[0]
+        gemm = first_on(trace, EngineKind.COMPUTE)
         assert gemm.kind == OpKind.GEMM
         assert gemm.flops == 2 * 10 * 30 * 20
         assert gemm.tags["tag"] == "inner"
@@ -56,7 +61,7 @@ class TestShapeOnlyExecution:
         r = sim_ex.alloc(16, 16)
         sim_ex.panel_qr(panel, r, sim_ex.stream("s"))
         trace = sim_ex.finish()
-        assert trace.by_engine(EngineKind.COMPUTE)[0].kind == OpKind.PANEL
+        assert first_on(trace, EngineKind.COMPUTE).kind == OpKind.PANEL
 
     def test_synchronize_is_barrier(self, sim_ex):
         host = HostMatrix.shape_only(400, 400)
@@ -69,7 +74,7 @@ class TestShapeOnlyExecution:
         c = sim_ex.alloc(10, 10)
         sim_ex.gemm(c, c.view(0, 10, 0, 10), c.view(0, 10, 0, 10), s2)
         trace = sim_ex.finish()
-        gemm = trace.by_engine(EngineKind.COMPUTE)[0]
+        gemm = first_on(trace, EngineKind.COMPUTE)
         assert gemm.start >= t_sync
 
     def test_stats_makespan_updated(self, sim_ex):
@@ -90,7 +95,7 @@ class TestEventSemantics:
         sim_ex.h2d(buf, host.full(), s1)
         sim_ex.gemm(c, c.full(), c.full(), s2)
         trace = sim_ex.finish()
-        gemm = trace.by_engine(EngineKind.COMPUTE)[0]
+        gemm = first_on(trace, EngineKind.COMPUTE)
         assert gemm.start == 0.0
 
     def test_event_forces_ordering(self, sim_ex):
@@ -103,6 +108,6 @@ class TestEventSemantics:
         sim_ex.wait_event(s2, ev)
         sim_ex.gemm(c, c.full(), c.full(), s2)
         trace = sim_ex.finish()
-        copy = trace.by_engine(EngineKind.H2D)[0]
-        gemm = trace.by_engine(EngineKind.COMPUTE)[0]
+        copy = first_on(trace, EngineKind.H2D)
+        gemm = first_on(trace, EngineKind.COMPUTE)
         assert gemm.start == pytest.approx(copy.end)

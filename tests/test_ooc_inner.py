@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import PlanError, ShapeError
 from repro.host.tiled import HostMatrix
+from repro.obs.derive import run_summary
 from repro.ooc.inner import run_ksplit_inner, run_panel_inner
 from repro.ooc.plan import plan_ksplit_inner, plan_panel_inner
 from repro.sim.ops import EngineKind
@@ -248,7 +249,7 @@ class TestPanelInnerSimulated:
             plan,
         )
         trace = ex.finish()
-        rate = trace.total_flops / trace.compute_time()
+        rate = trace.total_flops / run_summary(trace.spans()).lane_busy_s["compute"]
         square_rate = config.gemm.rate(512, 512, 512, config.precision)
         assert rate < square_rate
         ex.free(panel)

@@ -23,6 +23,7 @@ from repro.models.movement import (
     blocking_h2d_exact,
     blocking_h2d_words,
 )
+from repro.obs.derive import run_summary
 from repro.ooc.gradual import gradual_schedule, uniform_schedule
 from repro.ooc.plan import (
     plan_ksplit_inner,
@@ -34,7 +35,7 @@ from repro.qr.cgs import cgs2_qr, factorization_error, orthogonality_error
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.simulator import GpuSimulator
-from repro.sim.trace import interval_difference, interval_length, merge_intervals
+from repro.sim.trace import Trace, interval_difference, interval_length, merge_intervals
 from repro.util.rng import default_rng, stable_seed
 from tests.conftest import make_tiny_spec
 
@@ -179,7 +180,7 @@ class TestSimulatorProperties:
         trace.check_engine_serial()
         trace.check_causality()
         serial = sum(op.duration for op in trace.ops)
-        busiest = max(trace.busy_time(e) for e in EngineKind)
+        busiest = max(run_summary(trace.spans()).lane_busy_s.values(), default=0.0)
         assert busiest - 1e-9 <= trace.makespan <= serial + 1e-9
 
 
@@ -371,9 +372,9 @@ class TestConcurrentExecutorProperties:
         assert happens_before_signature(
             serial_ex.program.ops
         ) == happens_before_signature(conc_ex.program.ops)
-        trace = conc_ex.recorded_trace()
+        trace = Trace([op for op in conc_ex.program.ops if op.scheduled])
         trace.check_causality()
         trace.check_engine_serial()
-        if not detect_races(serial_ex.recorded_trace()):
+        if not detect_races(Trace([op for op in serial_ex.program.ops if op.scheduled])):
             for s, c in zip(serial_out, conc_out):
                 assert np.array_equal(s, c, equal_nan=True)

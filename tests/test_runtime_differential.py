@@ -25,17 +25,25 @@ from repro.analysis import verify_program
 from repro.analysis.engines import capture_engine
 from repro.config import SystemConfig
 from repro.errors import ValidationError
+from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
 from repro.ooc.api import ooc_gemm
 from repro.qr.api import ooc_qr
+from repro.qr.blocking import ooc_blocking_qr
+from repro.qr.options import QrOptions
+from repro.qr.recursive import ooc_recursive_qr
 from repro.runtime import (
     ENGINE_RUNTIME_STATUS,
     GRAPH_BUILDERS,
+    DagScheduler,
+    GraphBuilder,
+    NumericGraphBackend,
     build_engine_graph,
     edges_consistent,
     node_signature,
     verify_engine_graph,
 )
+from repro.sim.trace import Trace
 from repro.util.rng import default_rng, stable_seed
 from tests.conftest import make_tiny_spec
 
@@ -78,15 +86,23 @@ class TestQrBitwise:
 
     @pytest.mark.parametrize("method", ["blocking", "recursive"])
     def test_qr_threads_trace_recorded(self, method):
+        """The threaded scheduler stamps every graph op with its wall-clock
+        start/end, and that measured schedule respects every dataflow edge."""
         cfg = _config()
         a = _matrix("qr-trace", method, shape=(128, 64))
-        dag = ooc_qr(
-            a, method=method, config=cfg, blocksize=BLOCK,
-            runtime="dag", concurrency="threads",
-        )
-        assert dag.trace is not None
-        assert dag.trace.makespan > 0.0
-        dag.trace.check_causality()
+        host_a = HostMatrix.from_array(a.copy(), name="A")
+        host_r = HostMatrix.zeros(64, 64, name="R")
+        builder = GraphBuilder(cfg, label=f"qr-{method}")
+        driver = ooc_recursive_qr if method == "recursive" else ooc_blocking_qr
+        driver(builder, host_a, host_r, QrOptions(blocksize=BLOCK))
+        DagScheduler(builder.graph).run_threaded(NumericGraphBackend(cfg))
+        ops = builder.graph.ops
+        assert ops and all(op.scheduled for op in ops)
+        trace = Trace(ops)
+        assert trace.makespan > 0.0
+        trace.check_causality()
+        legacy = ooc_qr(a, method=method, config=cfg, blocksize=BLOCK)
+        assert np.array_equal(host_a.data, legacy.q)
 
 
 class TestGemmBitwise:

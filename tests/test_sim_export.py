@@ -1,12 +1,12 @@
-"""Tests for trace export (CSV / JSON / Chrome trace)."""
+"""Exporting a simulated schedule: ``Trace.spans()`` feeds the one Chrome
+exporter, the same path a measured run's recorded spans take."""
 
-import csv
 import json
 
 import pytest
 
 from repro.host.tiled import HostMatrix
-from repro.sim.export import to_chrome_trace, to_csv, to_json, trace_rows
+from repro.obs import spans_to_chrome_trace
 
 
 @pytest.fixture
@@ -25,43 +25,29 @@ def trace(sim_ex):
 
 class TestRows:
     def test_schedule_ordered_and_complete(self, trace):
-        rows = trace_rows(trace)
-        assert len(rows) == 3
-        starts = [r["start_s"] for r in rows]
+        spans = trace.spans()
+        assert len(spans) == 3
+        starts = [s.start_s for s in spans]
         assert starts == sorted(starts)
-        assert rows[1]["kind"] == "gemm"
-        assert rows[1]["tag"] == "inner"
-        assert rows[0]["bytes"] == 64 * 64 * 4
-
-
-class TestCsv:
-    def test_roundtrip(self, trace, tmp_path):
-        path = to_csv(trace, tmp_path / "t.csv")
-        with path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert rows[0]["engine"] == "h2d"
-        assert float(rows[-1]["end_s"]) == pytest.approx(trace.makespan)
-
-
-class TestJson:
-    def test_summary_and_ops(self, trace, tmp_path):
-        payload = json.loads(to_json(trace, tmp_path / "t.json").read_text())
-        assert payload["makespan_s"] == pytest.approx(trace.makespan)
-        assert payload["h2d_bytes"] == 64 * 64 * 4
-        assert len(payload["ops"]) == 3
-        assert set(payload["busy_s"]) == {"h2d", "compute", "d2h"}
+        assert [s.lane for s in spans] == ["h2d", "compute", "d2h"]
+        gemm = spans[1]
+        assert gemm.cat == "gemm"
+        assert gemm.attrs["tag"] == "inner"
+        assert gemm.attrs["stream"] == "go"
+        assert gemm.attrs["flops"] > 0
+        assert spans[0].attrs["nbytes"] == 64 * 64 * 4
+        assert spans[-1].end_s == pytest.approx(trace.makespan)
 
 
 class TestChromeTrace:
     def test_format(self, trace, tmp_path):
         payload = json.loads(
-            to_chrome_trace(trace, tmp_path / "t.json").read_text()
+            spans_to_chrome_trace(trace.spans(), tmp_path / "t.json").read_text()
         )
         events = payload["traceEvents"]
         metas = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
-        assert {m["args"]["name"] for m in metas} == {"h2d", "compute", "d2h"}
+        assert [m["args"]["name"] for m in metas] == ["h2d", "compute", "d2h"]
         assert len(spans) == 3
         gemm = next(e for e in spans if e["cat"] == "gemm")
         assert gemm["dur"] > 0

@@ -14,6 +14,11 @@ from repro.sim.simulator import GpuSimulator, op_duration
 from tests.conftest import make_tiny_spec
 
 
+def first_on(trace, engine):
+    """The earliest op *trace* ran on *engine*."""
+    return min((op for op in trace if op.engine == engine), key=lambda op: op.start)
+
+
 @pytest.fixture
 def sim():
     return GpuSimulator(SystemConfig(gpu=make_tiny_spec(), precision=Precision.FP32))
@@ -41,7 +46,7 @@ class TestBasicScheduling:
         sim.enqueue(op("h", EngineKind.H2D, 1.0), s)
         sim.enqueue(op("g", EngineKind.COMPUTE, 1.0), s)
         trace = sim.run()
-        g = trace.by_engine(EngineKind.COMPUTE)[0]
+        g = first_on(trace, EngineKind.COMPUTE)
         assert g.start == 1.0  # waits for the copy despite a free engine
 
     def test_different_streams_overlap_engines(self, sim):
@@ -71,7 +76,7 @@ class TestBasicScheduling:
         sim.wait_event(s2, ev)
         sim.enqueue(op("g", EngineKind.COMPUTE, 1.0), s2)
         trace = sim.run()
-        g = trace.by_engine(EngineKind.COMPUTE)[0]
+        g = first_on(trace, EngineKind.COMPUTE)
         assert g.start == 2.0
 
     def test_three_stage_pipeline_overlaps(self, sim):
@@ -131,7 +136,7 @@ class TestIncrementalRun:
         # would start at t=0
         sim.enqueue(op("g", EngineKind.COMPUTE, 1.0), s2)
         trace = sim.run()
-        g = trace.by_engine(EngineKind.COMPUTE)[0]
+        g = first_on(trace, EngineKind.COMPUTE)
         assert g.start == 5.0
 
     def test_now_property(self, sim):

@@ -1,9 +1,11 @@
-"""Unit tests for trace queries: busy time, volumes, overlap ratio,
-interval arithmetic, phase splits."""
+"""Unit tests for the simulated schedule and the figures read from its
+spans: busy time, volumes, overlap ratio, phase splits, interval
+arithmetic and the structural checks."""
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import phase_times, render_summary, run_summary
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.trace import (
     Trace,
@@ -28,11 +30,15 @@ def make_trace(*ops):
     return t
 
 
+def overlap(t):
+    return run_summary(t.spans()).overlap_ratio
+
+
 class TestBasics:
     def test_empty_trace(self):
         t = Trace()
         assert t.makespan == 0.0
-        assert t.overlap_ratio() == 1.0
+        assert overlap(t) == 1.0
         assert len(t) == 0
 
     def test_rejects_unscheduled(self):
@@ -46,9 +52,8 @@ class TestBasics:
             done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 1, 4, flops=50),
         )
         assert t.makespan == 4
-        assert t.busy_time(EngineKind.H2D) == 2
-        assert t.compute_time() == 3
-        assert t.transfer_time() == 2
+        busy = run_summary(t.spans()).lane_busy_s
+        assert busy == {"h2d": 2, "compute": 3}
 
     def test_volumes(self):
         t = make_trace(
@@ -60,8 +65,11 @@ class TestBasics:
         assert t.d2h_bytes == 5
 
     def test_rate(self):
-        t = make_trace(done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 0, 2, flops=8))
-        assert t.achieved_flops_rate == 4.0
+        t = make_trace(
+            done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 0, 2, flops=8 * 10**9)
+        )
+        assert t.total_flops == 8 * 10**9
+        assert "achieved rate   : 4.0 GFLOPS" in render_summary(t.spans())
 
 
 class TestOverlapRatio:
@@ -70,43 +78,54 @@ class TestOverlapRatio:
             done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 0, 10),
             done_op("h", EngineKind.H2D, OpKind.COPY_H2D, 2, 5, nbytes=1),
         )
-        assert t.overlap_ratio() == 1.0
+        assert overlap(t) == 1.0
 
     def test_fully_exposed(self):
         t = make_trace(
             done_op("h", EngineKind.H2D, OpKind.COPY_H2D, 0, 4, nbytes=1),
             done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 4, 8),
         )
-        assert t.overlap_ratio() == 0.0
+        assert overlap(t) == 0.0
 
     def test_half_exposed(self):
         t = make_trace(
             done_op("h", EngineKind.H2D, OpKind.COPY_H2D, 0, 4, nbytes=1),
             done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 2, 6),
         )
-        assert t.overlap_ratio() == pytest.approx(0.5)
+        assert overlap(t) == pytest.approx(0.5)
 
     def test_no_transfers_means_perfect(self):
         t = make_trace(done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 0, 1))
-        assert t.overlap_ratio() == 1.0
+        assert overlap(t) == 1.0
+
+    def test_concurrent_copies_count_per_engine(self):
+        # both DMA engines busy 0-2 with compute idle: 2 s exposed out of
+        # 4 s of DMA busy time (summed per engine, as the paper's figures do)
+        t = make_trace(
+            done_op("h", EngineKind.H2D, OpKind.COPY_H2D, 0, 2, nbytes=1),
+            done_op("d", EngineKind.D2H, OpKind.COPY_D2H, 0, 2, nbytes=1),
+            done_op("g", EngineKind.COMPUTE, OpKind.GEMM, 2, 3),
+        )
+        summary = run_summary(t.spans())
+        assert summary.exposed_transfer_s == 2
+        assert summary.overlap_ratio == pytest.approx(0.5)
 
 
 class TestPhaseSplit:
-    def test_compute_time_by_tag(self):
+    def test_phase_times_by_tag(self):
         t = make_trace(
             done_op("p", EngineKind.COMPUTE, OpKind.PANEL, 0, 2, tags={"tag": "panel"}),
             done_op("g1", EngineKind.COMPUTE, OpKind.GEMM, 2, 5, tags={"tag": "inner"}),
             done_op("g2", EngineKind.COMPUTE, OpKind.GEMM, 5, 6, tags={"tag": "outer"}),
             done_op("h", EngineKind.H2D, OpKind.COPY_H2D, 0, 1, tags={"tag": "inner"}),
         )
-        phases = t.compute_time_by_tag()
-        assert phases == {"panel": 2, "inner": 3, "outer": 1}
+        assert phase_times(t.spans()) == {"panel": 2, "inner": 3, "outer": 1}
 
     def test_untagged_compute_grouped_by_kind(self):
         t = make_trace(
             done_op("c", EngineKind.COMPUTE, OpKind.COPY_D2D, 0, 1),
         )
-        assert t.compute_time_by_tag() == {"copy_d2d": 1}
+        assert phase_times(t.spans()) == {"copy_d2d": 1}
 
 
 class TestStructuralChecks:

@@ -63,5 +63,14 @@ class TestFormatting:
     def test_fmt_rate(self):
         assert fmt_rate(99.9e12) == "99.9 TFLOPS"
 
+    @pytest.mark.parametrize(
+        "rate,text",
+        [(1.0e12, "1.0 TFLOPS"), (1.4e9, "1.4 GFLOPS"), (250e9, "250.0 GFLOPS"),
+         (3.2e6, "3.2 MFLOPS"), (0.0, "0.0 MFLOPS")],
+    )
+    def test_fmt_rate_scales_below_a_teraflop(self, rate, text):
+        # a host-measured rate of ~1.4 GFLOP/s used to print "0.0 TFLOPS"
+        assert fmt_rate(rate) == text
+
     def test_fmt_bandwidth(self):
         assert fmt_bandwidth(11.8e9) == "11.8 GB/s"
