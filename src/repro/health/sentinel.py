@@ -302,7 +302,7 @@ class HealthSentinel:
         self._record_escalation(panel, problem, "cgs2-reorth", value)
         self._raise_gemm_precision(problem)
         if problem != "non-finite":
-            q2, r2 = refactor(np.ascontiguousarray(q))
+            q2, r2 = refactor(q)
             q_new = np.asarray(q2, dtype=np.float32)
             r_new = (
                 r2.astype(np.float64) @ r.astype(np.float64)

@@ -18,6 +18,8 @@ tests:
 
 All operate on tall matrices (m >= n) of linearly independent columns and
 return (Q, R) with Q m-by-n orthonormal and R n-by-n upper triangular.
+They work on column-major copies, so every column and every ``q[:, :j]`` a
+gemv reads is contiguous; Q is returned column-major.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _guard_norm(norm: float, ref: float, j: int) -> None:
             f"column {j} has non-finite residual norm {norm!r}; the input "
             "contains NaN/Inf or overflowed during orthogonalization"
         )
-    if norm <= RANK_TOL * max(ref, 1.0):
+    if norm <= RANK_TOL * ref:
         # BreakdownError is also a ValidationError, so existing callers
         # treating dependent columns as invalid input still catch it.
         raise BreakdownError(
@@ -71,9 +73,9 @@ def cgs_qr(a: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     *original* column (single projection pass) — the variant the whole
     paper builds on because it turns directly into GEMMs.
     """
-    a = _check_input(a, "a").astype(dtype, copy=True)
+    a = _check_input(a, "a").astype(dtype, order="F", copy=True)
     m, n = a.shape
-    q = np.empty((m, n), dtype=dtype)
+    q = np.empty((m, n), dtype=dtype, order="F")
     r = np.zeros((n, n), dtype=dtype)
     col_norms = np.linalg.norm(a, axis=0)
     for j in range(n):
@@ -92,9 +94,9 @@ def cgs_qr(a: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
 
 def mgs_qr(a: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt QR (stability reference)."""
-    v = _check_input(a, "a").astype(dtype, copy=True)
+    v = _check_input(a, "a").astype(dtype, order="F", copy=True)
     m, n = v.shape
-    q = np.empty((m, n), dtype=dtype)
+    q = np.empty((m, n), dtype=dtype, order="F")
     r = np.zeros((n, n), dtype=dtype)
     col_norms = np.linalg.norm(v, axis=0)
     for j in range(n):
@@ -116,9 +118,9 @@ def cgs2_qr(a: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     Each column is CGS-projected twice; the correction coefficients fold
     into R, restoring near-machine orthogonality at ~2x the flops.
     """
-    a = _check_input(a, "a").astype(dtype, copy=True)
+    a = _check_input(a, "a").astype(dtype, order="F", copy=True)
     m, n = a.shape
-    q = np.empty((m, n), dtype=dtype)
+    q = np.empty((m, n), dtype=dtype, order="F")
     r = np.zeros((n, n), dtype=dtype)
     col_norms = np.linalg.norm(a, axis=0)
     for j in range(n):

@@ -12,7 +12,8 @@ The recursive variant is the paper's equation (2):
 
 with the two GEMMs (inner product ``R12 = Q1ᵀ A2`` and outer product
 ``A2 ← A2 − Q1 R12``) growing geometrically with recursion level — the
-source of the TensorCore speedup that the OOC layer inherits.
+source of the TensorCore speedup that the OOC layer inherits. Both variants
+factor a column-major copy, so each leaf's column block is contiguous.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def incore_recursive_qr(
     """
     a = _check_input(a, "a")
     leaf = positive_int(leaf, "leaf")
-    q = np.array(a, dtype=np.float32, copy=True, order="C")
+    q = np.array(a, dtype=np.float32, copy=True, order="F")
     n = q.shape[1]
     r = np.zeros((n, n), dtype=np.float32)
     _recurse(q, r, 0, n, leaf, input_format, reorthogonalize)
@@ -124,7 +125,7 @@ def incore_blocked_qr(
     """
     a = _check_input(a, "a")
     block = positive_int(block, "block")
-    q = np.array(a, dtype=np.float32, copy=True, order="C")
+    q = np.array(a, dtype=np.float32, copy=True, order="F")
     m, n = q.shape
     r = np.zeros((n, n), dtype=np.float32)
     for col0 in range(0, n, block):

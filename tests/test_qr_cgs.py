@@ -12,6 +12,7 @@ from repro.qr.cgs import (
     mgs_qr,
     orthogonality_error,
 )
+from repro.qr.incore import incore_recursive_qr
 
 ALL = [cgs_qr, mgs_qr, cgs2_qr]
 
@@ -63,6 +64,34 @@ class TestCommonContract:
     def test_dependent_columns_rejected(self, fn):
         a = np.ones((10, 3))
         with pytest.raises(ValidationError, match="dependent"):
+            fn(a)
+
+
+class TestScaleInvariantBreakdown:
+    """The dependence test is relative to each column's own norm, so a
+    well-conditioned matrix factors at any scale and only a column that
+    really collapses breaks down."""
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    @pytest.mark.parametrize("fn", ALL)
+    def test_tiny_scale_factors(self, fn, scale, rng):
+        a = scale * rng.standard_normal((256, 8))
+        q, r = fn(a)
+        assert orthogonality_error(q) < 1e-5
+        assert factorization_error(a, q, r) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    def test_tiny_scale_recursive_fp32(self, scale, rng):
+        a = (scale * rng.standard_normal((256, 48))).astype(np.float32)
+        q, r = incore_recursive_qr(a, input_format="fp32")
+        assert orthogonality_error(q) < 1e-5
+        assert factorization_error(a, q, r) < 1e-5
+
+    @pytest.mark.parametrize("fn", ALL)
+    def test_zero_column_still_breaks_down(self, fn, rng):
+        a = rng.standard_normal((32, 4))
+        a[:, 2] = 0.0
+        with pytest.raises(ValidationError, match="column 2 is numerically"):
             fn(a)
 
 
