@@ -220,10 +220,11 @@ def partition_graph(
        buffer's home (buffer affinity — a buffer's home is the device of
        its first toucher, or a *pin* entry mapping the buffer's name to
        a device). Affinity wins over data ownership because the task
-       graph gives every conflicting access pair a *direct* edge:
-       keeping all touches of a buffer on one device means every
-       same-device hazard pair keeps its edge, so the per-device race
-       proof stays sound without projecting cross-device ordering.
+       graph orders every conflicting access pair of a buffer by a path
+       of edges between touches of that buffer: keeping all touches of
+       a buffer on one device keeps every such path on the device, so
+       the per-device race proof stays sound without projecting
+       cross-device ordering.
        Pinning covers the broadcast-consumer case — a scratch buffer
        whose first touch *reads another device's staged data* (e.g. a
        TSQR pushdown factor) and must still live with its consumer;
@@ -235,7 +236,9 @@ def partition_graph(
 
     Every dependency edge between op tasks on different devices that
     carries data (overlapping producer writes / consumer reads) becomes
-    one :class:`TransferTask` priced by the topology.
+    one :class:`TransferTask` priced by the topology. A reader is linked
+    only to the live writers of its data, so a producer whose data was
+    fully overwritten before the read carries no transfer.
 
     *remap* redirects logical devices to physical ones — the device-loss
     regraft of :mod:`repro.dist.recovery`: ownership and pins are still

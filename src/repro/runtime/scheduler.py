@@ -20,8 +20,8 @@ graph raises :class:`~repro.errors.DeadlockError` immediately instead of
 hanging; a stalled threaded run (a bug, or a starved worker pool) times
 out into the same error rather than deadlocking the interpreter.
 
-Determinism: every pair of conflicting tasks is connected by a direct
-dataflow edge (see :mod:`repro.runtime.task`), so tasks that can run
+Determinism: every pair of conflicting tasks is ordered by a path of
+dataflow edges (see :mod:`repro.runtime.task`), so tasks that can run
 concurrently touch disjoint data. Results are therefore bitwise
 independent of worker count, steal order, and lookahead depth — the
 property the scheduler suite asserts.
@@ -100,14 +100,27 @@ class DagScheduler:
             finish(self.graph)
 
 
+class _ReadyQueue(deque):
+    """One worker's ready queue, with the condition its worker waits on."""
+
+    def __init__(self, lock: threading.Lock):
+        super().__init__()
+        self.ready = threading.Condition(lock)
+
+
 class _ThreadedRun:
     """One threaded execution: shared ready-set state plus the workers.
 
-    All scheduling state is guarded by a single condition variable.
-    Workers pull from their queue under the lock, execute *outside* it,
-    then re-acquire to retire the task and release dependents. This keeps
-    dependency bookkeeping race-free while numeric bodies (which release
-    the GIL inside BLAS) overlap.
+    All scheduling state is guarded by a single lock. Workers pull from
+    their queue under the lock, execute *outside* it, then re-acquire to
+    retire the task and release dependents. This keeps dependency
+    bookkeeping race-free while numeric bodies (which release the GIL
+    inside BLAS) overlap.
+
+    Each ready queue has its own condition on that lock. Routing a task
+    wakes the queue's worker, and a compute task also wakes the compute
+    peers that may steal it. Completion, failure, a deadlock timeout and
+    (under ``lookahead``) a frontier advance wake every worker.
     """
 
     def __init__(
@@ -131,32 +144,40 @@ class _ThreadedRun:
         for t in self.tasks:
             for dep in t.deps:
                 self.dependents[dep.task_id].append(t)
-        self.cond = threading.Condition()
+        self.lock = threading.Lock()
         self.finished = bytearray(n)
         self.frontier = 0          # smallest unfinished task_id
         self.n_done = 0
         self.failure: BaseException | None = None
         # ready queues: one per copy engine, one deque per compute worker
-        self.h2d: deque[TileTask] = deque()
-        self.d2h: deque[TileTask] = deque()
-        self.compute: list[deque[TileTask]] = [
-            deque() for _ in range(compute_workers)
-        ]
+        self.h2d = _ReadyQueue(self.lock)
+        self.d2h = _ReadyQueue(self.lock)
+        self.compute = [_ReadyQueue(self.lock) for _ in range(compute_workers)]
         self._deal = 0  # round-robin pointer for compute/mem tasks
-        for t in self.tasks:
-            if self.indegree[t.task_id] == 0:
-                self._route(t)
+        with self.lock:
+            for t in self.tasks:
+                if self.indegree[t.task_id] == 0:
+                    self._route(t)
 
     # -- routing (lock held) ----------------------------------------------------
 
     def _route(self, task: TileTask) -> None:
         if task.engine is EngineKind.H2D:
             self.h2d.append(task)
+            self.h2d.ready.notify()
         elif task.engine is EngineKind.D2H:
             self.d2h.append(task)
+            self.d2h.ready.notify()
         else:  # compute ops and allocator pseudo-tasks
             self.compute[self._deal % len(self.compute)].append(task)
             self._deal += 1
+            # the owner, and the peers that may steal the task
+            for queue in self.compute:
+                queue.ready.notify()
+
+    def _wake_all(self) -> None:
+        for queue in (self.h2d, self.d2h, *self.compute):
+            queue.ready.notify()
 
     def _eligible(self, task: TileTask) -> bool:
         if self.lookahead is None:
@@ -193,20 +214,25 @@ class _ThreadedRun:
     def _retire(self, task: TileTask) -> None:
         self.finished[task.task_id] = 1
         self.n_done += 1
+        frontier = self.frontier
         while self.frontier < len(self.tasks) and self.finished[self.frontier]:
             self.frontier += 1
         for dependent in self.dependents[task.task_id]:
             self.indegree[dependent.task_id] -= 1
             if self.indegree[dependent.task_id] == 0:
                 self._route(dependent)
-        self.cond.notify_all()
+        if self.n_done == len(self.tasks) or (
+            # a frontier advance may admit lookahead-gated tasks anywhere
+            self.lookahead is not None and self.frontier != frontier
+        ):
+            self._wake_all()
 
     # -- worker loop -------------------------------------------------------------
 
-    def _worker(self, worker: int | None, queue: deque[TileTask]) -> None:
+    def _worker(self, worker: int | None, queue: _ReadyQueue) -> None:
         n = len(self.tasks)
         while True:
-            with self.cond:
+            with self.lock:
                 task = None
                 while True:
                     if self.failure is not None or self.n_done == n:
@@ -214,12 +240,15 @@ class _ThreadedRun:
                     task = self._pick(worker, queue)
                     if task is not None:
                         break
-                    if not self.cond.wait(self.timeout_s):
+                    # an idle queue is not a stall: the run is stuck only
+                    # when no task retired during a whole timeout window
+                    progress = self.n_done
+                    if not queue.ready.wait(self.timeout_s) and self.n_done == progress:
                         stuck = [
                             t for t in self.tasks if not self.finished[t.task_id]
                         ]
                         self.failure = DeadlockError(stuck)
-                        self.cond.notify_all()
+                        self._wake_all()
                         return
             try:
                 if self.injector is not None:
@@ -229,12 +258,12 @@ class _ThreadedRun:
                     self.injector.check("task", op_index=task.task_id)
                 self.backend.execute(task)
             except BaseException as exc:  # noqa: BLE001 - latched + re-raised
-                with self.cond:
+                with self.lock:
                     if self.failure is None:
                         self.failure = exc
-                    self.cond.notify_all()
+                    self._wake_all()
                 return
-            with self.cond:
+            with self.lock:
                 self._retire(task)
 
     def execute(self) -> None:

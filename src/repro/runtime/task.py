@@ -7,18 +7,25 @@ imperatively against streams and events, an engine run is *recorded* as a
 :class:`TaskGraph` (by :class:`~repro.runtime.builder.GraphBuilder`) whose
 dependency edges are derived purely from declared data accesses:
 
-* **device dataflow** — a task depends on every earlier task whose device
-  access overlaps one of its own with at least one writer (the same
-  conflict predicate the race detector applies, so by construction every
-  hazard pair carries a direct edge);
+* **device dataflow** — two tasks whose device accesses overlap with at
+  least one writer (the conflict predicate the race detector applies)
+  are ordered by a path of edges. Each buffer keeps a *live frontier*:
+  its live reads and live writes. A new write links to every overlapping
+  live access and then retires each one its rectangle fully covers; a new
+  read links only to the overlapping live writes. A retired access stays
+  ordered before every later conflicting access through the write that
+  covered it, so every hazard pair is connected through the transitive
+  closure while each task carries only a few edges;
 * **host coherence** — the same rule over declared host-region reads and
-  writes (spill/reload round trips through host staging are ordered
-  without any host-side blocking);
+  writes, with each matrix's frontier indexed by 256×256 tile so a
+  lookup visits only the tiles it overlaps (spill/reload round trips
+  through host staging are ordered without any host-side blocking);
 * **allocator order** — ``alloc``/``free`` tasks act as whole-buffer
   writers (a buffer's first toucher waits for its allocation, its free
-  waits for its last toucher) and are additionally chained in emission
-  order, so every schedule replays the allocator sequence of the legacy
-  executors and the exact peak of §5.2's memory accounting is preserved.
+  waits for the live touches and retires the buffer's frontier) and are
+  additionally chained in emission order, so every schedule replays the
+  allocator sequence of the legacy executors and the exact peak of
+  §5.2's memory accounting is preserved.
 
 The graph exposes the :class:`~repro.analysis.capture.CapturedProgram`
 protocol (``config`` / ``ops`` / ``mem_events`` / ``stats`` / ``label`` /
@@ -30,6 +37,7 @@ volume — with no capture pass in between.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable
 
 from repro.analysis.capture import MemEvent
@@ -39,6 +47,13 @@ from repro.execution.base import DeviceBuffer, RunStats
 from repro.host.tiled import HostRegion
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.scheduler import DeviceAccess, accesses_conflict
+
+#: Edge of the square tiles that key a host matrix's access index.
+_HOST_TILE = 256
+
+#: The live frontier of one buffer or host tile: ``(reads, writes)``,
+#: each a list of ``(task, DeviceAccess | HostRegion)`` entries.
+_Frontier = tuple[list, list]
 
 
 @dataclass(eq=False)
@@ -105,9 +120,10 @@ class TaskGraph:
         #: §3.2 volume model hint ``(model, m, n, b)``; see CapturedProgram.
         self.volume_hint: tuple[str, int, int, int] | None = None
         self._ops: list[SimOp] = []
-        # dataflow wiring state: per-buffer and per-host-matrix access logs
-        self._device_log: dict[int, list[tuple[TileTask, DeviceAccess]]] = {}
-        self._host_log: dict[int, list[tuple[TileTask, HostRegion, bool]]] = {}
+        # dataflow wiring state: the live frontier of every buffer handle,
+        # and of every tile of every host matrix
+        self._device_log: dict[int, _Frontier] = {}
+        self._host_log: dict[int, dict[tuple[int, int], _Frontier]] = {}
         self._last_mem: TileTask | None = None
 
     # -- protocol ---------------------------------------------------------------
@@ -138,21 +154,26 @@ class TaskGraph:
                 task.op.deps.add(dep.op)
 
     def _device_deps(self, task: TileTask, access: DeviceAccess) -> list[TileTask]:
-        log = self._device_log.setdefault(access[0], [])
-        deps = [t for t, other in log if accesses_conflict(access, other)]
-        log.append((task, access))
-        return deps
+        frontier = self._device_log.setdefault(access[0], ([], []))
+        return _advance(
+            frontier, task, access, access[5], accesses_conflict, _access_covers
+        )
 
     def _host_deps(
         self, task: TileTask, region: HostRegion, write: bool
     ) -> list[TileTask]:
-        log = self._host_log.setdefault(id(region.matrix), [])
-        deps = [
-            t
-            for t, other, other_write in log
-            if (write or other_write) and region.overlaps(other)
-        ]
-        log.append((task, region, write))
+        # an entry a write covers lies only in tiles the write spans, so
+        # it is retired from every tile that holds it
+        tiles = self._host_log.setdefault(id(region.matrix), {})
+        deps: list[TileTask] = []
+        for tile in product(
+            _tile_span(region.row0, region.row1),
+            _tile_span(region.col0, region.col1),
+        ):
+            frontier = tiles.setdefault(tile, ([], []))
+            deps += _advance(
+                frontier, task, region, write, HostRegion.overlaps, _region_covers
+            )
         return deps
 
     def add_op(
@@ -194,9 +215,12 @@ class TaskGraph:
             task_id=len(self.tasks), mem=kind, buffer=buf, nbytes=nbytes
         )
         # whole-buffer write: orders the task against every touch of the
-        # buffer (first toucher waits for alloc; free waits for the last)
+        # buffer (first toucher waits for alloc; free waits for the live
+        # touches, and nothing touches the buffer after it)
         access: DeviceAccess = (handle, 0, max(buf.rows, 1), 0, max(buf.cols, 1), True)
         deps = self._device_deps(task, access)
+        if kind == "free":
+            del self._device_log[handle]
         if self._last_mem is not None:
             deps.append(self._last_mem)  # emission-order allocator chain
         self._link(task, deps)
@@ -255,6 +279,59 @@ class TaskGraph:
         from repro.sim.scheduler import happens_before_signature
 
         return happens_before_signature(self._ops)
+
+
+def _advance(
+    frontier: _Frontier,
+    task: TileTask,
+    item: DeviceAccess | HostRegion,
+    write: bool,
+    overlaps: Callable[..., bool],
+    covers: Callable[..., bool],
+) -> list[TileTask]:
+    """Link *task*'s access *item* to the live frontier and record it.
+
+    A read depends on the overlapping live writes. A write depends on
+    every overlapping live access and retires the ones it covers: a later
+    access that conflicts with a retired entry overlaps the write too, so
+    it is ordered after the entry through the write."""
+    reads, writes = frontier
+    if not write:
+        reads.append((task, item))
+        return [t for t, other in writes if overlaps(item, other)]
+    deps: list[TileTask] = []
+    for live in (writes, reads):
+        kept = []
+        for entry in live:
+            if overlaps(item, entry[1]):
+                deps.append(entry[0])
+                if covers(item, entry[1]):
+                    continue
+            kept.append(entry)
+        live[:] = kept
+    writes.append((task, item))
+    return deps
+
+
+def _tile_span(lo: int, hi: int) -> range:
+    """Indices of the host-index tiles that ``[lo, hi)`` spans."""
+    return range(lo // _HOST_TILE, (hi - 1) // _HOST_TILE + 1)
+
+
+def _access_covers(outer: DeviceAccess, inner: DeviceAccess) -> bool:
+    """Whether *outer*'s rectangle contains *inner*'s (same buffer)."""
+    return (
+        outer[1] <= inner[1] and inner[2] <= outer[2]
+        and outer[3] <= inner[3] and inner[4] <= outer[4]
+    )
+
+
+def _region_covers(outer: HostRegion, inner: HostRegion) -> bool:
+    """Whether *outer* contains *inner* (same host matrix)."""
+    return (
+        outer.row0 <= inner.row0 and inner.row1 <= outer.row1
+        and outer.col0 <= inner.col0 and inner.col1 <= outer.col1
+    )
 
 
 def node_signature(ops: Iterable[SimOp]) -> list[tuple[str, str, str]]:

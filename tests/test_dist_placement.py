@@ -12,7 +12,9 @@ from repro.dist.sim import build_dist_qr_graph
 from repro.dist.topology import DeviceTopology
 from repro.dist.tree import build_tree
 from repro.errors import ValidationError
-from repro.host.tiled import HostMatrix
+from repro.host.tiled import HostMatrix, HostRegion
+from repro.runtime import TaskGraph
+from repro.sim.ops import EngineKind, OpKind, SimOp
 
 M, N, P = 4096, 64, 4
 
@@ -89,6 +91,54 @@ class TestTransfers:
         """Round 1 of the 4-leaf binomial tree merges leader 2 into
         leader 0, so bytes must flow on the (2, 0) link."""
         assert placement.link_bytes().get((2, 0), 0) > 0
+
+
+def _overwrite_graph(overwrite_rows: int):
+    """A producer on device 1 writes an unsharded staging tile, device 0
+    overwrites its first *overwrite_rows* rows, then device 0 reads the
+    whole tile. Each op is anchored by a read of its device's slab."""
+    shard = ShardedMatrix(
+        HostMatrix.shape_only(128, 8, name="S"),
+        BlockCyclicLayout.row_slabs(128, 8, 2),
+    )
+    staging = HostMatrix.shape_only(8, 8, name="T")
+    graph = TaskGraph(PAPER_SYSTEM, label="overwrite")
+
+    def op(name, slab_row0, write_rows=0):
+        graph.add_op(
+            SimOp(name=name, engine=EngineKind.COMPUTE, kind=OpKind.GEMM,
+                  duration=0.0, tags={"accesses": []}),
+            host_reads=(
+                HostRegion(shard.matrix, slab_row0, slab_row0 + 64, 0, 8),
+                *(() if write_rows else (HostRegion(staging, 0, 8, 0, 8),)),
+            ),
+            host_writes=(
+                (HostRegion(staging, 0, write_rows, 0, 8),)
+                if write_rows else ()
+            ),
+        )
+
+    op("produce", 64, write_rows=8)
+    op("overwrite", 0, write_rows=overwrite_rows)
+    op("consume", 0)
+    return partition_graph(graph, shard, DeviceTopology.symmetric(PAPER_SYSTEM, 2))
+
+
+class TestOverwrittenProducer:
+    def test_fully_overwritten_producer_moves_nothing(self):
+        placement = _overwrite_graph(overwrite_rows=8)
+        assert [placement.device_of[t] for t in range(3)] == [1, 0, 0]
+        assert placement.transfers == []
+
+    def test_partly_overwritten_producer_still_transfers(self):
+        placement = _overwrite_graph(overwrite_rows=4)
+        assert [placement.device_of[t] for t in range(3)] == [1, 0, 0]
+        [xfer] = placement.transfers
+        assert (xfer.src, xfer.dst) == (1, 0)
+        assert xfer.consumer.name == "consume"
+        # the consumer reads the producer's whole tile, overwritten
+        # rows included (the edge is priced by overlap)
+        assert xfer.nbytes == 8 * 8 * PAPER_SYSTEM.element_bytes
 
 
 class TestVerification:

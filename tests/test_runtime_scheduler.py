@@ -8,23 +8,38 @@ properties:
 * every execution is a topological order of the derived dataflow edges;
 * no task is lost or duplicated, under any worker count;
 * results are deterministic under work stealing — conflicting tasks are
-  chained by construction, so schedules may differ but data cannot;
+  ordered by a path of edges, so schedules may differ but data cannot;
 * a cyclic graph raises :class:`DeadlockError` (not a hang) from both the
   serial and the threaded entry points;
 * ``lookahead=0`` degrades threaded execution to emission order (the
-  frontier gate), and small lookaheads still complete.
+  frontier gate), and small lookaheads still complete;
+* the live-frontier wiring orders every conflicting pair of a random
+  graph with variable-size device rectangles, host regions and buffer
+  lifetimes by a path of edges, and derives no edge the all-pairs
+  conflict reference does not justify;
+* targeted wakeups lose no work: a failure on a copy queue surfaces
+  without waiting out the timeout, and an idle copy worker does not
+  declare a stall while compute tasks keep retiring.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import DeadlockError
+from repro.execution.base import DeviceBuffer
+from repro.host.tiled import HostMatrix, HostRegion
 from repro.hw.gemm import Precision
 from repro.runtime import DagScheduler, RecordingBackend, TaskGraph
+from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind, SimOp
+from repro.sim.race import find_hazards
+from repro.sim.scheduler import accesses_conflict
 from repro.util.rng import default_rng, stable_seed
 from tests.conftest import make_tiny_spec
 
@@ -158,6 +173,21 @@ class TestThreadedExecution:
         with pytest.raises(ValueError):
             DagScheduler(_random_graph(0), lookahead=-1)
 
+    @pytest.mark.parametrize("case", range(4))
+    def test_lookahead_one_with_four_compute_workers_completes(self, case):
+        graph = _random_graph(case)
+        backend = RecordingBackend()
+        # a missed frontier wakeup would stall a gated task until the
+        # 5 s timeout
+        raised = _run_in_thread(
+            lambda: DagScheduler(graph, lookahead=1).run_threaded(
+                backend, compute_workers=4, timeout_s=5
+            ),
+            join_s=4,
+        )
+        assert raised == []
+        _assert_valid_order(graph, backend.order)
+
     def test_body_exception_propagates(self):
         graph = TaskGraph(_config(), label="boom")
 
@@ -169,6 +199,275 @@ class TestThreadedExecution:
         graph.add_op(op, body=boom)
         with pytest.raises(RuntimeError, match="body failed"):
             DagScheduler(graph).run_threaded(RecordingBackend())
+
+
+def _op(name: str, engine: EngineKind, kind: OpKind) -> SimOp:
+    return SimOp(name=name, engine=engine, kind=kind, duration=0.0,
+                 tags={"accesses": []})
+
+
+def _run_in_thread(fn, join_s: float) -> list[BaseException]:
+    """Run *fn* on a helper thread; return what it raised, failing if it
+    is still running after *join_s*."""
+    raised: list[BaseException] = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: BLE001 - inspected by the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(join_s)
+    assert not thread.is_alive(), f"run still going after {join_s} s"
+    return raised
+
+
+class TestWakeups:
+    def test_copy_queue_failure_wakes_idle_compute_workers(self):
+        graph = TaskGraph(_config(), label="h2d-boom")
+
+        def boom():
+            threading.Event().wait(0.3)  # let the compute workers park
+            raise RuntimeError("h2d body failed")
+
+        load = graph.add_op(_op("load", EngineKind.H2D, OpKind.COPY_H2D),
+                            body=boom)
+        # the compute workers sit idle: their only task waits on the load
+        use = graph.add_op(_op("use", EngineKind.COMPUTE, OpKind.GEMM))
+        graph.add_dep(use, load)
+        raised = _run_in_thread(
+            lambda: DagScheduler(graph).run_threaded(
+                RecordingBackend(), compute_workers=2, timeout_s=5
+            ),
+            join_s=4,
+        )
+        assert len(raised) == 1 and "h2d body failed" in str(raised[0])
+
+    def test_idle_copy_worker_is_not_a_stall(self):
+        """The D2H worker waits longer than the timeout for its only task,
+        but compute tasks keep retiring meanwhile: no DeadlockError."""
+        graph = TaskGraph(_config(), label="slow-chain")
+        pause = threading.Event()
+        prev = None
+        for i in range(8):
+            task = graph.add_op(
+                _op(f"step{i}", EngineKind.COMPUTE, OpKind.GEMM),
+                body=lambda: pause.wait(0.1),
+            )
+            if prev is not None:
+                graph.add_dep(task, prev)
+            prev = task
+        store = graph.add_op(_op("store", EngineKind.D2H, OpKind.COPY_D2H))
+        graph.add_dep(store, prev)
+        backend = RecordingBackend()
+        DagScheduler(graph).run_threaded(
+            backend, compute_workers=1, timeout_s=0.5
+        )
+        assert backend.order == [t.task_id for t in graph.tasks]
+
+    def test_stress_more_workers_than_cores(self):
+        """Six workers on tiny bodies with a short switch interval: a lost
+        wakeup stalls a run past its join, a lost or reordered update
+        changes the cells."""
+        reference = None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for lookahead in (None, 2, None, 2):
+                cells = {
+                    (h, r, c): 0.0
+                    for h in range(8) for r in range(4) for c in range(4)
+                }
+                graph = _random_graph(7, cells=cells)
+                backend = RecordingBackend()
+                raised = _run_in_thread(
+                    lambda: DagScheduler(graph, lookahead=lookahead)
+                    .run_threaded(backend, compute_workers=4, timeout_s=10),
+                    join_s=20,
+                )
+                assert raised == []
+                _assert_valid_order(graph, backend.order)
+                reference = reference or dict(cells)
+                assert cells == reference
+        finally:
+            sys.setswitchinterval(interval)
+
+
+# -- hazard coverage -----------------------------------------------------------
+
+BUF_EDGE = 32
+#: Host region bounds (rows and columns): the edges of the host index's
+#: 256x256 tiles and their neighbours, so regions meet, straddle and
+#: nest at tile edges.
+HOST_POINTS = (0, 1, 2, 255, 256, 257, 300, 301, 511, 512, 513, 600)
+
+
+def _span(rng, points) -> tuple[int, int]:
+    """A random non-empty half-open interval between two of *points*;
+    one in five is the whole range, so coverings are common."""
+    if rng.random() < 0.2:
+        return points[0], points[-1]
+    lo, hi = sorted(rng.choice(len(points), size=2, replace=False))
+    return points[lo], points[hi]
+
+
+def _hazard_graph(case: int) -> TaskGraph:
+    """A random graph with variable-size device rectangles (partial
+    overlaps and coverings), host regions across index tiles, and buffers
+    allocated and freed along the way."""
+    rng = default_rng(stable_seed("runtime-hazards", case))
+    graph = TaskGraph(_config(), label=f"hazards-{case}")
+    allocator = DeviceAllocator(capacity=1 << 30)
+    host = HostMatrix.shape_only(HOST_POINTS[-1], HOST_POINTS[-1], name="H")
+    edge = range(BUF_EDGE + 1)
+    live: list[DeviceBuffer] = []
+
+    def alloc():
+        name = f"buf{graph.n_tasks}"
+        buf = DeviceBuffer(name, BUF_EDGE, BUF_EDGE, payload={
+            "allocation": allocator.alloc(BUF_EDGE * BUF_EDGE * 4, name),
+        })
+        graph.add_alloc(buf, buf.payload["allocation"].nbytes)
+        live.append(buf)
+
+    alloc()
+    for i in range(int(rng.integers(30, 80))):
+        roll = rng.random()
+        if roll < 0.1 and len(live) < 3:
+            alloc()
+            continue
+        if roll < 0.2 and len(live) > 1:
+            graph.add_free(live.pop(int(rng.integers(0, len(live)))))
+            continue
+        engine, kind = ENGINES[int(rng.integers(0, len(ENGINES)))]
+        # device-only, host-only or both, so that host hazards are not
+        # all ordered through device paths anyway
+        footprint = int(rng.integers(0, 3))
+        accesses = []
+        for _ in range(int(rng.integers(1, 4)) if footprint != 1 else 0):
+            buf = live[int(rng.integers(0, len(live)))]
+            handle = buf.payload["allocation"].handle
+            accesses.append(
+                (handle, *_span(rng, edge), *_span(rng, edge),
+                 bool(rng.integers(0, 2)))
+            )
+        regions = [
+            HostRegion(host, *_span(rng, HOST_POINTS), *_span(rng, HOST_POINTS))
+            for _ in range(int(rng.integers(1, 4)) if footprint != 0 else 0)
+        ]
+        n_reads = int(rng.integers(0, len(regions) + 1))
+        op = SimOp(name=f"t{i}", engine=engine, kind=kind, duration=0.0,
+                   tags={"accesses": accesses})
+        graph.add_op(op, accesses=accesses,
+                     host_reads=tuple(regions[:n_reads]),
+                     host_writes=tuple(regions[n_reads:]))
+    for buf in live:
+        graph.add_free(buf)
+    return graph
+
+
+def _footprint(task):
+    """``(device accesses, host reads, host writes)``; an allocator task
+    is a whole-buffer write."""
+    if task.mem:
+        buf = task.buffer
+        handle = buf.payload["allocation"].handle
+        return ((handle, 0, buf.rows, 0, buf.cols, True),), (), ()
+    return task.accesses, task.host_reads, task.host_writes
+
+
+def _conflict(a, b) -> bool:
+    """Brute-force reference: any device or host overlap with a writer."""
+    acc_a, reads_a, writes_a = _footprint(a)
+    acc_b, reads_b, writes_b = _footprint(b)
+    if any(accesses_conflict(x, y) for x in acc_a for y in acc_b):
+        return True
+    return any(
+        x.overlaps(y)
+        for x, y in [
+            *((w, r) for w in writes_a for r in (*reads_b, *writes_b)),
+            *((r, w) for r in reads_a for w in writes_b),
+        ]
+    )
+
+
+class TestHazardCoverage:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return [_hazard_graph(case) for case in range(2 * N_CASES)]
+
+    def test_every_edge_is_a_conflict_or_allocator_chain(self, graphs):
+        for graph in graphs:
+            mem = [t for t in graph.tasks if t.mem]
+            chain = {(a.task_id, b.task_id) for a, b in zip(mem, mem[1:])}
+            for task in graph.tasks:
+                for dep in task.deps:
+                    assert dep.task_id < task.task_id
+                    assert _conflict(dep, task) or (
+                        (dep.task_id, task.task_id) in chain
+                    ), f"{graph.label}: unjustified edge {dep} -> {task}"
+
+    def test_every_conflicting_pair_is_ordered(self, graphs):
+        n_edges = n_conflicts = 0
+        for graph in graphs:
+            reach = []  # bitmask of tasks that happen-before task i
+            for task in graph.tasks:
+                mask = 1 << task.task_id
+                for dep in task.deps:
+                    mask |= reach[dep.task_id]
+                reach.append(mask)
+                n_edges += len(task.deps)
+            for j, later in enumerate(graph.tasks):
+                for i in range(j):
+                    if _conflict(graph.tasks[i], later):
+                        n_conflicts += 1
+                        assert reach[j] >> i & 1, (
+                            f"{graph.label}: conflict {i} -> {j} unordered"
+                        )
+        # the frontier prunes: all-pairs wiring would give every
+        # conflicting pair its own edge
+        assert n_edges < n_conflicts
+
+    def test_no_hazards(self, graphs):
+        for graph in graphs:
+            assert find_hazards(graph.ops) == []
+
+    @pytest.mark.parametrize("side", range(4))  # row0, row1, col0, col1
+    @pytest.mark.parametrize("where", ["device", "host"])
+    def test_write_missing_one_edge_does_not_retire(self, where, side):
+        """A write that covers a live read except for one row or column
+        leaves the read live: a later write of just that sliver depends
+        on it directly."""
+        read = (250, 262, 250, 262)  # straddles host tile edges
+        cover = [0, 512, 0, 512]
+        cover[side] = read[side] + (1 if side % 2 == 0 else -1)
+        sliver = list(read)
+        sliver[side ^ 1] = cover[side]
+        graph = TaskGraph(_config(), label="sliver")
+        host = HostMatrix.shape_only(512, 512, name="H")
+
+        def add(name, rect, write):
+            if where == "device":
+                access = (0, *rect, write)
+                return graph.add_op(
+                    SimOp(name=name, engine=EngineKind.COMPUTE,
+                          kind=OpKind.GEMM, duration=0.0,
+                          tags={"accesses": [access]}),
+                    accesses=[access],
+                )
+            region = (HostRegion(host, *rect),)
+            return graph.add_op(
+                _op(name, EngineKind.COMPUTE, OpKind.GEMM),
+                host_reads=() if write else region,
+                host_writes=region if write else (),
+            )
+
+        r = add("read", read, False)
+        add("cover", cover, True)
+        last = add("sliver", sliver, True)
+        assert r in last.deps
 
 
 class TestDeadlock:
