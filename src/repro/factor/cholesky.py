@@ -99,7 +99,7 @@ def _blocking_cholesky_body(ex, a, options, n, b, info, s, panel_buf, ck):
             M=trailing,
             K=width,
             N=trailing,
-            blocksize=options.effective_tile_blocksize,
+            blocksize=options.tile_chunk(ex.config, trailing, trailing),
             budget_elements=ex.allocator.free_bytes // ebytes,
             n_buffers=options.n_buffers,
             staging=options.staging_buffer,
@@ -204,7 +204,7 @@ def _recursive_cholesky_body(ex, a, options, n, b, info, s, panel_buf, ck):
             M=n - mid,
             K=wl,
             N=wr,
-            blocksize=options.effective_outer_blocksize,
+            blocksize=options.outer_chunk(ex.config, n - mid, wl + wr),
             budget_elements=ex.allocator.free_bytes // ebytes,
             n_buffers=options.n_buffers,
             staging=options.staging_buffer,

@@ -142,7 +142,7 @@ def _blocking_lu_body(ex, a, options, m, n, b, info, s, scope,
                 M=m - col1,
                 K=width,
                 N=trailing,
-                blocksize=options.effective_tile_blocksize,
+                blocksize=options.tile_chunk(ex.config, m - col1, trailing),
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,
@@ -165,7 +165,7 @@ def _blocking_lu_body(ex, a, options, m, n, b, info, s, scope,
                 M=m - col1,
                 K=width,
                 N=trailing,
-                blocksize=options.effective_outer_blocksize,
+                blocksize=options.outer_chunk(ex.config, m - col1, width + trailing),
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,
@@ -286,7 +286,7 @@ def _recursive_lu_body(ex, a, options, m, n, b, info, s, scope,
                     M=m - mid,
                     K=wl,
                     N=wr,
-                    blocksize=options.effective_outer_blocksize,
+                    blocksize=options.outer_chunk(ex.config, m - mid, wl + wr),
                     budget_elements=budget - wl * wr,
                     n_buffers=options.n_buffers,
                     staging=options.staging_buffer,
@@ -320,7 +320,7 @@ def _recursive_lu_body(ex, a, options, m, n, b, info, s, scope,
                 M=m - mid,
                 K=wl,
                 N=wr,
-                blocksize=options.effective_outer_blocksize,
+                blocksize=options.outer_chunk(ex.config, m - mid, wl + wr),
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,
@@ -345,7 +345,7 @@ def _recursive_lu_body(ex, a, options, m, n, b, info, s, scope,
                 M=m - mid,
                 K=wl,
                 N=wr,
-                blocksize=options.effective_outer_blocksize,
+                blocksize=options.outer_chunk(ex.config, m - mid, wl + wr),
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,

@@ -17,6 +17,39 @@ Four plans mirror the paper's four tiling figures:
   ``C -= A B`` with B resident and A/C streamed in row blocks.
 * :func:`plan_tile_outer`    — Fig 6: blocking QR's trailing update with
   A and B resident and C streamed tile by tile.
+
+Streamed-chunk height
+---------------------
+The §3.3 condition for hiding a GEMM's transfers behind its compute
+(``m > 4 R_g/R_m``) is about the GEMM's *resident* dimensions: they set
+the flops each streamed element buys. The height of the streamed chunk
+does not enter it. Chunk height only trades pipeline fill/drain against
+the fixed cost every chunk pays (one transfer latency plus one kernel
+launch, :func:`op_latency_s`). Streaming ``extent`` rows of
+``row_elements`` elements in chunks of ``h`` rows costs about
+
+    T(h) = (extent / h) * L  +  h * row_elements * e / BW
+
+(per-op latency ``L``, element bytes ``e``, H2D bandwidth ``BW``): the
+first term is the per-op cost, the second the never-overlapped first
+move-in. T is smallest at
+
+    h* = sqrt(extent * L * BW / (row_elements * e))
+
+:func:`streamed_chunk` rounds h* up to a power of two, clamps it to
+``extent`` and never returns less than the driver's own chunk (the QR
+panel width ``b``, ``b/2`` or the tile edge). The plans' halving loops
+still shrink the result to fit the byte budget. At paper scale h* is a
+few hundred rows, far below ``b`` = 8192-16384, so paper-scale plans are
+unchanged; at small panel widths it cuts the op count by an order of
+magnitude (a 16384x256 QR with ``b=64`` on an 8 MiB device with 25 us
+per op drops from 1,288 GEMM ops to 56).
+
+The rejected alternative, "the largest chunk that fits the budget",
+streams whole extents: nothing is left to overlap the first move-in
+with. Under it F12-F15 move and the Table 4 65536x65536
+recursive-over-blocking speedup falls from 1.17x to 1.04x, failing two
+of the Table 4 benchmark's checks.
 """
 
 from __future__ import annotations
@@ -24,12 +57,46 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.config import SystemConfig
 from repro.errors import PlanError
+from repro.hw.specs import GpuSpec
 from repro.ooc.gradual import gradual_schedule, uniform_schedule
 from repro.util.validation import positive_int
 
 #: Double-buffer depth used by every pipeline (one tile in flight, one in use).
 DEFAULT_BUFFERS = 2
+
+
+def op_latency_s(gpu: GpuSpec) -> float:
+    """Fixed cost one streamed chunk pays besides its bytes: one transfer
+    latency plus one kernel launch."""
+    return gpu.pcie_latency_s + gpu.kernel_launch_s
+
+
+def streamed_chunk(
+    floor: int, extent: int, row_elements: int, config: SystemConfig
+) -> int:
+    """Streamed-chunk height of one OOC GEMM pipeline: ``max(floor, h*)``.
+
+    *extent* is the streamed dimension, *row_elements* the elements one
+    streamed row carries across every streamed operand (``M+N`` for the
+    k-split inner product, ``K+N`` for the row-streaming outer product,
+    ``N`` for the tiled outer product) and *floor* the driver's own chunk.
+    h* balances per-op latency against pipeline fill (see the module
+    docstring); with zero latency it is 0 and *floor* comes back as is.
+    """
+    floor = positive_int(floor, "floor")
+    extent = positive_int(extent, "extent")
+    row_elements = positive_int(row_elements, "row_elements")
+    gpu = config.gpu
+    h_sq = (
+        extent * op_latency_s(gpu) * gpu.h2d_bytes_per_s
+        / (row_elements * config.element_bytes)
+    )
+    if h_sq <= 0:
+        return floor
+    h = math.ceil(math.sqrt(h_sq))
+    return max(floor, min(1 << (h - 1).bit_length(), extent))
 
 
 def split_even(extent: int, parts: int) -> list[tuple[int, int]]:

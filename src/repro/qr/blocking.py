@@ -172,7 +172,7 @@ def _blocking_qr_body(ex, a, r, options, m, n, b, info, s, scope,
                 M=m,
                 K=width,
                 N=trailing,
-                blocksize=options.effective_tile_blocksize,
+                blocksize=options.tile_chunk(ex.config, m, trailing),
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,
@@ -201,7 +201,7 @@ def _blocking_qr_body(ex, a, r, options, m, n, b, info, s, scope,
                 M=m,
                 K=width,
                 N=trailing,
-                blocksize=options.effective_outer_blocksize,
+                blocksize=options.outer_chunk(ex.config, m, width + trailing),
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,

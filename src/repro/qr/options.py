@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.config import SystemConfig
 from repro.errors import ValidationError
 from repro.health.options import HealthOptions
+from repro.ooc.plan import streamed_chunk
 from repro.util.validation import positive_int
 
 
@@ -30,11 +32,15 @@ class QrOptions:
 
     #: QR panel width b (the paper's "QR blocksize": 16384 or 8192 at scale).
     blocksize: int = 16384
-    #: Streamed-chunk height of the recursive outer product; defaults to
-    #: blocksize / 2 (the paper pairs QR blocksize 16384 with outer
-    #: blocksize 8192).
+    #: Streamed-chunk height of the row-streaming outer product, taken
+    #: exactly when set. Unset, each plan streams
+    #: :func:`~repro.ooc.plan.streamed_chunk` rows: at least blocksize / 2
+    #: (the paper pairs QR blocksize 16384 with outer blocksize 8192), more
+    #: when per-op latency dominates that chunk.
     outer_blocksize: int | None = None
-    #: Tile edge of the blocking outer product; defaults to the blocksize.
+    #: Tile edge of the tiled outer product, taken exactly when set. Unset,
+    #: tiles are :func:`~repro.ooc.plan.streamed_chunk` rows high: at least
+    #: the blocksize, more when per-op latency dominates.
     tile_blocksize: int | None = None
     #: Double-buffer depth of every streaming pipeline.
     n_buffers: int = 2
@@ -63,7 +69,8 @@ class QrOptions:
 
     @property
     def effective_outer_blocksize(self) -> int:
-        """Row-block height used by the recursive outer product."""
+        """Row-block height floor of the row-streaming outer product: the
+        explicit ``outer_blocksize``, else blocksize / 2."""
         return (
             self.outer_blocksize
             if self.outer_blocksize is not None
@@ -72,11 +79,28 @@ class QrOptions:
 
     @property
     def effective_tile_blocksize(self) -> int:
-        """Tile edge used by the blocking outer product."""
+        """Tile-edge floor of the tiled outer product: the explicit
+        ``tile_blocksize``, else the blocksize."""
         return (
             self.tile_blocksize
             if self.tile_blocksize is not None
             else self.blocksize
+        )
+
+    def outer_chunk(self, config: SystemConfig, extent: int, row_elements: int) -> int:
+        """Row-block height a row-streaming outer product plans with."""
+        if self.outer_blocksize is not None:
+            return self.outer_blocksize
+        return streamed_chunk(
+            self.effective_outer_blocksize, extent, row_elements, config
+        )
+
+    def tile_chunk(self, config: SystemConfig, extent: int, row_elements: int) -> int:
+        """Tile edge a tiled outer product plans with."""
+        if self.tile_blocksize is not None:
+            return self.tile_blocksize
+        return streamed_chunk(
+            self.effective_tile_blocksize, extent, row_elements, config
         )
 
     def all_optimizations_off(self) -> "QrOptions":

@@ -44,6 +44,7 @@ from repro.ooc.plan import (
     plan_panel_inner,
     plan_rowstream_outer,
     plan_tile_outer,
+    streamed_chunk,
 )
 from repro.ooc.scope import DeviceScope
 from repro.ooc.streams import StreamBundle
@@ -211,7 +212,7 @@ def _recursive_qr_body(ex, a, r, options, m, n, b, info, s, scope,
                 K=m,
                 M=wl,
                 N=wr,
-                blocksize=b,
+                blocksize=streamed_chunk(b, m, wl + wr, ex.config),
                 budget_elements=budget,
                 n_buffers=options.n_buffers,
                 gradual=options.gradual_blocksize,
@@ -224,7 +225,7 @@ def _recursive_qr_body(ex, a, r, options, m, n, b, info, s, scope,
                         M=m,
                         K=wl,
                         N=wr,
-                        blocksize=options.effective_outer_blocksize,
+                        blocksize=options.outer_chunk(ex.config, m, wl + wr),
                         budget_elements=budget - wl * wr,
                         n_buffers=options.n_buffers,
                         staging=options.staging_buffer,
@@ -260,7 +261,7 @@ def _recursive_qr_body(ex, a, r, options, m, n, b, info, s, scope,
                 M=m,
                 K=wl,
                 N=wr,
-                blocksize=options.effective_tile_blocksize,
+                blocksize=options.tile_chunk(ex.config, m, wr),
                 budget_elements=outer_budget,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,
@@ -284,7 +285,7 @@ def _recursive_qr_body(ex, a, r, options, m, n, b, info, s, scope,
                 M=m,
                 K=wl,
                 N=wr,
-                blocksize=options.effective_outer_blocksize,
+                blocksize=options.outer_chunk(ex.config, m, wl + wr),
                 budget_elements=outer_budget,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,
@@ -310,7 +311,7 @@ def _recursive_qr_body(ex, a, r, options, m, n, b, info, s, scope,
                 M=m,
                 K=wl,
                 N=wr,
-                blocksize=options.effective_outer_blocksize,
+                blocksize=options.outer_chunk(ex.config, m, wl + wr),
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
 from repro.errors import AdmissionError, PlanError
-from repro.ooc.plan import plan_ksplit_inner, plan_rowstream_outer
+from repro.ooc.plan import plan_ksplit_inner, plan_rowstream_outer, streamed_chunk
 from repro.serve.job import JobSpec
 
 #: Elements added to every factorization floor: covers the fully shrunk
@@ -109,12 +109,15 @@ def estimate_footprint_bytes(spec: JobSpec, config: SystemConfig) -> int:
         # run time — raise it to the minimum the drivers can run in
         return max(explicit, floor * eb)
     # desired working set: stream buffers over the widest (top) recursion
-    # level — chunk buffers against both operands plus a resident R12/C
+    # level — chunk buffers against both operands plus a resident R12/C.
+    # The chunk is the one the drivers stream (streamed_chunk over the
+    # m-row extent); charging less would make their plans halve back.
     wl = max(n // 2, 1)
+    chunk = streamed_chunk(b, m, n, config)
     desired = (
         m * b + b * b                    # persistent panel + tile
         + wl * (n - wl if n > wl else 1)  # resident R12 / C panel
-        + nb * b * (m + n)                # double-buffered streamed chunks
+        + nb * chunk * (m + n)            # double-buffered streamed chunks
     )
     elements = max(floor, desired)
     return max(min(elements * eb, usable), floor * eb)

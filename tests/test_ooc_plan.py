@@ -1,15 +1,26 @@
 """Unit tests for OOC tiling plans: feasibility, budgets, fallbacks."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.concurrency import bench_spec
+from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import PlanError, ValidationError
+from repro.ooc.api import ooc_gemm
 from repro.ooc.plan import (
+    op_latency_s,
     plan_ksplit_inner,
     plan_panel_inner,
     plan_rowstream_outer,
     plan_tile_outer,
     split_even,
+    streamed_chunk,
 )
+from repro.qr.options import QrOptions
+
+#: The 8 MiB benchmark device (25 us per-op latency, 1 GB/s H2D).
+BENCH = SystemConfig(gpu=bench_spec(8 << 20))
 
 
 class TestSplitEven:
@@ -172,3 +183,50 @@ class TestTileOuter:
     def test_infeasible(self):
         with pytest.raises(PlanError):
             plan_tile_outer(M=10, K=10, N=10, blocksize=10, budget_elements=2)
+
+
+class TestStreamedChunk:
+    def test_qr_tall_chunks(self):
+        # 16384x256 recursive QR, b=64: the top-level GEMMs stream 256-wide
+        # rows (h* = sqrt(16384 * 25e-6 * 1e9 / 1024) = 633 -> 1024) and the
+        # leaf-level tiles 64-wide rows (h* = 1265 -> 2048)
+        assert op_latency_s(BENCH.gpu) == pytest.approx(25e-6)
+        assert streamed_chunk(64, 16384, 256, BENCH) == 1024
+        assert streamed_chunk(32, 16384, 256, BENCH) == 1024
+        assert streamed_chunk(64, 16384, 64, BENCH) == 2048
+
+    def test_floor_wins_when_latency_is_cheap(self):
+        assert streamed_chunk(4096, 16384, 256, BENCH) == 4096
+
+    def test_clamped_to_extent(self):
+        assert streamed_chunk(16, 600, 4, BENCH) == 600
+
+    def test_zero_latency_returns_the_floor(self):
+        gpu = replace(BENCH.gpu, pcie_latency_s=0.0, kernel_launch_s=0.0)
+        assert streamed_chunk(64, 16384, 256, replace(BENCH, gpu=gpu)) == 64
+
+    @pytest.mark.parametrize("floor,extent,row", [
+        (16384, 131072, 32768),     # k-split inner, M = N = 16384
+        (8192, 131072, 32768),      # row-stream outer, outer blocksize 8192
+        (16384, 131072, 16384),     # tiled outer
+        (8192, 65536, 8192),
+    ])
+    def test_paper_scale_keeps_the_paper_chunk(self, floor, extent, row):
+        assert streamed_chunk(floor, extent, row, PAPER_SYSTEM) == floor
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            streamed_chunk(0, 100, 10, BENCH)
+        with pytest.raises(ValidationError):
+            streamed_chunk(8, 100, 0, BENCH)
+
+    def test_options_defaults_go_through_the_helper(self):
+        opts = QrOptions(blocksize=64)
+        assert opts.outer_chunk(BENCH, 16384, 256) == 1024
+        assert opts.tile_chunk(BENCH, 16384, 64) == 2048
+
+    def test_ooc_gemm_blocksize_is_exact(self):
+        # C = AᵀB with K = 16384 streams K / blocksize chunks, one GEMM each
+        res = ooc_gemm((16384, 128), (16384, 128), trans_a=True, mode="sim",
+                       config=BENCH, blocksize=64)
+        assert res.stats.n_gemms == 16384 // 64

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.ooc.plan
 from repro.analysis import ENGINE_CAPTURES, CaptureExecutor, verify_program
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ExecutionError
@@ -45,9 +46,38 @@ CASES = {
 }
 
 #: sha256 (first 16 hex digits) of every simulated op's name, duration,
-#: start and end, in schedule order — recorded on the simulator before the
-#: op vocabulary was unified.
+#: start and end, in schedule order, on each case's own device: streamed
+#: chunks are sized by :func:`repro.ooc.plan.streamed_chunk`.
 PINNED_SIM = {
+    "paper": {
+        "qr-blocking": "b2340142fdcc63a3",
+        "qr-recursive": "c8449170d008dd56",
+        "qr-tsqr": "c8449170d008dd56",
+        "lu-blocking": "52365e302b406942",
+        "lu-recursive": "ded48a1f6c7c0828",
+        "chol-blocking": "e0829de386778fdd",
+        "chol-recursive": "dd3d90c2d4183734",
+        "gemm-inner": "0004b314f0ec4ee4",
+        "gemm-outer": "54c101b2b6a6f1f1",
+    },
+    "tiny": {
+        "qr-blocking": "15f89ef46c8121b8",
+        "qr-recursive": "e426acb2132dd72d",
+        "qr-tsqr": "e426acb2132dd72d",
+        "lu-blocking": "108c9f7b9602c17f",
+        "lu-recursive": "880557c451c4d61f",
+        "chol-blocking": "208e5af8cf308633",
+        "chol-recursive": "50a0de71aaa709e2",
+        "gemm-inner": "d7536b62d227e16e",
+        "gemm-outer": "6b5c5d53983baf3f",
+    },
+}
+
+#: The same digests with the chunk rule's latency term zeroed, so every
+#: plan streams the driver's own chunk (b, b/2 or the tile edge) — recorded
+#: on the simulator before the op vocabulary was unified and before chunks
+#: were latency-amortized. Only the chunk rule separates the two tables.
+PINNED_SIM_FLOOR_CHUNKS = {
     "paper": {
         "qr-blocking": "e8d4a85e1f327296",
         "qr-recursive": "a15b58002197b54d",
@@ -78,7 +108,8 @@ STAT_FIELDS = (
 )
 
 
-def _simulate(name: str, config: SystemConfig, m: int, n: int, b: int):
+def _simulate(name: str, config: SystemConfig, m: int, n: int, b: int,
+              opts: QrOptions | None = None):
     """Drive the engine a registry entry names on a SimExecutor, with the
     registry's argument convention (independent of the registry code)."""
     if name == "qr-tsqr":
@@ -89,7 +120,7 @@ def _simulate(name: str, config: SystemConfig, m: int, n: int, b: int):
     def host(rows, cols, label):
         return HostMatrix.shape_only(rows, cols, eb, name=label)
 
-    opts = QrOptions(blocksize=b)
+    opts = opts or QrOptions(blocksize=b)
     family, _, method = name.partition("-")
     if family == "qr":
         driver = ooc_blocking_qr if method == "blocking" else ooc_recursive_qr
@@ -197,6 +228,12 @@ class TestOneVocabulary:
         _sim, trace = _simulate(name, config, m, n, b)
         assert _schedule_digest(trace) == PINNED_SIM[case][name]
 
+    def test_floor_chunk_sim_durations_pinned(self, name, case, monkeypatch):
+        monkeypatch.setattr(repro.ooc.plan, "op_latency_s", lambda gpu: 0.0)
+        config, m, n, b = CASES[case]
+        _sim, trace = _simulate(name, config, m, n, b)
+        assert _schedule_digest(trace) == PINNED_SIM_FLOOR_CHUNKS[case][name]
+
     def test_graph_costs_are_sim_durations(self, name, case):
         # one duration model prices sim ops and DAG tasks alike (trsm and
         # the LU/Cholesky panels included)
@@ -211,6 +248,20 @@ class TestOneVocabulary:
         sim, _trace = _simulate(name, config, m, n, b)
         capture = ENGINE_CAPTURES[name](config, m, n, b)
         assert _host_regions(sim.sim.program.ops) == _host_regions(capture.ops)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("name", [
+    "qr-blocking", "lu-blocking", "lu-recursive", "chol-blocking",
+    "chol-recursive",
+])
+def test_explicit_chunks_keep_the_floor_pins(name, case):
+    # these engines stream only outer-product chunks and b-wide blocks, so
+    # naming the old defaults explicitly reproduces the old schedule
+    config, m, n, b = CASES[case]
+    opts = QrOptions(blocksize=b, outer_blocksize=b // 2, tile_blocksize=b)
+    _sim, trace = _simulate(name, config, m, n, b, opts)
+    assert _schedule_digest(trace) == PINNED_SIM_FLOOR_CHUNKS[case][name]
 
 
 def _free_then_use(ex, use: str) -> None:

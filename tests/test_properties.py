@@ -9,12 +9,15 @@ hypothesis test-id entropy, so each case is a fixed program independent
 of pytest collection order and of any parametrization axes added later
 (e.g. the DAG-runtime axis in the differential suites)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.errors import PlanError
 from repro.hw.gemm import GemmModel, Precision
 from repro.hw.specs import V100_32GB
 from repro.models.movement import (
@@ -30,8 +33,10 @@ from repro.ooc.plan import (
     plan_rowstream_outer,
     plan_tile_outer,
     split_even,
+    streamed_chunk,
 )
 from repro.qr.cgs import cgs2_qr, factorization_error, orthogonality_error
+from repro.qr.options import QrOptions
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.simulator import GpuSimulator
@@ -119,6 +124,116 @@ class TestPlanProperties:
         assert sum(h for _, h in plan.row_blocks) == M
         assert sum(w for _, w in plan.col_blocks) == N
         assert plan.working_set_elements() <= budget
+
+
+def _latency_config(latency_s: float) -> SystemConfig:
+    """The tiny device with *latency_s* split over transfer and launch."""
+    gpu = replace(
+        make_tiny_spec(), pcie_latency_s=latency_s / 2, kernel_launch_s=latency_s / 2
+    )
+    return SystemConfig(gpu=gpu)
+
+
+latencies = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)
+
+
+class TestStreamedChunkProperties:
+    """:func:`streamed_chunk`: ``max(floor, h*)`` with h* a power of two
+    clamped to the extent, and zero latency leaving every plan as the
+    driver's own chunk makes it."""
+
+    @given(
+        floor=st.integers(1, 512),
+        extent=st.integers(1, 1 << 18),
+        row=st.integers(1, 4096),
+        latency=latencies,
+    )
+    @settings(max_examples=200)
+    def test_between_floor_and_extent(self, floor, extent, row, latency):
+        chunk = streamed_chunk(floor, extent, row, _latency_config(latency))
+        assert chunk >= floor
+        assert chunk <= max(floor, extent)
+        # a power of two, or exactly the floor, or the whole extent
+        pow2 = chunk & (chunk - 1) == 0
+        assert pow2 or chunk in (floor, extent)
+
+    @given(
+        floor=st.integers(1, 512),
+        extent=st.integers(1, 1 << 18),
+        row=st.integers(1, 4096),
+        lo=latencies,
+        hi=latencies,
+    )
+    @settings(max_examples=200)
+    def test_monotone_in_latency(self, floor, extent, row, lo, hi):
+        lo, hi = sorted((lo, hi))
+        assert streamed_chunk(floor, extent, row, _latency_config(lo)) <= (
+            streamed_chunk(floor, extent, row, _latency_config(hi))
+        )
+
+    @given(
+        K=st.integers(8, 1 << 16),
+        M=st.integers(1, 256),
+        N=st.integers(1, 256),
+        b=st.integers(1, 512),
+        slack=st.integers(0, 1 << 16),
+        latency=latencies,
+    )
+    @settings(max_examples=100)
+    def test_plans_still_fit_the_budget(self, K, M, N, b, slack, latency):
+        cfg = _latency_config(latency)
+        budget = M * N + 2 * min(b, K) * (M + N) + min(b, K) * N + 16 + slack
+        kplan = plan_ksplit_inner(K, M, N, streamed_chunk(b, K, M + N, cfg), budget)
+        assert kplan.working_set_elements() <= budget
+        assert sum(h for _, h in kplan.chunks) == K
+        oplan = plan_rowstream_outer(K, M, N, streamed_chunk(b, K, M + N, cfg), budget)
+        assert oplan.working_set_elements() <= budget
+        assert sum(h for _, h in oplan.blocks) == K
+        tbudget = 3 * min(b, K) * min(b, N) + slack
+        tplan = plan_tile_outer(K, M, N, streamed_chunk(b, K, N, cfg), tbudget)
+        assert tplan.working_set_elements() <= tbudget
+        assert sum(h for _, h in tplan.row_blocks) == K
+
+    @given(
+        K=st.integers(8, 1 << 16),
+        M=st.integers(1, 256),
+        N=st.integers(1, 256),
+        b=st.integers(1, 512),
+        budget=st.integers(1 << 10, 1 << 22),
+    )
+    @settings(max_examples=100)
+    def test_zero_latency_plans_are_the_floor_plans(self, K, M, N, b, budget):
+        # each plan with the chunk its driver asks for equals the plan with
+        # the driver's own chunk (b, b/2 and the tile edge b); the plans
+        # take the streamed extent first, so (K, M, N) maps onto each
+        cfg = _latency_config(0.0)
+        opts = QrOptions(blocksize=b)
+        cases = (
+            (plan_ksplit_inner, streamed_chunk(b, K, M + N, cfg), b),
+            (plan_rowstream_outer, opts.outer_chunk(cfg, K, M + N), max(1, b // 2)),
+            (plan_tile_outer, opts.tile_chunk(cfg, K, N), b),
+        )
+        for plan, chunk, floor in cases:
+            assert chunk == floor
+            try:
+                today = plan(K, M, N, floor, budget)
+            except PlanError:
+                continue
+            assert plan(K, M, N, chunk, budget) == today
+
+    @given(
+        outer=st.integers(1, 4096),
+        tile=st.integers(1, 4096),
+        extent=st.integers(1, 1 << 18),
+        row=st.integers(1, 4096),
+        latency=latencies,
+    )
+    @settings(max_examples=100)
+    def test_explicit_overrides_are_exact(self, outer, tile, extent, row, latency):
+        cfg = _latency_config(latency)
+        opts = QrOptions(blocksize=64, outer_blocksize=outer, tile_blocksize=tile)
+        assert opts.outer_chunk(cfg, extent, row) == outer
+        assert opts.tile_chunk(cfg, extent, row) == tile
 
 
 class TestAllocatorProperties:

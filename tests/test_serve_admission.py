@@ -10,10 +10,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.concurrency import bench_spec
 from repro.config import SystemConfig
 from repro.errors import AdmissionError
+from repro.execution import SimExecutor
+from repro.factor.cholesky import ooc_blocking_cholesky, ooc_recursive_cholesky
+from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
+from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
+from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.options import QrOptions
+from repro.qr.recursive import ooc_recursive_qr
 from repro.serve import (
     AdmissionController,
     JobSpec,
@@ -97,6 +104,49 @@ class TestEstimator:
         with pytest.raises(AdmissionError) as ei:
             estimate_footprint_bytes(spec, config)
         assert ei.value.reason == "job-unplannable"
+
+
+_DRIVERS = {
+    ("qr", "recursive"): ooc_recursive_qr,
+    ("qr", "blocking"): ooc_blocking_qr,
+    ("lu", "recursive"): ooc_recursive_lu,
+    ("lu", "blocking"): ooc_blocking_lu,
+    ("cholesky", "recursive"): ooc_recursive_cholesky,
+    ("cholesky", "blocking"): ooc_blocking_cholesky,
+}
+
+
+def _direct_peak(kind: str, method: str, n: int, opts: QrOptions,
+                 config: SystemConfig) -> int:
+    """Allocator peak of the driver run directly on the whole device."""
+    ex = SimExecutor(config)
+    a = HostMatrix.shape_only(n, n, config.element_bytes, name="A")
+    if kind == "qr":
+        r = HostMatrix.shape_only(n, n, config.element_bytes, name="R")
+        _DRIVERS[kind, method](ex, a, r, opts)
+    else:
+        _DRIVERS[kind, method](ex, a, opts)
+    return ex.allocator.peak
+
+
+class TestChargesTheStreamedChunk:
+    """The factor charge sizes its streamed buffers with the chunk the
+    drivers stream, so a job granted its charge plans exactly as a direct
+    run on the whole device (a smaller grant would halve the chunks back)."""
+
+    @pytest.mark.parametrize("method", ["recursive", "blocking"])
+    @pytest.mark.parametrize("kind", ["qr", "lu", "cholesky"])
+    @pytest.mark.parametrize("n,blocksize", [
+        (512, 128), (768, 128), (1024, 128),
+        # small panels: the chunk is several times b
+        (512, 32), (1024, 32),
+    ])
+    def test_charge_covers_direct_peak(self, kind, method, n, blocksize):
+        config = SystemConfig(gpu=bench_spec(64 << 20), precision=Precision.TC_FP16)
+        opts = QrOptions(blocksize=blocksize)
+        spec = JobSpec(kind, ((n, n),), method=method, mode="sim", options=opts)
+        charged = estimate_footprint_bytes(spec, config)
+        assert charged >= _direct_peak(kind, method, n, opts, config)
 
 
 class TestController:
