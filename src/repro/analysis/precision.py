@@ -40,7 +40,11 @@ the documented safety slack of the derived tolerances):
   costs more than a shallow one, and repeated accumulation into the same
   buffer pays one step per op (the ``beta = 1`` worst case);
 * a panel factorization of *r* rows behaves like a GEMM chain of depth
-  *r* in the same formats: ``+ 2 u(f) + r u(g)``.
+  *r* in the same formats: ``+ 2 u(f) + r u(g)``. This prices the worst
+  rung of every panel algorithm, so it needs no per-algorithm case: the
+  default CholQR2 panel forms its Gram and applies ``R⁻¹`` in fp32
+  (``2 u(fp32) + r u(fp32)``), and the panels its rule rejects run the
+  recursive-CGS fallback, whose GEMMs quantize to *f* — the price above.
 
 Because CAQR reduction-tree merges are ordinary panel ops on stacked R
 factors, walking a dist graph prices the tree *by its depth*: a binomial

@@ -30,16 +30,20 @@ class SystemConfig:
     #: Host (CPU) memory capacity in bytes; ``None`` disables the check.
     #: The paper's testbed has 128 GB, which capped its §5.2 matrix sizes.
     host_mem_bytes: int | None = None
-    #: In-core panel factorization algorithm: the paper's recursive CGS
-    #: ("recursive-cgs", LATER-style), communication-optimal "tsqr", or
-    #: "householder" (both unconditionally stable alternatives; timing in
-    #: simulation uses the same calibrated panel model for all three).
-    panel_algorithm: str = "recursive-cgs"
+    #: In-core panel factorization algorithm. "cholqr2" (the default) runs
+    #: CholQR2 — four BLAS-3 calls — and falls back by rule, per panel, to
+    #: the paper's recursive CGS when the panel is too ill-conditioned
+    #: (``repro.qr.incore.cholqr2``; each fallback is a ``panel-fallback``
+    #: obs event). "recursive-cgs" always runs the paper's panel
+    #: (LATER-style); "tsqr" and "householder" are unconditionally stable
+    #: alternatives. Simulated timing uses the same calibrated panel model
+    #: for all four.
+    panel_algorithm: str = "cholqr2"
     #: Fraction of device memory held back from the allocator (driver,
     #: cuBLAS workspace). The paper's 32 GB card realistically exposes ~31.
     mem_reserve_fraction: float = 0.03
 
-    PANEL_ALGORITHMS = ("recursive-cgs", "tsqr", "householder")
+    PANEL_ALGORITHMS = ("cholqr2", "recursive-cgs", "tsqr", "householder")
 
     def __post_init__(self) -> None:
         if self.element_bytes not in (2, 4, 8):

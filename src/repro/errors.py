@@ -214,6 +214,16 @@ class BreakdownError(NumericalError, ValidationError):
         super().__init__("breakdown", detail, report)
 
 
+class PanelRejected(ReproError):
+    """A fast panel algorithm's acceptance rule refused its input; the
+    caller factors the panel with a stable algorithm instead. ``reason``
+    is a short machine-readable tag."""
+
+    def __init__(self, reason: str, detail: str = ""):
+        self.reason = reason
+        super().__init__(f"{reason}{': ' + detail if detail else ''}")
+
+
 class EscalationExhaustedError(NumericalError):
     """Every rung of the escalation ladder was tried and the panel is
     still numerically unhealthy."""

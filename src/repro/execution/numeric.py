@@ -34,7 +34,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PanelRejected
 from repro.execution.base import DeviceBuffer, DeviceView, Executor, make_op
 from repro.health.sentinel import NULL_SENTINEL, HealthSentinel
 from repro.host.tiled import HostRegion
@@ -385,7 +385,11 @@ class NumericExecutor(Executor):
 
     def _factorize_panel(self, a_data: np.ndarray):
         """Dispatch on ``config.panel_algorithm``; imports are lazy because
-        repro.qr also hosts the OOC drivers that import this module."""
+        repro.qr also hosts the OOC drivers that import this module.
+
+        ``"cholqr2"`` falls back to the recursive-CGS panel on the
+        untouched input whenever its acceptance rule rejects the panel,
+        and says so with a ``panel-fallback`` event."""
         algo = self.config.panel_algorithm
         if algo == "tsqr":
             from repro.qr.tsqr import tsqr
@@ -397,8 +401,16 @@ class NumericExecutor(Executor):
 
             q, r = householder_qr(a_data, dtype=np.float32)
             return q.astype(np.float32), r.astype(np.float32)
-        from repro.qr.incore import incore_recursive_qr
+        from repro.qr.incore import cholqr2, incore_recursive_qr
 
+        if algo == "cholqr2":
+            try:
+                return cholqr2(a_data)
+            except PanelRejected as rejected:
+                self.obs.event(
+                    "panel-fallback", cat="panel", lane="compute",
+                    attrs={"reason": rejected.reason, "shape": a_data.shape},
+                )
         return incore_recursive_qr(a_data, input_format=self._input_format)
 
     def _trsm_body(

@@ -14,19 +14,34 @@ with the two GEMMs (inner product ``R12 = Q1ᵀ A2`` and outer product
 ``A2 ← A2 − Q1 R12``) growing geometrically with recursion level — the
 source of the TensorCore speedup that the OOC layer inherits. Both variants
 factor a column-major copy, so each leaf's column block is contiguous.
+
+:func:`cholqr2` is the BLAS-3 alternative for a single panel: four
+matmul-sized calls instead of a per-column loop, accepted only where its
+acceptance rule proves it as accurate as the CGS2 panel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError, ValidationError
-from repro.qr.cgs import _check_input, cgs2_qr, cgs_qr
+from repro.errors import PanelRejected, ShapeError, ValidationError
+from repro.qr.cgs import RANK_TOL, _check_input, cgs2_qr, cgs_qr
 from repro.tc.gemm import CacheSlot, RoundedCopies, tc_gemm
 from repro.util.validation import positive_int
 
 #: Column width below which recursion bottoms out in vector-wise CGS.
 DEFAULT_LEAF = 32
+
+#: CholQR2 acceptance bound on its second pass: ``‖R2 − I‖_F``. Pass 1
+#: leaves ``Q1ᵀQ1 = R2ᵀR2 = I + E`` with ``‖E‖ ~ κ² u32``; at or below
+#: this bound the singular values of ``R2`` (and ``Q1``) lie in [½, 3/2],
+#: so ``κ(Q1) ≤ 3`` and pass 2 restores O(u32) orthogonality. On
+#: 16384×64 panels the κ sweep reads ``‖R2 − I‖_F`` 1.6e-4 at κ=1e2,
+#: 1.3e-2 at 1e3, 0.16-0.22 at 5e3 and 0.6-2.2 at 1e4, and the pass-1
+#: Cholesky fails from κ≈1.5e4: the bound accepts up to κ≈5e3 (every
+#: accepted panel reaches ``‖QᵀQ − I‖ ≤ 1.1e-6``) and falls back a factor
+#: ~3 in κ before the Gram stops being positive definite.
+CHOLQR2_MAX_CORRECTION = 0.5
 
 
 def incore_recursive_qr(
@@ -150,3 +165,57 @@ def incore_blocked_qr(
                 a_slot=q1_slot,
             )
     return q, r
+
+
+def cholqr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CholQR2 of a tall panel (fp32 in/out): twice ``G = XᵀX``,
+    ``R = chol(G)``, ``X ← X·R⁻¹``, with ``R = R2·R1``.
+
+    The Gram is an fp32 matmul of the fp32 data, promoted to fp64 for the
+    Cholesky: formed from fp16-rounded inputs, both passes would factor
+    the rounded copy and ``‖QᵀQ − I‖`` would stall at ~1.5e-4 (the fp16
+    floor) instead of ~1e-6. ``R⁻¹`` is applied as one fp32 matmul with
+    the explicitly inverted b×b triangle — a triangular solve on the tall
+    operand is 3-4x slower.
+
+    Raises :class:`~repro.errors.PanelRejected` (the input is untouched)
+    unless both Choleskys succeed with finite factors, every
+    ``r1_jj > RANK_TOL·‖a_j‖`` (the dependence test of the CGS panels) and
+    ``‖R2 − I‖_F ≤`` :data:`CHOLQR2_MAX_CORRECTION`. The caller then
+    factors the panel with :func:`incore_recursive_qr`, which raises the
+    typed breakdown/non-finite errors.
+    """
+    x = np.asarray(_check_input(a, "a"), dtype=np.float32)
+    r1, gram_diag = _gram_cholesky(x)
+    dependent = np.flatnonzero(np.diag(r1) <= RANK_TOL * np.sqrt(gram_diag))
+    if dependent.size:
+        raise PanelRejected("dependent-column", f"column {dependent[0]}")
+    q1 = x @ _inverse32(r1)
+    r2, _ = _gram_cholesky(q1)
+    correction = float(np.linalg.norm(r2 - np.eye(r2.shape[0])))
+    if correction > CHOLQR2_MAX_CORRECTION:
+        raise PanelRejected("ill-conditioned", f"|R2 - I|_F = {correction:.3g}")
+    return q1 @ _inverse32(r2), np.triu(r2 @ r1).astype(np.float32)
+
+
+def _gram_cholesky(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Cholesky factor (fp64) of the fp32 Gram ``XᵀX``, and the
+    Gram's diagonal (the squared column norms)."""
+    gram = (x.T @ x).astype(np.float64)
+    try:
+        r = np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        raise PanelRejected("cholesky-failed") from None
+    if not np.isfinite(r).all():
+        raise PanelRejected("non-finite")
+    return r, np.diag(gram)
+
+
+def _inverse32(r: np.ndarray) -> np.ndarray:
+    """``R⁻¹`` of an upper triangle, in fp32 for the tall matmul.
+
+    ``np.linalg.inv`` pivots nothing on a triangle, so this is the two
+    triangular solves against ``I``. It stays in numpy's LAPACK: with
+    multithreaded OpenBLAS, alternating with scipy's separately threaded
+    copy made a 1024×128 panel 4x slower (14.4 vs 3.7 ms)."""
+    return np.linalg.inv(r).astype(np.float32)

@@ -73,9 +73,16 @@ M, N, B = 96, 64, 16
 OPTS = QrOptions(blocksize=B)
 
 
-def config_with(precision: Precision, element_bytes: int = 4) -> SystemConfig:
+def config_with(
+    precision: Precision,
+    element_bytes: int = 4,
+    panel_algorithm: str = "cholqr2",
+) -> SystemConfig:
     return replace(
-        PAPER_SYSTEM, precision=precision, element_bytes=element_bytes
+        PAPER_SYSTEM,
+        precision=precision,
+        element_bytes=element_bytes,
+        panel_algorithm=panel_algorithm,
     )
 
 
@@ -460,6 +467,20 @@ def measured_residual(a: np.ndarray, config: SystemConfig) -> float:
 
 
 class TestDifferentialKappaSweep:
+    @staticmethod
+    def assert_not_false_safe(precision, kappa, panel_algorithm):
+        # zero false "safe" verdicts: on every sweep case the residual a
+        # real run measures sits under the bound the verifier predicted
+        config = config_with(precision, panel_algorithm=panel_algorithm)
+        flow, findings = check_precision(recursive_program(config))
+        assert findings == []
+        residual = measured_residual(conditioned_matrix(kappa), config)
+        assert residual <= flow.bound, (
+            f"false-safe verdict: measured {residual:.3e} above the "
+            f"static bound {flow.bound:.3e} for {flow.plan.describe()} "
+            f"with the {panel_algorithm} panel at kappa={kappa:.0e}"
+        )
+
     @pytest.mark.parametrize(
         "precision", SWEEP_PRECISIONS, ids=lambda p: p.value
     )
@@ -467,17 +488,31 @@ class TestDifferentialKappaSweep:
     def test_static_bound_upper_bounds_measured_residual(
         self, precision, kappa
     ):
-        # zero false "safe" verdicts: on every sweep case the residual a
-        # real run measures sits under the bound the verifier predicted
-        config = config_with(precision)
-        flow, findings = check_precision(recursive_program(config))
-        assert findings == []
-        residual = measured_residual(conditioned_matrix(kappa), config)
-        assert residual <= flow.bound, (
-            f"false-safe verdict: measured {residual:.3e} above the "
-            f"static bound {flow.bound:.3e} for {flow.plan.describe()} "
-            f"at kappa={kappa:.0e}"
-        )
+        # the default panel: CholQR2, falling back to recursive CGS
+        self.assert_not_false_safe(precision, kappa, "cholqr2")
+
+    @pytest.mark.parametrize(
+        "precision", SWEEP_PRECISIONS, ids=lambda p: p.value
+    )
+    @pytest.mark.parametrize("kappa", KAPPAS, ids=lambda k: f"kappa{k:.0e}")
+    def test_static_bound_covers_the_recursive_cgs_panel(
+        self, precision, kappa
+    ):
+        self.assert_not_false_safe(precision, kappa, "recursive-cgs")
+
+    @pytest.mark.parametrize(
+        "precision", SWEEP_PRECISIONS, ids=lambda p: p.value
+    )
+    def test_panel_step_prices_the_worst_rung(self, precision):
+        # the PANEL step's price does not depend on the panel algorithm:
+        # it prices the recursive-CGS fallback, which bounds CholQR2 too
+        bounds = {
+            algo: check_precision(
+                recursive_program(config_with(precision, panel_algorithm=algo))
+            )[0].bound
+            for algo in ("cholqr2", "recursive-cgs")
+        }
+        assert bounds["cholqr2"] == bounds["recursive-cgs"]
 
     def test_bound_ordering_matches_residual_ordering(self):
         # the bound is not just safe but discriminating: ranking plans by

@@ -19,7 +19,8 @@ def cfg(algo, precision=Precision.FP32):
 
 
 class TestConfig:
-    def test_default_is_paper_algorithm(self):
+    def test_default_is_cholqr2_and_paper_panel_selectable(self):
+        assert SystemConfig(gpu=make_tiny_spec()).panel_algorithm == "cholqr2"
         assert cfg("recursive-cgs").panel_algorithm == "recursive-cgs"
 
     def test_unknown_rejected(self):
@@ -27,7 +28,9 @@ class TestConfig:
             cfg("givens")
 
 
-@pytest.mark.parametrize("algo", ["recursive-cgs", "tsqr", "householder"])
+@pytest.mark.parametrize(
+    "algo", ["cholqr2", "recursive-cgs", "tsqr", "householder"]
+)
 class TestAllPanelAlgorithms:
     def test_ooc_qr_correct(self, algo):
         a = random_tall(200, 96, seed=60)
@@ -60,7 +63,7 @@ class TestStablePanelsHelp:
         order of magnitude of each other."""
         ill = conditioned(400, 128, kappa=3e5, seed=62)
         results = {}
-        for algo in ("recursive-cgs", "tsqr", "householder"):
+        for algo in ("cholqr2", "recursive-cgs", "tsqr", "householder"):
             res = ooc_qr(ill, method="recursive", config=cfg(algo), blocksize=32)
             results[algo] = orthogonality_error(res.q)
             assert factorization_error(ill, res.q, res.r) < 1e-4
@@ -73,7 +76,8 @@ class TestStablePanelsHelp:
         a = random_tall(128, 64, seed=63)
         rs = {
             algo: ooc_qr(a, config=cfg(algo), blocksize=32).r
-            for algo in ("recursive-cgs", "tsqr", "householder")
+            for algo in ("cholqr2", "recursive-cgs", "tsqr", "householder")
         }
         np.testing.assert_allclose(rs["tsqr"], rs["householder"], atol=1e-4)
         np.testing.assert_allclose(rs["tsqr"], rs["recursive-cgs"], atol=2e-3)
+        np.testing.assert_allclose(rs["tsqr"], rs["cholqr2"], atol=1e-4)

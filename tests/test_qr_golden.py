@@ -51,12 +51,34 @@ def _matrix(case: str, shape: tuple[int, int]) -> np.ndarray:
     return rng.standard_normal(shape).astype(np.float32)
 
 
-def _ooc(case: str, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-    cfg = SystemConfig(gpu=make_tiny_spec(), precision=Precision.TC_FP16)
+def _ooc(
+    case: str, panel_algorithm: str = SystemConfig.panel_algorithm, **kwargs
+) -> tuple[np.ndarray, np.ndarray]:
+    cfg = SystemConfig(
+        gpu=make_tiny_spec(),
+        precision=Precision.TC_FP16,
+        panel_algorithm=panel_algorithm,
+    )
     res = ooc_qr(
         _matrix(case, OOC_SHAPE), config=cfg, blocksize=OOC_BLOCK, **kwargs
     )
     return res.q, res.r
+
+
+#: The OOC cases' keyword arguments, run under the default (CholQR2)
+#: panel and again under ``panel_algorithm="recursive-cgs"`` (case name +
+#: "-cgs"). A default digest that moves while its "-cgs" twin holds
+#: isolates the change to the CholQR2 panel.
+_OOC_CASES = {
+    "ooc-recursive-serial": {},
+    "ooc-recursive-dag-threads": {"runtime": "dag", "concurrency": "threads"},
+    "ooc-blocking": {"method": "blocking"},
+    "ooc-health-monitor": {
+        "options": QrOptions(
+            blocksize=OOC_BLOCK, health=HealthOptions(mode="monitor")
+        ),
+    },
+}
 
 
 #: case name -> () -> (Q, R)
@@ -67,18 +89,13 @@ CASES = {
     "incore-blocked": lambda: incore_blocked_qr(
         _matrix("incore-blocked", (4096, 64)), block=32, input_format="fp16"
     ),
-    "ooc-recursive-serial": lambda: _ooc("ooc-recursive-serial"),
-    "ooc-recursive-dag-threads": lambda: _ooc(
-        "ooc-recursive-dag-threads", runtime="dag", concurrency="threads"
-    ),
-    "ooc-blocking": lambda: _ooc("ooc-blocking", method="blocking"),
-    "ooc-health-monitor": lambda: _ooc(
-        "ooc-health-monitor",
-        options=QrOptions(
-            blocksize=OOC_BLOCK, health=HealthOptions(mode="monitor")
-        ),
-    ),
 }
+for _name, _kwargs in _OOC_CASES.items():
+    # the input depends on the base name only: both panels factor it
+    CASES[_name] = lambda n=_name, kw=_kwargs: _ooc(n, **kw)
+    CASES[f"{_name}-cgs"] = lambda n=_name, kw=_kwargs: _ooc(
+        n, panel_algorithm="recursive-cgs", **kw
+    )
 
 
 def _cpu_vendor() -> str:
@@ -126,18 +143,34 @@ PINNED = {
         "afc4daaa705faac4cdad4017170f5f2970ab3e73719d28fcb49c447d82d8c494",
     ),
     "ooc-blocking": (
+        "bd955ebf5d9f104003aafa8ebdcc6a07060f0cf6e3106e107a2ee37e911627e8",
+        "67b513107ff04d440e3e439adfa46a8fac9dbdcd9f6a92ba8cd12389a2fd80cf",
+    ),
+    "ooc-blocking-cgs": (
         "84781ca85c249b0f0d23bfab7c60f12d5fd47d1b483527596259b93173f7ae6a",
         "59a97387b27d35b718a35c11f8303dcb23e555feeb315f71f63212cda3d14969",
     ),
     "ooc-health-monitor": (
+        "7c5f66f0afc2f7a5ed97c7722b05baeb6999bf92a21eca434b142279d121a2d6",
+        "1f15c8d19d38136fd544fdba807b3abfe726b97c32805a8ac6f4a7dff272c129",
+    ),
+    "ooc-health-monitor-cgs": (
         "abc254218e9a8e320f0501e72e765c58125c556cb6acbadd152234446c37a9dd",
         "bea6c176518f4e74cf0713213bdb839a5dbd3c9ee083f1bb80292359b5140459",
     ),
     "ooc-recursive-dag-threads": (
+        "b1b3d99b33e6cd0c236fbe6ee82e25db79e4c8f5d0daf29ea5b61e602c5b467e",
+        "2c268cc43ad6b7fbae57fcb8e65098480b55b1c09860ea97567d77702f5ada49",
+    ),
+    "ooc-recursive-dag-threads-cgs": (
         "8a6303e79a765b446311382c9e445e840a78e936b70feb5644da9528a70aa17a",
         "d1ec77128a640af14eb6128d1e2bb3f5bfe3a4dc6a79e5bfc9eca3b1ddf5e8e3",
     ),
     "ooc-recursive-serial": (
+        "eb4245947326b95362b78d00b6bf9941e38822beddc8a5067ac295201d586228",
+        "87cca6a8ca584161ee09fcc131e8504b2063d965b5af10dfc4760d6ffd3dc816",
+    ),
+    "ooc-recursive-serial-cgs": (
         "5b4f737378e3e31ca1a4ac68c3986a30c99bc365efbeedf91842a15e37897aa6",
         "9bcb77619253a21bb99f6ee514d6b917bee8ad3f72f241d51e775c423b42ac78",
     ),
