@@ -5,7 +5,8 @@ Public surface:
 * :class:`CheckpointConfig` / :class:`CheckpointPolicy` — what users pass
   as ``checkpoint=`` to :func:`repro.qr.api.ooc_qr`,
   :func:`repro.factor.api.ooc_lu` and :func:`repro.factor.api.ooc_cholesky`;
-* :class:`CheckpointManager` — atomic save/load/restore of progress;
+* :class:`CheckpointManager` — atomic save/load/restore of progress
+  (``snapshot`` copies a step's state out, ``save`` commits it);
 * :class:`CheckpointSession` — the driver-facing protocol binding a
   manager to one run (executor + host matrices);
 * :func:`run_fingerprint` — the run-identity digest a manifest is bound to;

@@ -54,7 +54,7 @@ def ooc_blocking_cholesky(
     s = StreamBundle.create(ex, "chol-blk")
     ebytes = ex.config.element_bytes
 
-    with DeviceScope(ex) as scope:
+    with DeviceScope(ex) as scope, ck:
         panel_buf = scope.alloc(n, b, "chol-panel")
         _blocking_cholesky_body(ex, a, options, n, b, info, s, panel_buf, ck)
     ex.synchronize()
@@ -145,7 +145,7 @@ def ooc_recursive_cholesky(
     s = StreamBundle.create(ex, "chol-rec")
     ebytes = ex.config.element_bytes
 
-    with DeviceScope(ex) as scope:
+    with DeviceScope(ex) as scope, ck:
         panel_buf = scope.alloc(n, b, "chol-panel")
         _recursive_cholesky_body(ex, a, options, n, b, info, s, panel_buf, ck)
     ex.synchronize()

@@ -57,7 +57,7 @@ def ooc_blocking_lu(
     s = StreamBundle.create(ex, "lu-blk")
     ebytes = ex.config.element_bytes
 
-    with DeviceScope(ex) as scope:
+    with DeviceScope(ex) as scope, ck:
         panel_buf = scope.alloc(m, b, "lu-panel")
         u_tile = scope.alloc(b, b, "lu-utile")
         _blocking_lu_body(ex, a, options, m, n, b, info, s, scope,
@@ -208,7 +208,7 @@ def ooc_recursive_lu(
     ebytes = ex.config.element_bytes
 
     scope = DeviceScope(ex)
-    with scope:
+    with scope, ck:
         panel_buf = scope.alloc(m, b, "lu-panel")
         u_tile = scope.alloc(b, b, "lu-utile")
         _recursive_lu_body(ex, a, options, m, n, b, info, s, scope,

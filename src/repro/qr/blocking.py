@@ -79,7 +79,7 @@ def ooc_blocking_qr(
     s = StreamBundle.create(ex, "qr-blk")
     ebytes = ex.config.element_bytes
 
-    with DeviceScope(ex) as scope:
+    with DeviceScope(ex) as scope, ck:
         panel_buf = scope.alloc(m, b, "qr-panel")
         r_tile = scope.alloc(b, b, "qr-rtile")
         _blocking_qr_body(ex, a, r, options, m, n, b, info, s, scope,

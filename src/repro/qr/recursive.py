@@ -78,7 +78,7 @@ def ooc_recursive_qr(
     ebytes = ex.config.element_bytes
 
     scope = DeviceScope(ex)
-    with scope:
+    with scope, ck:
         panel_buf = scope.alloc(m, b, "qr-panel")
         r_tile = scope.alloc(b, b, "qr-rtile")
         _recursive_qr_body(ex, a, r, options, m, n, b, info, s, scope,

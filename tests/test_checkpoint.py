@@ -5,6 +5,7 @@ the typed refusal of corrupt or mismatched checkpoints."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestRoundtrip:
         mgr = _manager(tmp_path)
         mats = _matrices(seed=1)
         saved = mats["a"].data.copy()
-        mgr.save(3, 4, mats)
+        mgr.save(mgr.snapshot(3, 4, mats))
 
         fresh = _matrices(seed=2)  # different contents, same shape
         assert mgr.restore(fresh) == 3
@@ -81,9 +82,9 @@ class TestRoundtrip:
     def test_newer_save_wins_and_prunes(self, tmp_path):
         mgr = _manager(tmp_path)
         mats = _matrices()
-        mgr.save(1, 2, mats)
+        mgr.save(mgr.snapshot(1, 2, mats))
         mats["a"].data[:] += 1.0
-        mgr.save(2, 4, mats)
+        mgr.save(mgr.snapshot(2, 4, mats))
         step_dirs = [p.name for p in tmp_path.iterdir() if p.is_dir()]
         assert step_dirs == ["step-000002"]
         fresh = _matrices(seed=9)
@@ -97,12 +98,14 @@ class TestRoundtrip:
             rows, cols
         )
         mgr = _manager(tmp_path / "ck")
-        nbytes = mgr.save(2, frontier, {"a": mat}, frontiers={"a": frontier})
+        nbytes = mgr.save(mgr.snapshot(2, frontier, {"a": mat}, frontiers={"a": frontier}))
         # only the mutable tail [frontier, cols) was copied out
         assert nbytes == rows * (cols - frontier) * 4
         entry = mgr.load_manifest()["matrices"]["a"]
         assert entry["mode"] == "inplace"
-        assert entry["region"] == [0, rows, frontier, cols]
+        assert [seg["region"] for seg in entry["segments"]] == [
+            [0, rows, frontier, cols]
+        ]
 
         # corrupt the tail in the memmap (simulating a mid-step crash),
         # then restore: prefix comes from the file, tail from the payload
@@ -115,7 +118,7 @@ class TestRoundtrip:
         mat = HostMatrix.memmap(tmp_path / "a.dat", 4, 4)
         mat.data[:] = 7.0
         mgr = _manager(tmp_path / "ck")
-        nbytes = mgr.save(4, 4, {"a": mat}, frontiers={"a": 4})
+        nbytes = mgr.save(mgr.snapshot(4, 4, {"a": mat}, frontiers={"a": 4}))
         assert nbytes == 0  # everything finalized: flush only
         assert mgr.restore({"a": mat}) == 4
 
@@ -123,7 +126,7 @@ class TestRoundtrip:
         mat = HostMatrix.memmap(tmp_path / "a.dat", 4, 4)
         mat.data[:] = 1.0
         mgr = _manager(tmp_path / "ck")
-        mgr.save(1, 2, {"a": mat}, frontiers={"a": 2})
+        mgr.save(mgr.snapshot(1, 2, {"a": mat}, frontiers={"a": 2}))
         ram = _matrices(4, 4)
         with pytest.raises(CheckpointError) as exc:
             mgr.restore(ram)
@@ -136,7 +139,7 @@ class TestRefusals:
 
     def _saved(self, tmp_path, **kw):
         mgr = _manager(tmp_path, **kw)
-        mgr.save(2, 3, _matrices())
+        mgr.save(mgr.snapshot(2, 3, _matrices()))
         return mgr
 
     def test_corrupt_manifest_json(self, tmp_path):
@@ -161,6 +164,26 @@ class TestRefusals:
         with pytest.raises(CheckpointError) as exc:
             _manager(tmp_path).load_manifest()
         assert exc.value.reason == "format-mismatch"
+
+    def test_version_1_manifest_is_refused(self, tmp_path):
+        """A format-1 manifest (one whole payload file per matrix, no
+        segment list) is refused, not misread."""
+        (tmp_path / "step-000002").mkdir()
+        (tmp_path / "step-000002" / "a.bin").write_bytes(bytes(8 * 6 * 4))
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({
+            "format": 1, "fingerprint": "fp", "step": 2, "frontier": 3,
+            "payload_dir": "step-000002",
+            "matrices": {"a": {
+                "mode": "copy", "shape": [8, 6], "dtype": "float32",
+                "region": [0, 8, 0, 6], "file": "a.bin", "nbytes": 192,
+                "sha256": "0" * 64,
+            }},
+        }))
+        mgr = _manager(tmp_path)
+        for call in (mgr.load_manifest, lambda: mgr.restore(_matrices())):
+            with pytest.raises(CheckpointError) as exc:
+                call()
+            assert exc.value.reason == "format-mismatch"
 
     def test_fingerprint_mismatch(self, tmp_path):
         self._saved(tmp_path, fingerprint="fp-one")
@@ -243,6 +266,7 @@ class TestSession:
         assert first.start() == 0
         first.step_complete(0, frontier=2)
         first.step_complete(1, frontier=4)
+        first.drain()
 
         second = self._session(tmp_path, mats)
         assert second.start() == 2
@@ -256,9 +280,26 @@ class TestSession:
         session.start()
         for step in range(7):
             session.step_complete(step, frontier=step + 1)
+        session.drain()
         # saves at completed=3 and completed=6; step 7 pending
         assert session.stats.checkpoints_written == 2
         assert session.manager.load_manifest()["step"] == 6
+
+    def test_staging_fits_the_snapshot_and_is_released(self, tmp_path):
+        """An in-place matrix stages only its tail, not the whole
+        (possibly larger-than-RAM) file; drain unmaps the staging."""
+        rows, cols = 64, 32
+        mat = HostMatrix.memmap(tmp_path / "a.dat", rows, cols)
+        mat.data[:] = 1.0
+        session = self._session(tmp_path / "ck", {"a": mat})
+        session.start()
+        session.step_complete(0, frontier=24)
+        assert len(session._mapping) == rows * (cols - 24) * 4
+        session.step_complete(1, frontier=28)  # smaller: same mapping
+        assert len(session._mapping) == rows * (cols - 24) * 4
+        session.drain()
+        assert session._mapping is None
+        assert session.manager.load_manifest()["step"] == 2
 
     def test_time_policy_uses_injected_clock(self, tmp_path):
         now = [0.0]
@@ -272,6 +313,222 @@ class TestSession:
         now[0] = 31.0
         session.step_complete(1, frontier=2)
         assert session.stats.checkpoints_written == 1
+
+
+M, N, B = 256, 64, 16
+
+
+def _qr_input():
+    return np.random.default_rng(3).standard_normal((M, N)).astype(np.float32)
+
+
+def _qr_run(ckdir=None, session_out=None, obs=None):
+    """One recursive QR of the M x N input (fresh host matrices, as after
+    a crash), checkpointing every step into *ckdir* when given."""
+    from repro.execution.numeric import NumericExecutor
+    from repro.qr.recursive import ooc_recursive_qr
+    from tests.test_fault_injection import _config
+
+    ex = NumericExecutor(_config())
+    if obs is not None:
+        ex.obs = obs
+    a = HostMatrix.from_array(_qr_input())
+    r = HostMatrix.zeros(N, N)
+    session = None
+    if ckdir is not None:
+        session = CheckpointSession(
+            CheckpointManager(CheckpointConfig(ckdir), fingerprint="qr"),
+            ex, {"a": a, "r": r},
+        )
+        if session_out is not None:
+            session_out.append(session)
+    ooc_recursive_qr(ex, a, r, QrOptions(blocksize=B), checkpoint=session)
+    return a.data, r.data
+
+
+class TestWriteBehind:
+    """Commits run on a writer thread: failures still fail the run, and
+    every finalized column is written exactly once."""
+
+    def test_writer_failure_fails_the_run(self, tmp_path, monkeypatch):
+        from repro.ckpt import manager as manager_mod
+
+        q_ref, r_ref = _qr_run()
+        real_write = manager_mod._write_payload
+
+        def failing_fsync_on_third_commit(path, data):
+            if path.parent.name == "step-000003":
+                raise OSError(5, "injected payload fsync failure")
+            real_write(path, data)
+
+        monkeypatch.setattr(
+            manager_mod, "_write_payload", failing_fsync_on_third_commit
+        )
+        ckdir = tmp_path / "ck"
+        with pytest.raises(OSError, match="injected payload fsync"):
+            _qr_run(ckdir)
+        monkeypatch.undo()
+
+        # the previous checkpoint is intact and resumes bitwise
+        mgr = CheckpointManager(CheckpointConfig(ckdir), fingerprint="qr")
+        assert mgr.load_manifest()["step"] == 2
+        sessions = []
+        q, r = _qr_run(ckdir, sessions)
+        assert sessions[0].stats.resumes == 1
+        assert sessions[0].stats.steps_skipped == 2
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(r, r_ref)
+
+    def test_checkpoint_bytes_match_the_segment_formula(
+        self, tmp_path, monkeypatch
+    ):
+        frontiers = []
+        real_step = CheckpointSession.step_complete
+
+        def recording(self, step, frontier):
+            frontiers.append(frontier)
+            real_step(self, step, frontier)
+
+        monkeypatch.setattr(CheckpointSession, "step_complete", recording)
+        sessions = []
+        _qr_run(tmp_path, sessions)
+        stats = sessions[0].stats
+        # recursion events of a 64-column matrix with 16-column leaves
+        assert frontiers == [16, 16, 32, 32, 48, 48, 64]
+        e = 4
+        expect = (
+            e * M * N  # every finalized column, once
+            + sum(e * M * (N - f) for f in frontiers)  # each commit's tail
+            + len(frontiers) * e * N * N  # R, whole, every commit
+        )
+        assert stats.checkpoints_written == len(frontiers)
+        assert stats.checkpoint_bytes == expect == 376_832
+
+    @pytest.mark.parametrize("kind", [
+        "blocking_qr", "recursive_qr", "blocking_lu", "recursive_lu",
+        "blocking_cholesky", "recursive_cholesky",
+    ])
+    def test_drivers_drain_on_return_and_on_raise(
+        self, kind, tmp_path, monkeypatch
+    ):
+        """With a slow writer, every checkpoint the policy took is
+        durable the moment a driver returns or raises."""
+        import threading
+        import time
+
+        from repro.factor import cholesky, incore, lu
+        from repro.qr import blocking, recursive
+        from tests.test_fault_injection import (
+            FaultyExecutor,
+            InjectedFault,
+            _config,
+        )
+
+        driver = {
+            "blocking_qr": blocking.ooc_blocking_qr,
+            "recursive_qr": recursive.ooc_recursive_qr,
+            "blocking_lu": lu.ooc_blocking_lu,
+            "recursive_lu": lu.ooc_recursive_lu,
+            "blocking_cholesky": cholesky.ooc_blocking_cholesky,
+            "recursive_cholesky": cholesky.ooc_recursive_cholesky,
+        }[kind]
+        real_save = CheckpointManager.save
+
+        def slow_save(self, snap):
+            time.sleep(0.02)
+            return real_save(self, snap)
+
+        monkeypatch.setattr(CheckpointManager, "save", slow_save)
+
+        def attempt(ckdir, fail_at=None):
+            n = 64
+            if kind.endswith("qr"):
+                a_np = _qr_input()[:n]
+            elif kind.endswith("lu"):
+                a_np = incore.diagonally_dominant(n, n, seed=5)
+            else:
+                a_np = incore.spd_matrix(n, seed=5)
+            ex = FaultyExecutor(_config(), fail_at=fail_at)
+            mats = {"a": HostMatrix.from_array(a_np.copy())}
+            args = [ex, mats["a"]]
+            if kind.endswith("qr"):
+                mats["r"] = HostMatrix.zeros(n, n)
+                args.append(mats["r"])
+            session = CheckpointSession(
+                CheckpointManager(CheckpointConfig(ckdir), fingerprint=kind),
+                ex, mats,
+            )
+            try:
+                driver(*args, QrOptions(blocksize=B), checkpoint=session)
+            finally:
+                stats = session.stats
+                manifest = session.manager.load_manifest()
+                writers = [t for t in threading.enumerate()
+                           if t.name.startswith("ckpt-writer")]
+                assert manifest["step"] == stats.checkpoints_written
+                assert not writers
+            return ex.op_counter
+
+        total = attempt(tmp_path / "whole")
+        with pytest.raises(InjectedFault):
+            attempt(tmp_path / "killed", fail_at=2 * total // 3)
+
+    def test_traced_run_shows_snapshot_and_commit_lanes(self, tmp_path):
+        from repro.obs import SpanRecorder
+
+        rec = SpanRecorder()
+        _qr_run(tmp_path, obs=rec)
+        spans = [s for s in rec.spans() if s.cat == "ckpt"]
+        snaps = [s for s in spans if s.name == "ckpt.snapshot"]
+        commits = [s for s in spans if s.name == "ckpt.commit"]
+        assert len(snaps) == len(commits) == 7
+        assert {s.lane for s in snaps} == {"driver"}
+        assert {s.lane for s in commits} == {"ckpt"}
+        for snap, commit in zip(snaps, commits):
+            assert snap.attrs["step"] == commit.attrs["step"]
+            assert snap.attrs["nbytes"] == commit.attrs["nbytes"]
+            assert commit.start_s >= snap.end_s
+
+    def test_save_never_opens_a_committed_file(self, tmp_path, monkeypatch):
+        from repro.ckpt import manager as manager_mod
+
+        opened: list[list[str]] = []
+        real_save = CheckpointManager.save
+
+        def spy_open(path, *args, **kwargs):
+            opened[-1].append(Path(path).relative_to(tmp_path).as_posix())
+            return open(path, *args, **kwargs)
+
+        def checked_save(self, snap):
+            committed = self.load_manifest()
+            referenced = set() if committed is None else {
+                seg["file"]
+                for entry in committed["matrices"].values()
+                for seg in entry["segments"]
+            }
+            opened.append([])
+            written = real_save(self, snap)
+            assert not referenced & set(opened[-1])
+            return written
+
+        monkeypatch.setattr(manager_mod, "open", spy_open, raising=False)
+        monkeypatch.setattr(CheckpointManager, "save", checked_save)
+        _qr_run(tmp_path)
+        assert len(opened) == 7
+        # each finalized segment of A was written by exactly one save
+        finalized = [
+            seg["file"]
+            for seg in CheckpointManager(
+                CheckpointConfig(tmp_path), fingerprint="qr"
+            ).load_manifest()["matrices"]["a"]["segments"]
+        ]
+        assert [f.split("/")[1] for f in finalized] == [
+            "a.c000000-000016.bin", "a.c000016-000032.bin",
+            "a.c000032-000048.bin", "a.c000048-000064.bin",
+        ]
+        writes = [f for files in opened for f in files]
+        for name in finalized:
+            assert writes.count(name) == 1
 
 
 class TestFingerprint:

@@ -11,7 +11,9 @@ subsystem's design target is <2%.
 
 A small absolute floor (default 2 ms) keeps the check meaningful on
 noisy shared runners: a 6% blip on a 20 ms run is scheduler jitter, not
-recorder cost.
+recorder cost. BLAS runs single-threaded (as in ``perfbench/run.py``):
+a multithreaded BLAS pool's jitter on a small host is larger than the
+budget and would be measured instead of the recorder.
 
 Usage::
 
@@ -22,11 +24,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+# before numpy is imported: its BLAS sizes its thread pool at load time
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             best = min(best, monotonic() - t0)
         return best
 
-    best_of(False)  # warm caches (numpy, BLAS thread pools) off the record
+    best_of(False)  # warm caches off the record
     off_s = best_of(False)
     on_s = best_of(True)
     delta_s = on_s - off_s
