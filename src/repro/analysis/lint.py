@@ -146,7 +146,6 @@ _HALF_DTYPE_STRINGS = _HALF_DTYPE_NAMES | {"e", "f2", "<f2", ">f2", "=f2"}
 #: constructs one for the public entry points.
 _EXECUTOR_CHOICE = (
     "repro.execution.numeric",
-    "repro.execution.concurrent",
     "repro.execution.sim",
     "repro.runtime",
 )

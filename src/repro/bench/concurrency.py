@@ -1,11 +1,11 @@
 """Wall-clock benchmark: serial vs. threaded numeric execution.
 
-Measures the real speedup the concurrent executor's engine overlap buys on
-an out-of-core GEMM (the paper's Fig 3 inner-product pipeline) — the
-numeric analogue of the simulator's overlap predictions. numpy GEMMs and
-copies release the GIL, so on a multi-core host the three engine workers
-genuinely overlap; on a single core the schedule is still valid but the
-speedup converges to ~1x.
+Measures the real speedup the threaded task DAG's copy/compute overlap
+buys on an out-of-core GEMM (the paper's Fig 3 inner-product pipeline) —
+the numeric analogue of the simulator's overlap predictions. numpy GEMMs
+and copies release the GIL, so on a multi-core host the scheduler's
+workers genuinely overlap; on a single core the schedule is still valid
+but the speedup converges to ~1x.
 
 Used by ``tests/test_execution_concurrent.py`` (smoke + the REPRO_PERF
 gated ≥1.2x assertion) and runnable directly::

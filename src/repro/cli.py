@@ -54,14 +54,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--concurrency", choices=["serial", "threads"], default="serial",
-        help="numeric mode: run ops serially or on per-engine worker "
-        "threads (real H2D/compute/D2H overlap)",
-    )
-    parser.add_argument(
-        "--runtime", choices=["legacy", "dag"], default="legacy",
-        help="legacy: imperative executors; dag: record the run as a "
-        "tile-task graph and execute it with the dynamic dataflow "
-        "scheduler (QR and GEMM; see docs/runtime.md)",
+        help="numeric mode: run ops serially, or record them as a "
+        "tile-task graph and run it on worker threads (real "
+        "H2D/compute/D2H overlap; see docs/concurrency.md)",
     )
     parser.add_argument(
         "--no-opts", action="store_true", help="disable the §4.2 optimizations"
@@ -148,19 +143,6 @@ def _run_factorization(args, kind: str) -> int:
     if args.health != "off" and args.mode != "numeric":
         print("--health requires --mode numeric", file=sys.stderr)
         return 2
-    runtime = getattr(args, "runtime", "legacy")
-    if runtime == "dag" and kind != "qr":
-        print(
-            f"--runtime dag covers qr and gemm; {kind} runs on the legacy "
-            "path (its graph adapter is registered for analysis only, see "
-            "docs/runtime.md)",
-            file=sys.stderr,
-        )
-        return 2
-    if runtime == "dag" and (args.checkpoint_dir or args.health != "off"):
-        print("--runtime dag does not support --checkpoint-dir/--health yet",
-              file=sys.stderr)
-        return 2
     checkpoint = None
     if args.checkpoint_dir is not None:
         if args.mode != "numeric":
@@ -197,18 +179,16 @@ def _run_factorization(args, kind: str) -> int:
                 a = spd_matrix(shape[0], seed=0)
             else:
                 a = default_rng(0).standard_normal(shape).astype(np.float32)
-            extra = {"runtime": runtime} if kind == "qr" else {}
             rec = _timeline_recorder(args)
             result = run(
                 a, method=method, mode="numeric", config=config,
                 options=options, concurrency=args.concurrency,
-                checkpoint=checkpoint, obs=rec, **extra,
+                checkpoint=checkpoint, obs=rec,
             )
         else:
-            extra = {"runtime": runtime} if kind == "qr" else {}
             result = run(
                 shape, method=method, mode="sim", config=config,
-                options=options, **extra,
+                options=options,
             )
         times[method] = result.makespan
         clock = "measured" if args.mode == "numeric" else "simulated"
@@ -278,10 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     p_gemm.add_argument(
         "--concurrency", choices=["serial", "threads"], default="serial"
     )
-    p_gemm.add_argument(
-        "--runtime", choices=["legacy", "dag"], default="legacy",
-        help="dag: execute as a tile-task graph (docs/runtime.md)",
-    )
 
     p_lg = sub.add_parser(
         "loadgen",
@@ -334,12 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     p_tr.add_argument("--memory-gib", type=float, default=None)
     p_tr.add_argument("--sync", action="store_true", help="disable pipelining")
     p_tr.add_argument(
-        "--concurrency", choices=["serial", "threads"], default="serial"
-    )
-    p_tr.add_argument(
-        "--runtime", choices=["legacy", "dag"], default="dag",
-        help="dag (default): execute as a tile-task graph so per-task "
-        "spans carry dependency edges; legacy: imperative executors",
+        "--concurrency", choices=["serial", "threads"], default="serial",
+        help="threads: run the task graph on worker threads, so per-task "
+        "spans carry dependency edges",
     )
     p_tr.add_argument(
         "--out", default=None, metavar="JSON",
@@ -789,15 +762,14 @@ def _run_trace(args) -> int:
     ).astype(np.float32)
     ooc_qr(
         a, method=args.method, mode="numeric", config=config,
-        options=options, concurrency=args.concurrency,
-        runtime=args.runtime, obs=rec,
+        options=options, concurrency=args.concurrency, obs=rec,
     )
     spans = rec.spans()
     summary = run_summary(spans)
     print(render_timeline(
         spans, width=100,
         title=f"qr {args.method} {args.rows}x{args.cols} "
-        f"b={options.blocksize} — measured ({args.runtime} runtime)",
+        f"b={options.blocksize} — measured ({args.concurrency})",
     ))
     print(render_summary(spans))
     print(f"  spans           : {summary.n_spans} "
@@ -805,7 +777,7 @@ def _run_trace(args) -> int:
     if args.compare_sim:
         sim = ooc_qr(
             (args.rows, args.cols), method=args.method, mode="sim",
-            config=config, options=options, runtime=args.runtime,
+            config=config, options=options,
         )
         print()
         print(render_sim_vs_measured(
@@ -837,7 +809,7 @@ def _run_gemm(args) -> int:
             result = ooc_gemm(
                 a, b, trans_a=True, mode="numeric", config=config,
                 blocksize=args.blocksize, pipelined=not args.sync,
-                concurrency=args.concurrency, runtime=args.runtime, obs=rec,
+                concurrency=args.concurrency, obs=rec,
             )
         else:
             a = rng.standard_normal((args.M, args.K)).astype(np.float32)
@@ -847,20 +819,18 @@ def _run_gemm(args) -> int:
                 a, b, alpha=-1.0, beta=1.0, c=c, mode="numeric",
                 config=config, blocksize=args.blocksize,
                 pipelined=not args.sync, concurrency=args.concurrency,
-                runtime=args.runtime, obs=rec,
+                obs=rec,
             )
     elif args.kind == "inner":
         result = ooc_gemm(
             (args.K, args.M), (args.K, args.N), trans_a=True, mode="sim",
             config=config, blocksize=args.blocksize, pipelined=not args.sync,
-            runtime=args.runtime,
         )
     else:
         result = ooc_gemm(
             (args.M, args.K), (args.K, args.N), alpha=-1.0, beta=1.0,
             c=(args.M, args.N), mode="sim", config=config,
             blocksize=args.blocksize, pipelined=not args.sync,
-            runtime=args.runtime,
         )
     clock = "measured" if args.mode == "numeric" else "simulated"
     print(

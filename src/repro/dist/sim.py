@@ -54,9 +54,9 @@ from repro.faults.inject import as_injector
 from repro.faults.report import FaultReport
 from repro.host.tiled import HostMatrix
 from repro.obs.span import Span
+from repro.runtime.backends import simulate_tasks
 from repro.runtime.builder import GraphBuilder
 from repro.runtime.task import TaskGraph
-from repro.sim.ops import EngineKind, SimOp
 from repro.sim.simulator import GpuSimulator
 from repro.sim.trace import Trace
 from repro.util.validation import positive_int
@@ -226,43 +226,11 @@ def build_dist_qr_graph(
 
 
 def _simulate_program(prog: DeviceProgram) -> Trace:
-    """Discrete-event simulation of one device's slice (the
-    :class:`~repro.runtime.backends.SimGraphBackend` translation, with
-    cross-device dependency edges dropped at the clone step)."""
-    sim = GpuSimulator(prog.config)
-    streams = {
-        engine: sim.stream(f"dev{prog.device}-{engine.value}")
-        for engine in EngineKind
-    }
-    clones: dict[int, SimOp] = {}
-    allocations: dict[int, object] = {}
-    for task in prog.tasks:
-        if task.mem == "alloc":
-            buf = task.buffer
-            allocations[id(buf)] = sim.allocator.alloc(
-                task.nbytes, name=buf.name
-            )
-            continue
-        if task.mem == "free":
-            sim.allocator.free(allocations.pop(id(task.buffer)))
-            continue
-        src = task.op
-        op = SimOp(
-            name=src.name,
-            engine=src.engine,
-            kind=src.kind,
-            duration=task.cost,
-            nbytes=src.nbytes,
-            flops=src.flops,
-            tags=dict(src.tags),
-        )
-        sim.enqueue(op, streams[src.engine])
-        for dep in task.deps:
-            mapped = clones.get(dep.task_id)
-            if mapped is not None:
-                op.deps.add(mapped)
-        clones[task.task_id] = op
-    return sim.run()
+    """Discrete-event simulation of one device's slice; its edges to
+    other devices' tasks are dropped."""
+    return simulate_tasks(
+        GpuSimulator(prog.config), prog.tasks, f"dev{prog.device}"
+    )
 
 
 def _simulate_global(placement: Placement) -> float:

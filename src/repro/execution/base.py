@@ -218,7 +218,7 @@ class Executor(abc.ABC):
         """Release executor resources (worker threads, etc). Idempotent.
 
         The base implementation is a no-op; executors that own background
-        resources override it. Callers that may run a concurrent executor
+        resources override it. Callers that may run a threaded executor
         should ``try/finally: ex.close()``.
         """
 

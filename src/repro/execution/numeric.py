@@ -1,18 +1,13 @@
 """Numeric executor: really computes, with TensorCore numerics emulation.
 
-By default work executes eagerly in issue order (a legal serialization of
-any correct stream program), so numeric results are exact regardless of how
-the calling pipeline arranged its streams. With ``record=True`` the
-executor additionally records the stream program — the same
-:class:`~repro.sim.scheduler.StreamProgram` happens-before graph the
-simulator builds — stamping every executed op with wall-clock times, which is
-what the differential test harness compares across backends and what the
-race detector consumes (``executor.program.ops``). The measured timeline
-of a run is its span list (``obs=``), not these stamps.
+Work executes eagerly in issue order (a legal serialization of any
+correct stream program), so numeric results are exact regardless of how
+the calling pipeline arranged its streams. The measured timeline of a run
+is its span list (``obs=``).
 
-:class:`~repro.execution.concurrent.ConcurrentNumericExecutor` subclasses
-this executor and overrides :meth:`NumericExecutor._issue` to dispatch op
-bodies onto per-engine worker threads instead of running them inline.
+:class:`~repro.runtime.builder.GraphBuilder` subclasses this executor and
+overrides :meth:`NumericExecutor._issue` to record each op body as a task
+of a graph that its ``synchronize()`` runs on worker threads.
 
 Device buffers are numpy fp32 arrays, still accounted against the simulated
 device capacity through :class:`~repro.sim.memory.DeviceAllocator`, so
@@ -35,13 +30,13 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.errors import ExecutionError, PanelRejected
-from repro.execution.base import DeviceBuffer, DeviceView, Executor, make_op
+from repro.execution.base import DeviceBuffer, DeviceView, Executor
 from repro.health.sentinel import NULL_SENTINEL, HealthSentinel
 from repro.host.tiled import HostRegion
 from repro.obs.clock import monotonic as _monotonic
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind
-from repro.sim.scheduler import DeviceAccess, StreamProgram
+from repro.sim.scheduler import DeviceAccess
 from repro.tc.gemm import CacheSlot, RoundedCopies, tc_gemm
 
 
@@ -63,32 +58,20 @@ class NumericExecutor(Executor):
     ----------
     config
         The system configuration (device capacity, precision, models).
-    record
-        When true, streams/events are real (the shared
-        :class:`~repro.sim.scheduler.StreamProgram` wiring) and every op is
-        recorded in :attr:`program` with its dependency edges, device
-        accesses and wall-clock start/end stamps.
     """
 
-    def __init__(self, config: SystemConfig, *, record: bool = False):
+    def __init__(self, config: SystemConfig):
         super().__init__(config)
         self.allocator = DeviceAllocator(config.usable_device_bytes)
         self._input_format = config.precision.input_format
-        self.program: StreamProgram | None = StreamProgram() if record else None
+        #: Wall clock at the first issued op; ``stats.wall_s`` counts from it.
         self._t0: float | None = None
-        #: Recorder-timebase instant matching ``_t0`` — lets recorded ops
-        #: (stamped relative to ``_t0``) land on the shared span timeline.
-        self._obs_t0: float = 0.0
         #: Numerical-health sentinel; the api layer swaps in a live one
         #: when ``options.health`` enables probing. Op bodies consult it,
         #: so it must be attached before any op is issued.
         self.health: HealthSentinel = NULL_SENTINEL
 
     # -- issue machinery ---------------------------------------------------------
-
-    def _now(self) -> float:
-        """Seconds since the first issued op (wall clock)."""
-        return _monotonic() - self._t0 if self._t0 is not None else 0.0
 
     def _issue(
         self,
@@ -107,47 +90,20 @@ class NumericExecutor(Executor):
         host_writes: tuple[HostRegion, ...],
         dims: tuple[int, ...] | None,
     ) -> None:
-        """Run (or dispatch) one operation.
-
-        The serial executor executes *body* immediately; when recording it
-        also appends the op's :func:`~repro.execution.base.make_op` node to
-        the program with its stream/event dependency edges and wall-clock
-        stamps. Subclasses override this to schedule *body* elsewhere (the
-        concurrent executor sends it to the op's engine worker).
-        """
+        """Run one operation now. Subclasses override this to run *body*
+        elsewhere (the graph builder records it as a task)."""
         if self._t0 is None:
             self._t0 = _monotonic()
-            if self.obs.enabled:
-                self._obs_t0 = self.obs.now()
-        if self.program is None:
-            if self.obs.enabled:
-                start = self.obs.now()
-                body()
-                self._record_op_span(
-                    name, engine, kind, start, self.obs.now(),
-                    nbytes=nbytes, flops=flops, tag=tag,
-                    accesses=accesses, stream=stream,
-                )
-            else:
-                body()
-            return
-        node = make_op(
-            op=op, name=name, engine=engine, kind=kind, nbytes=nbytes,
-            flops=flops, tag=tag, accesses=accesses, host_reads=host_reads,
-            host_writes=host_writes, dims=dims,
-        )
-        self.program.append(node, stream)
-        node.start = self._now()
-        body()
-        node.end = self._now()
-        node.duration = node.end - node.start
         if self.obs.enabled:
+            start = self.obs.now()
+            body()
             self._record_op_span(
-                name, engine, kind,
-                node.start + self._obs_t0, node.end + self._obs_t0,
+                name, engine, kind, start, self.obs.now(),
                 nbytes=nbytes, flops=flops, tag=tag,
                 accesses=accesses, stream=stream,
             )
+        else:
+            body()
 
     def _record_op_span(
         self,
@@ -162,7 +118,6 @@ class NumericExecutor(Executor):
         tag: str | None = None,
         accesses: list | None = None,
         stream: Any = None,
-        parent_id: int | None = None,
     ) -> None:
         """Record one executed op as a span on its engine lane.
 
@@ -192,8 +147,7 @@ class NumericExecutor(Executor):
             ]
         self.obs.record(
             name, start, end,
-            cat=kind.value, lane=engine.value,
-            parent_id=parent_id, attrs=attrs,
+            cat=kind.value, lane=engine.value, attrs=attrs,
         )
 
     # -- memory -----------------------------------------------------------------
@@ -215,18 +169,13 @@ class NumericExecutor(Executor):
     # -- streams -----------------------------------------------------------------
 
     def stream(self, name: str) -> Any:
-        if self.program is not None:
-            return self.program.stream(name)
         return _NullStream(name)
 
     def record_event(self, stream: Any) -> Any:
-        if self.program is not None:
-            return self.program.record_event(stream)
         return _NullEvent()
 
     def wait_event(self, stream: Any, event: Any) -> None:
-        if self.program is not None:
-            self.program.wait_event(stream, event)
+        pass
 
     def synchronize(self) -> None:
         # Eager execution has nothing to drain, but a sync is the natural

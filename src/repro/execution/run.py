@@ -6,11 +6,11 @@ between lives here:
 
 * :func:`run_spec` — the option combinations that run, refused through
   one table (:data:`REFUSALS`) with one set of messages;
-* :func:`execute` — executor choice (serial or threaded numeric, sim, or
-  a :class:`~repro.runtime.GraphBuilder` for ``runtime="dag"``), the
-  checkpoint session, the health sentinel, the root span, movement
-  tracking, graph execution, the hybrid sim replay (:func:`sim_replay`)
-  and teardown on every exit path;
+* :func:`execute` — executor choice from ``mode`` and ``concurrency``
+  alone (eager serial numeric, the threaded task-DAG
+  :class:`~repro.runtime.GraphBuilder`, or sim), the checkpoint session,
+  the health sentinel, the root span, movement tracking, the hybrid sim
+  replay (:func:`sim_replay`) and teardown on every exit path;
 * :class:`TimedResult` — ``makespan``/``achieved_tflops`` for the three
   result types.
 
@@ -35,7 +35,6 @@ from repro.ckpt import (
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ExecutionError, ValidationError
 from repro.execution.base import Executor, RunStats
-from repro.execution.concurrent import ConcurrentNumericExecutor
 from repro.execution.numeric import NumericExecutor
 from repro.execution.sim import SimExecutor
 from repro.health.options import HealthOptions
@@ -47,11 +46,9 @@ from repro.util.validation import one_of
 
 if TYPE_CHECKING:
     from repro.ooc.accounting import MovementReport
-    from repro.runtime import TaskGraph
 
 MODES = ("numeric", "sim", "hybrid")
 CONCURRENCY = ("serial", "threads")
-RUNTIMES = ("legacy", "dag")
 
 #: The counters a hybrid run's numeric pass and sim replay must agree on.
 _HYBRID_COUNTERS = (
@@ -67,7 +64,6 @@ class RunSpec:
 
     mode: str
     concurrency: str = "serial"
-    runtime: str = "legacy"
     checkpoint: CheckpointConfig | None = None
     health: HealthOptions = _OFF
     obs: SpanRecorder = NULL_RECORDER
@@ -87,14 +83,6 @@ REFUSALS: tuple[tuple[Callable[[RunSpec], bool], str], ...] = (
     (lambda s: s.health.enabled and s.mode != "numeric",
      "health monitoring requires mode='numeric' (probes need real numbers), "
      "got mode={mode!r}"),
-    (lambda s: s.runtime == "dag" and s.mode == "hybrid",
-     "runtime='dag' supports mode='numeric' or 'sim'; hybrid runs stay on "
-     "the legacy runtime"),
-    (lambda s: s.runtime == "dag" and s.checkpoint is not None,
-     "runtime='dag' does not support checkpoint= yet; use the legacy runtime"),
-    (lambda s: s.runtime == "dag" and s.health.enabled,
-     "runtime='dag' does not support health monitoring yet; use the legacy "
-     "runtime"),
 )
 
 
@@ -104,7 +92,6 @@ def run_spec(
     shape_only: bool,
     modes: tuple[str, ...] = MODES,
     concurrency: str = "serial",
-    runtime: str = "legacy",
     checkpoint: CheckpointConfig | None = None,
     health: HealthOptions = _OFF,
     obs: SpanRecorder | None = None,
@@ -117,7 +104,6 @@ def run_spec(
     spec = RunSpec(
         mode=one_of(mode, modes, "mode"),
         concurrency=one_of(concurrency, CONCURRENCY, "concurrency"),
-        runtime=one_of(runtime, RUNTIMES, "runtime"),
         checkpoint=checkpoint,
         health=health,
         obs=obs if obs is not None else NULL_RECORDER,
@@ -212,20 +198,16 @@ class Checkpointed:
 
 
 def _executor(config: SystemConfig, spec: RunSpec, label: str) -> Executor:
-    if spec.runtime == "dag":
-        from repro.runtime import GraphBuilder
-
-        return GraphBuilder(
-            config, label=label, materialize=(spec.mode == "numeric")
-        )
     if spec.mode == "sim":
         return SimExecutor(config)
-    # numeric, and the numeric pass of a hybrid run
-    ex = (
-        ConcurrentNumericExecutor(config)
-        if spec.concurrency == "threads"
-        else NumericExecutor(config)
-    )
+    # numeric, and the numeric pass of a hybrid run; a threaded run records
+    # the task DAG and runs it at every synchronize()
+    if spec.concurrency == "threads":
+        from repro.runtime import GraphBuilder
+
+        ex = GraphBuilder(config, label=label)
+    else:
+        ex = NumericExecutor(config)
     ex.obs = spec.obs
     if spec.health.enabled:
         ex.health = HealthSentinel(
@@ -234,39 +216,8 @@ def _executor(config: SystemConfig, spec: RunSpec, label: str) -> Executor:
     return ex
 
 
-def _run_graph(
-    graph: TaskGraph,
-    config: SystemConfig,
-    *,
-    mode: str,
-    concurrency: str = "serial",
-    obs: SpanRecorder = NULL_RECORDER,
-) -> Trace | None:
-    """Execute a recorded task graph: simulate it (``mode="sim"``, returns
-    the simulated trace), or run it on the numeric backend serially or on
-    work-stealing threads (returns None; ``obs`` records the timeline)."""
-    from repro.runtime import DagScheduler, NumericGraphBackend, SimGraphBackend
-
-    if mode == "sim":
-        return SimGraphBackend(config).run(graph)
-    backend = NumericGraphBackend(config, obs=obs)
-    scheduler = DagScheduler(graph)
-    if concurrency == "threads":
-        scheduler.run_threaded(backend)
-    else:
-        scheduler.run_serial(backend)
-    backend.allocator.check_balanced()
-    return None
-
-
-def _drain(ex: Executor, config: SystemConfig, spec: RunSpec, volume_hint):
+def _drain(ex: Executor, spec: RunSpec) -> Trace | None:
     """Complete the issued work; the run's trace (None for numeric runs)."""
-    if spec.runtime == "dag":
-        ex.graph.volume_hint = volume_hint
-        return _run_graph(
-            ex.graph, config, mode=spec.mode, concurrency=spec.concurrency,
-            obs=spec.obs,
-        )
     if spec.mode == "sim":
         return ex.finish()
     ex.synchronize()
@@ -301,14 +252,12 @@ def execute(
     name: str,
     attrs: dict | None = None,
     checkpointed: Checkpointed | None = None,
-    volume_hint: tuple | None = None,
 ) -> Run:
     """Run *driver* once under *spec* and collect what it did.
 
-    *name* labels the root span (and the task graph on the DAG runtime);
-    *checkpointed* is required when ``spec.checkpoint`` is set;
-    *volume_hint* tags a DAG run's graph for the movement-volume check.
-    Worker threads are released and device memory is checked balanced on
+    *name* labels the root span (and a threaded run's task graph);
+    *checkpointed* is required when ``spec.checkpoint`` is set. Worker
+    threads are released and device memory is checked balanced on
     every exit path that gets that far; a live health sentinel's report is
     stored on the driver's ``info.health``.
     """
@@ -322,7 +271,7 @@ def execute(
                 session = _session(spec.checkpoint, checkpointed, config, ex)
             with track(ex) as moved:
                 info = driver(ex, session)
-            trace = _drain(ex, config, spec, volume_hint)
+            trace = _drain(ex, spec)
         finally:
             ex.close()
         ex.allocator.check_balanced()

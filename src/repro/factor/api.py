@@ -135,8 +135,8 @@ def ooc_lu(
     """Out-of-core unpivoted LU: ``A = L U`` packed in place.
 
     Same calling convention as :func:`repro.qr.api.ooc_qr` — including
-    ``concurrency="threads"`` for per-engine worker threads in numeric
-    mode (bitwise identical to serial, see docs/concurrency.md) and
+    ``concurrency="threads"`` for the threaded task-DAG scheduler in
+    numeric mode (bitwise identical to serial, see docs/concurrency.md) and
     ``checkpoint=`` for resumable runs (see docs/checkpoint.md) and
     ``obs=`` for the measured timeline; the input must be stable without
     pivoting (e.g. diagonally dominant).
@@ -174,8 +174,9 @@ def ooc_cholesky(
     """Out-of-core Cholesky: lower factor L of a symmetric positive
     definite matrix, written into the lower triangle in place.
 
-    ``concurrency="threads"`` overlaps H2D/compute/D2H on worker threads
-    in numeric mode; results stay bitwise identical to serial.
+    ``concurrency="threads"`` runs the task DAG on worker threads in
+    numeric mode, overlapping H2D/compute/D2H; results stay bitwise
+    identical to serial.
     ``checkpoint=`` makes the run resumable (see docs/checkpoint.md);
     ``obs=`` records the measured timeline."""
     method = one_of(method, ("recursive", "blocking"), "method")

@@ -7,16 +7,18 @@ results can be attributed to panels/column ranges.
 
 Concurrency & determinism
 -------------------------
-The concurrent executor guarantees bitwise-identical results to the
-serial one, and the sentinel must not break that. Probe sampling uses
-*per-kind* counters: all h2d probes run on the h2d worker in FIFO issue
-order, and all gemm/panel probes run on the single compute worker in
-FIFO issue order, so each counter sees a deterministic sequence
-regardless of thread interleaving. Escalation state (the GEMM format
-override) is read and written only inside compute-engine op bodies,
-i.e. on one thread, in issue order. The shared :class:`HealthReport`
-tallies are guarded by a lock only to avoid lost updates; their final
-values are interleaving-independent.
+A threaded run (the task DAG, :mod:`repro.runtime`) must stay bitwise
+identical to the serial one, and the sentinel must not break that.
+Panel probes run in issue order: every panel body writes the shared
+panel buffer, so the graph orders them. Escalation state (the GEMM
+format override) is read and written only inside compute-engine op
+bodies, and with ``mode="escalate"`` the graph builder chains every
+compute task in issue order, so each body sees the override exactly as
+the serial run does. Probe sampling uses *per-kind* counters; with the
+default ``stride=1`` every op is probed, so the tallies do not depend on
+execution order (with a larger stride a threaded run samples the ops in
+the order they ran). The counters and the shared :class:`HealthReport`
+tallies are guarded by a lock against lost updates.
 
 Escalation ladder (``mode="escalate"``)
 ---------------------------------------
@@ -139,8 +141,9 @@ class HealthSentinel:
     # -- probes (called from op bodies) ---------------------------------------
 
     def _sampled(self, kind: str) -> bool:
-        n = self._counts.get(kind, 0)
-        self._counts[kind] = n + 1
+        with self._lock:
+            n = self._counts.get(kind, 0)
+            self._counts[kind] = n + 1
         return n % self.options.stride == 0
 
     def check_h2d(self, data: np.ndarray, name: str) -> None:

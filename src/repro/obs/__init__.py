@@ -1,7 +1,7 @@
 """Unified observability: spans, metrics, trace export (docs/observability.md).
 
-Every execution layer — the numeric/concurrent executors, the DAG
-runtime, the serve scheduler, checkpointing, the health sentinel —
+Every execution layer — the eager numeric executor, the threaded task
+DAG, the serve scheduler, checkpointing, the health sentinel —
 records into one :class:`SpanRecorder` when a caller opts in (``obs=``).
 A span list — recorded, or a simulated schedule's ``Trace.spans()`` — is
 the one timeline type: :mod:`repro.obs.derive` sums it into busy/overlap

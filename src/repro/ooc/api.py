@@ -67,7 +67,6 @@ def ooc_gemm(
     device_memory: int | None = None,
     pipelined: bool = True,
     concurrency: str = "serial",
-    runtime: str = "legacy",
     obs: SpanRecorder | None = None,
 ) -> GemmResult:
     """Out-of-core ``C = alpha op(A) B + beta C`` for host-resident operands.
@@ -83,18 +82,12 @@ def ooc_gemm(
     Operands are ndarrays / :class:`HostMatrix` (numeric) or shape tuples
     (simulated). Returns a :class:`GemmResult`.
 
-    ``concurrency="threads"`` (numeric mode only) runs the op stream on the
-    concurrent executor — per-engine worker threads overlapping H2D,
-    compute and D2H, see docs/concurrency.md. Results are bitwise
-    identical to ``"serial"``. A live ``obs=``
-    :class:`~repro.obs.span.SpanRecorder` records the measured timeline
-    (``trace`` is set only for simulated runs).
-
-    ``runtime="dag"`` records the run as a tile-task graph
-    (:mod:`repro.runtime`) and executes it with the dynamic dataflow
-    scheduler instead of issuing ops imperatively — both GEMM engines are
-    fully migrated; results are bitwise identical to the legacy runtime.
-    See docs/runtime.md.
+    ``concurrency="threads"`` (numeric mode only) records the run as a
+    tile-task graph (:mod:`repro.runtime`) and runs it on the
+    work-stealing scheduler, overlapping H2D, compute and D2H (see
+    docs/concurrency.md). Results are bitwise identical to ``"serial"``.
+    A live ``obs=`` :class:`~repro.obs.span.SpanRecorder` records the
+    measured timeline (``trace`` is set only for simulated runs).
     """
     config = system_config(config, device_memory)
     blocksize = positive_int(blocksize, "blocksize")
@@ -105,7 +98,7 @@ def ooc_gemm(
         raise ValidationError("A and B must both be data or both be shapes")
     spec = run_spec(
         mode, shape_only=shape_only, modes=("numeric", "sim"),
-        concurrency=concurrency, runtime=runtime, obs=obs,
+        concurrency=concurrency, obs=obs,
     )
     # every executor starts with the whole usable device free
     budget = config.usable_device_bytes // config.element_bytes

@@ -85,7 +85,6 @@ def ooc_qr(
     device_memory: int | None = None,
     concurrency: str = "serial",
     checkpoint: CheckpointConfig | None = None,
-    runtime: str = "legacy",
     obs: SpanRecorder | None = None,
 ) -> QrResult:
     """Out-of-core QR factorization ``A = QR`` (classic Gram-Schmidt).
@@ -114,10 +113,12 @@ def ooc_qr(
         numeric problems).
     concurrency
         ``"serial"`` (default) or ``"threads"`` — numeric mode only. With
-        ``"threads"`` the op stream runs on per-engine worker threads
-        (H2D/compute/D2H overlap, see docs/concurrency.md) and the result
-        is bitwise identical to serial; pass ``obs=`` to record the
-        measured timeline.
+        ``"threads"`` the run is recorded as a tile-task graph
+        (:mod:`repro.runtime`) and each ``synchronize()`` runs the tasks
+        recorded so far on the work-stealing scheduler, overlapping
+        H2D/compute/D2H (see docs/concurrency.md); the result is bitwise
+        identical to serial. Pass ``obs=`` to record the measured
+        timeline.
     checkpoint
         Optional :class:`~repro.ckpt.CheckpointConfig` making the run
         resumable (numeric mode only): progress is persisted at panel /
@@ -125,19 +126,10 @@ def ooc_qr(
         pointed at the same directory restores state, skips completed
         steps and produces a bitwise-identical result. See
         docs/checkpoint.md.
-    runtime
-        ``"legacy"`` (default) runs the engine imperatively on the
-        selected executor. ``"dag"`` records the run as a tile-task
-        graph (:mod:`repro.runtime`) and executes it with the dynamic
-        dataflow scheduler — numeric mode (serial, or work-stealing
-        workers with ``concurrency="threads"``) or sim mode; results are
-        bitwise identical to legacy. Not yet combinable with
-        ``mode="hybrid"``, ``checkpoint=`` or health monitoring (see
-        :data:`repro.execution.run.REFUSALS` and docs/runtime.md).
     obs
         Optional :class:`~repro.obs.SpanRecorder`. When given, the run
         records a root span plus per-op spans (engine lanes, tile rects,
-        dep edges on the DAG runtime) into it; export the result with
+        dep edges on threaded runs) into it; export the result with
         :mod:`repro.obs.export` or ``repro trace``. With the default
         (no recorder) execution is bitwise identical to an
         un-instrumented run. See docs/observability.md.
@@ -153,7 +145,7 @@ def ooc_qr(
     host_a, shape_only = host_operand(a, config.element_bytes, "A", copy=True)
     options = with_blocksize(options, blocksize)
     spec = run_spec(
-        mode, shape_only=shape_only, concurrency=concurrency, runtime=runtime,
+        mode, shape_only=shape_only, concurrency=concurrency,
         checkpoint=checkpoint, health=options.health, obs=obs,
     )
 
@@ -172,14 +164,13 @@ def ooc_qr(
         spec,
         name=f"ooc_qr[{method}]",
         attrs={
-            "method": method, "mode": spec.mode, "runtime": spec.runtime,
+            "method": method, "mode": spec.mode,
             "m": m, "n": n, "blocksize": options.blocksize,
             "concurrency": spec.concurrency,
         },
         checkpointed=Checkpointed(
             "qr", method, options, {"a": host_a, "r": host_r}
         ),
-        volume_hint=(method, m, n, min(options.blocksize, n)),
     )
     return QrResult(
         method=method,

@@ -1,14 +1,14 @@
-"""Tile-task DAG dataflow runtime (ROADMAP item 1).
+"""Tile-task DAG dataflow runtime: the threaded numeric executor.
 
 Engines emit :class:`TaskGraph` objects — tasks carrying engine class
 (h2d/compute/d2h), tile read/write sets, and the simulator's duration
-as a cost hint — via
-:class:`GraphBuilder`; :class:`DagScheduler` executes them with dynamic
-dataflow scheduling (lookahead, work stealing) on either the numeric
-backend or the discrete-event simulator; and
-:func:`repro.analysis.verify_program` checks the graphs directly. See
-``docs/runtime.md`` for the task model, scheduler semantics, and the
-per-engine migration status.
+as a cost hint — via :class:`GraphBuilder`; :class:`DagScheduler`
+executes them with dynamic dataflow scheduling (lookahead, work stealing)
+on either the numeric backend or the discrete-event simulator; and
+:func:`repro.analysis.verify_program` checks the graphs directly. Every
+``concurrency="threads"`` run is a materialized :class:`GraphBuilder`
+whose ``synchronize()`` runs the tasks recorded so far. See
+``docs/runtime.md`` for the task model and scheduler semantics.
 """
 
 from repro.runtime.backends import (
@@ -18,7 +18,6 @@ from repro.runtime.backends import (
 )
 from repro.runtime.builder import GraphBuilder
 from repro.runtime.engines import (
-    ENGINE_RUNTIME_STATUS,
     GRAPH_BUILDERS,
     build_engine_graph,
     verify_all_engine_graphs,
@@ -33,7 +32,6 @@ from repro.runtime.task import (
 )
 
 __all__ = [
-    "ENGINE_RUNTIME_STATUS",
     "GRAPH_BUILDERS",
     "DagScheduler",
     "GraphBackend",

@@ -11,7 +11,8 @@ backend decides *what* running means.
   :class:`~repro.sim.memory.DeviceAllocator` (the ``alloc`` task creates
   the payload array and its rounded-copy cache lazily, ``free`` drops
   both), so execution-time peak memory is exactly the build-time — and
-  hence the legacy — peak.
+  hence the eager executor's — peak. A threaded run's builder keeps one
+  backend and hands it each segment it runs.
 * :class:`SimGraphBackend` — translates the whole graph onto the
   discrete-event :class:`~repro.sim.simulator.GpuSimulator`, one stream
   per engine class with the derived dataflow edges as cross-stream
@@ -22,6 +23,7 @@ backend decides *what* running means.
 from __future__ import annotations
 
 import threading
+from typing import Iterable
 
 import numpy as np
 
@@ -154,44 +156,54 @@ class SimGraphBackend:
 
     def run(self, graph: TaskGraph) -> Trace:
         graph.validate()
-        streams = {
-            engine: self.sim.stream(f"dag-{engine.value}")
-            for engine in EngineKind
-        }
-        clones: dict[int, SimOp] = {}
-        for task in graph.tasks:
-            if task.mem == "alloc":
-                buf = task.buffer
-                assert buf is not None
-                buf.payload["sim-allocation"] = self.sim.allocator.alloc(
-                    task.nbytes, name=buf.name
-                )
-                continue
-            if task.mem == "free":
-                buf = task.buffer
-                assert buf is not None
-                self.sim.allocator.free(buf.payload.pop("sim-allocation"))
-                continue
-            src = task.op
-            assert src is not None
-            op = SimOp(
-                name=src.name,
-                engine=src.engine,
-                kind=src.kind,
-                duration=task.cost,
-                nbytes=src.nbytes,
-                flops=src.flops,
-                tags=dict(src.tags),
-            )
-            self.sim.enqueue(op, streams[src.engine])
-            for dep in task.deps:
-                mapped = clones.get(dep.task_id)
-                if mapped is not None:
-                    op.deps.add(mapped)
-            clones[task.task_id] = op
-        trace = self.sim.run()
+        trace = simulate_tasks(self.sim, graph.tasks, "dag")
         graph.stats.makespan = trace.makespan
         return trace
+
+
+def simulate_tasks(
+    sim: GpuSimulator, tasks: Iterable[TileTask], prefix: str
+) -> Trace:
+    """Run *tasks* (in emission order) on the simulator *sim* and return
+    its trace.
+
+    Each engine class gets one stream, ``f"{prefix}-{engine}"``; dataflow
+    edges become cross-stream dependencies, and edges to tasks outside
+    *tasks* are dropped. Allocator tasks replay on the simulator's
+    allocator. Ops are cloned first: the simulator stamps them and adds
+    stream FIFO edges, and the graph must stay as recorded."""
+    streams = {
+        engine: sim.stream(f"{prefix}-{engine.value}") for engine in EngineKind
+    }
+    clones: dict[int, SimOp] = {}
+    allocations: dict[int, object] = {}
+    for task in tasks:
+        if task.mem == "alloc":
+            buf = task.buffer
+            assert buf is not None
+            allocations[id(buf)] = sim.allocator.alloc(task.nbytes, name=buf.name)
+            continue
+        if task.mem == "free":
+            sim.allocator.free(allocations.pop(id(task.buffer)))
+            continue
+        src = task.op
+        assert src is not None
+        op = SimOp(
+            name=src.name,
+            engine=src.engine,
+            kind=src.kind,
+            duration=task.cost,
+            nbytes=src.nbytes,
+            flops=src.flops,
+            tags=dict(src.tags),
+        )
+        sim.enqueue(op, streams[src.engine])
+        for dep in task.deps:
+            mapped = clones.get(dep.task_id)
+            if mapped is not None:
+                op.deps.add(mapped)
+        clones[task.task_id] = op
+    return sim.run()
 
 
 class RecordingBackend:
@@ -208,4 +220,9 @@ class RecordingBackend:
             self.order.append(task.task_id)
 
 
-__all__ = ["NumericGraphBackend", "RecordingBackend", "SimGraphBackend"]
+__all__ = [
+    "NumericGraphBackend",
+    "RecordingBackend",
+    "SimGraphBackend",
+    "simulate_tasks",
+]

@@ -6,16 +6,9 @@ registry records, here driven through a
 :class:`~repro.runtime.builder.GraphBuilder` so each yields a first-class
 :class:`~repro.runtime.task.TaskGraph`. :data:`GRAPH_BUILDERS` is the
 registry the CLI ``analyze --what graphs`` sweep and the CI
-``runtime-dag`` leg iterate.
-
-Migration status lives in :data:`ENGINE_RUNTIME_STATUS`: engines marked
-``"dag"`` also *execute* through ``runtime="dag"`` on the public APIs
-(blocking QR, recursive QR, TSQR panels, both OOC GEMM engines); the
-rest (LU/Cholesky) stay on the legacy execution path but register graph
-adapters here so the verifier sweep covers their DAGs ahead of the
-follow-up migration. TSQR's migration is also what anchors the
-``repro.dist`` bitwise chain: sharded numeric QR == single-device TSQR
-== the dag-executed OOC path.
+``runtime-dag`` leg iterate. Every engine here also *executes* as a task
+graph: ``concurrency="threads"`` on the public entry points runs the same
+recording on the threaded scheduler.
 """
 
 from __future__ import annotations
@@ -68,22 +61,6 @@ GRAPH_BUILDERS: dict[
     str, Callable[[SystemConfig, int, int, int], TaskGraph]
 ] = {name: partial(_registry_graph, name) for name in ENGINE_BINDINGS}
 
-#: Per-engine migration status: "dag" = executable via ``runtime="dag"``
-#: on the public APIs; "graph-adapter" = DAG built and verified here,
-#: execution still on the legacy path (follow-up migration).
-ENGINE_RUNTIME_STATUS: dict[str, str] = {
-    "qr-blocking": "dag",
-    "qr-recursive": "dag",
-    "qr-tsqr": "dag",
-    "lu-blocking": "graph-adapter",
-    "lu-recursive": "graph-adapter",
-    "chol-blocking": "graph-adapter",
-    "chol-recursive": "graph-adapter",
-    "gemm-inner": "dag",
-    "gemm-outer": "dag",
-}
-
-
 def verify_engine_graph(
     name: str,
     config: SystemConfig | None = None,
@@ -118,7 +95,6 @@ def verify_all_engine_graphs(
 
 
 __all__ = [
-    "ENGINE_RUNTIME_STATUS",
     "GRAPH_BUILDERS",
     "build_engine_graph",
     "verify_all_engine_graphs",

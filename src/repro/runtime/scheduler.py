@@ -3,9 +3,9 @@
 Two execution strategies over a validated :class:`TaskGraph`:
 
 * :meth:`DagScheduler.run_serial` — emission order on the calling thread.
-  Because the builder records tasks in exactly the order the legacy
+  Because the builder records tasks in exactly the order the eager
   executor would have run them, a serial replay is instruction-identical
-  to the legacy serial run (the differential suite's baseline).
+  to the eager serial run (the differential suite's baseline).
 * :meth:`DagScheduler.run_threaded` — dynamic dataflow execution with one
   worker per copy engine (H2D, D2H) and ``compute_workers`` compute
   threads. A central ready set tracks tile readiness by indegree
@@ -39,7 +39,7 @@ from repro.runtime.task import TaskGraph, TileTask
 from repro.sim.ops import EngineKind
 
 #: Bound on how long a worker may wait for a runnable task before the run
-#: is declared stuck (same guard the concurrent executor uses).
+#: is declared stuck.
 _WAIT_TIMEOUT_S = 600.0
 
 
@@ -138,15 +138,20 @@ class _ThreadedRun:
         self.timeout_s = timeout_s
         self.injector = injector
         self.tasks = graph.tasks
+        # tasks are indexed by task_id - base; edges into earlier
+        # segments were satisfied before this run
+        self.base = base = graph.base
         n = len(self.tasks)
-        self.indegree = [len(t.deps) for t in self.tasks]
+        self.indegree = [0] * n
         self.dependents: list[list[TileTask]] = [[] for _ in range(n)]
         for t in self.tasks:
             for dep in t.deps:
-                self.dependents[dep.task_id].append(t)
+                if dep.task_id >= base:
+                    self.indegree[t.task_id - base] += 1
+                    self.dependents[dep.task_id - base].append(t)
         self.lock = threading.Lock()
         self.finished = bytearray(n)
-        self.frontier = 0          # smallest unfinished task_id
+        self.frontier = 0          # smallest unfinished index
         self.n_done = 0
         self.failure: BaseException | None = None
         # ready queues: one per copy engine, one deque per compute worker
@@ -155,8 +160,8 @@ class _ThreadedRun:
         self.compute = [_ReadyQueue(self.lock) for _ in range(compute_workers)]
         self._deal = 0  # round-robin pointer for compute/mem tasks
         with self.lock:
-            for t in self.tasks:
-                if self.indegree[t.task_id] == 0:
+            for i, t in enumerate(self.tasks):
+                if self.indegree[i] == 0:
                     self._route(t)
 
     # -- routing (lock held) ----------------------------------------------------
@@ -182,7 +187,7 @@ class _ThreadedRun:
     def _eligible(self, task: TileTask) -> bool:
         if self.lookahead is None:
             return True
-        return task.task_id <= self.frontier + self.lookahead
+        return task.task_id - self.base <= self.frontier + self.lookahead
 
     def _take(self, queue: deque[TileTask], *, back: bool) -> TileTask | None:
         """Pop a runnable task, skipping over lookahead-gated ones."""
@@ -212,14 +217,16 @@ class _ThreadedRun:
     # -- retirement (lock held) --------------------------------------------------
 
     def _retire(self, task: TileTask) -> None:
-        self.finished[task.task_id] = 1
+        base = self.base
+        self.finished[task.task_id - base] = 1
         self.n_done += 1
         frontier = self.frontier
         while self.frontier < len(self.tasks) and self.finished[self.frontier]:
             self.frontier += 1
-        for dependent in self.dependents[task.task_id]:
-            self.indegree[dependent.task_id] -= 1
-            if self.indegree[dependent.task_id] == 0:
+        for dependent in self.dependents[task.task_id - base]:
+            index = dependent.task_id - base
+            self.indegree[index] -= 1
+            if self.indegree[index] == 0:
                 self._route(dependent)
         if self.n_done == len(self.tasks) or (
             # a frontier advance may admit lookahead-gated tasks anywhere
@@ -245,7 +252,8 @@ class _ThreadedRun:
                     progress = self.n_done
                     if not queue.ready.wait(self.timeout_s) and self.n_done == progress:
                         stuck = [
-                            t for t in self.tasks if not self.finished[t.task_id]
+                            t for i, t in enumerate(self.tasks)
+                            if not self.finished[i]
                         ]
                         self.failure = DeadlockError(stuck)
                         self._wake_all()

@@ -24,7 +24,7 @@ dependency edges are derived purely from declared data accesses:
   writers (a buffer's first toucher waits for its allocation, its free
   waits for the live touches and retires the buffer's frontier) and are
   additionally chained in emission order, so every schedule replays the
-  allocator sequence of the legacy executors and the exact peak of
+  allocator sequence of the eager executor and the exact peak of
   §5.2's memory accounting is preserved.
 
 The graph exposes the :class:`~repro.analysis.capture.CapturedProgram`
@@ -119,6 +119,9 @@ class TaskGraph:
         self.stats = RunStats()
         #: §3.2 volume model hint ``(model, m, n, b)``; see CapturedProgram.
         self.volume_hint: tuple[str, int, int, int] | None = None
+        #: Id of the first task: a segment (:meth:`since`) starts later,
+        #: and its edges into earlier tasks count as satisfied.
+        self.base = 0
         self._ops: list[SimOp] = []
         # dataflow wiring state: the live frontier of every buffer handle,
         # and of every tile of every host matrix
@@ -247,19 +250,32 @@ class TaskGraph:
         :class:`~repro.errors.DeadlockError` instead of a hang."""
         self._link(task, [dep])
 
+    def since(self, start: int) -> "TaskGraph":
+        """The tasks recorded from id *start* on, as a graph to schedule
+        once every earlier task has run: edges into earlier tasks count
+        as satisfied. Shares this graph's tasks and stats."""
+        segment = TaskGraph(self.config, label=self.label)
+        segment.tasks = self.tasks[start:]
+        segment.stats = self.stats
+        segment.base = start
+        return segment
+
     # -- structure checks ---------------------------------------------------------
 
     def validate(self) -> None:
         """Kahn's algorithm over the task DAG; cyclic graphs raise
         :class:`~repro.errors.DeadlockError` naming the stuck tasks."""
-        indegree: dict[int, int] = {
-            t.task_id: len(t.deps) for t in self.tasks
-        }
+        base = self.base
+        indegree: dict[int, int] = {}
         dependents: dict[int, list[TileTask]] = {}
         for t in self.tasks:
-            for dep in t.deps:
+            live = t.deps if not base else [
+                dep for dep in t.deps if dep.task_id >= base
+            ]
+            indegree[t.task_id] = len(live)
+            for dep in live:
                 dependents.setdefault(dep.task_id, []).append(t)
-        ready = [t for t in self.tasks if not t.deps]
+        ready = [t for t in self.tasks if not indegree[t.task_id]]
         done = 0
         while ready:
             task = ready.pop()
@@ -336,31 +352,32 @@ def _region_covers(outer: HostRegion, inner: HostRegion) -> bool:
 
 def node_signature(ops: Iterable[SimOp]) -> list[tuple[str, str, str]]:
     """Dependency-free node identity of an op stream: ``(engine, kind,
-    name)`` per op in issue order. Legacy executors wire stream-FIFO/event
-    edges and the DAG runtime wires dataflow edges, so full happens-before
-    signatures differ by design; node-for-node equality plus
-    :func:`edges_consistent` is the cross-runtime comparison."""
+    name)`` per op in issue order. Stream programs (the simulator, a
+    capture) wire stream-FIFO/event edges and task graphs wire dataflow
+    edges, so full happens-before signatures differ by design;
+    node-for-node equality plus :func:`edges_consistent` is the
+    comparison between them."""
     return [(op.engine.value, op.kind.value, op.name) for op in ops]
 
 
-def edges_consistent(graph_ops: list[SimOp], legacy_ops: list[SimOp]) -> bool:
+def edges_consistent(graph_ops: list[SimOp], stream_ops: list[SimOp]) -> bool:
     """Whether the DAG's dependency structure is compatible with the
-    legacy program's.
+    stream program's.
 
     Both op lists must be node-for-node identical (same engines/kinds/
     names in the same issue order — check :func:`node_signature` first).
     Two directions are proved:
 
     1. *No contradiction*: every DAG edge points backward in the shared
-       issue order, so the DAG never inverts an ordering the legacy
-       serial schedule established. (Host-coherence edges may *add*
-       ordering the legacy capture leaves to its executor's internal
-       host-dependency tracking — that is a refinement, not a conflict.)
-    2. *No dropped dataflow*: every direct legacy dependency edge between
+       issue order, so the DAG never inverts an ordering the serial
+       schedule established. (Host-coherence edges may *add* ordering
+       the stream program leaves to the host thread's blocking — that is
+       a refinement, not a conflict.)
+    2. *No dropped dataflow*: every direct stream dependency edge between
        two ops with conflicting device accesses is covered by the DAG's
        happens-before closure.
     """
-    if len(graph_ops) != len(legacy_ops):
+    if len(graph_ops) != len(stream_ops):
         return False
     graph_index = {id(op): i for i, op in enumerate(graph_ops)}
     n = len(graph_ops)
@@ -371,14 +388,14 @@ def edges_consistent(graph_ops: list[SimOp], legacy_ops: list[SimOp]) -> bool:
             j = graph_index.get(id(dep))
             if j is None:
                 continue
-            if j >= i:  # forward edge: contradicts the legacy order
+            if j >= i:  # forward edge: contradicts the issue order
                 return False
             mask |= reach[j]
         reach[i] = mask
-    legacy_index = {id(op): i for i, op in enumerate(legacy_ops)}
-    for i, op in enumerate(legacy_ops):
+    stream_index = {id(op): i for i, op in enumerate(stream_ops)}
+    for i, op in enumerate(stream_ops):
         for dep in op.deps:
-            j = legacy_index.get(id(dep))
+            j = stream_index.get(id(dep))
             if j is None or not _device_conflict(op, dep):
                 continue
             if not reach[i] & (1 << j):

@@ -12,14 +12,15 @@ LU / Cholesky jobs under a device-memory budget:
 * a scheduler thread dispatches the highest-priority queued job whose
   footprint fits the remaining budget onto a pool of worker threads —
   smaller jobs may overtake a too-large queue head (first-fit packing);
-* each job runs on its own executor (serial or per-engine-threaded
-  :class:`~repro.execution.numeric.NumericExecutor`, or a
-  :class:`~repro.execution.sim.SimExecutor` for data-free capacity
-  planning) whose allocator capacity *is* the admitted footprint, so the
+* each job runs on its own executor (the eager
+  :class:`~repro.execution.numeric.NumericExecutor`, the threaded task
+  DAG, or a :class:`~repro.execution.sim.SimExecutor` for data-free
+  capacity planning) whose allocator capacity *is* the admitted footprint, so the
   budget is enforced by construction;
-* worker faults retry with exponential backoff (the concurrent executor's
-  fault-drain semantics guarantee a failed pipeline unwinds cleanly
-  first); deterministic input errors fail fast;
+* worker faults retry with exponential backoff (a failed threaded run
+  joins its scheduler workers before the error reaches the job, so a
+  failed pipeline unwinds cleanly first); deterministic input errors
+  fail fast;
 * everything observable lands in a :class:`~repro.obs.metrics.MetricsRegistry`
   (queue depth, admitted bytes, wait/run latencies, cache hit rate,
   rejections, retries) exposable as a JSON snapshot.
@@ -273,7 +274,8 @@ class FactorService:
         ``min(backoff_max_s, backoff_base_s * 2**N)`` before re-running.
     job_concurrency
         Executor flavour for numeric jobs: ``"serial"`` or ``"threads"``
-        (per-engine worker threads inside each job, docs/concurrency.md).
+        (the task DAG on worker threads inside each job,
+        docs/concurrency.md).
     metrics
         A shared :class:`~repro.obs.metrics.MetricsRegistry`; defaults
         to a private one.

@@ -1,10 +1,9 @@
 """Shared stream/event scheduling core.
 
-The library has two backends that must agree *exactly* on what a stream
-program means: the discrete-event simulator (which assigns virtual time to
-every op) and the concurrent numeric executor (which dispatches real numpy
-work onto per-engine worker threads). Both realize the same happens-before
-relation:
+Every recorder of a stream program — the discrete-event simulator (which
+assigns virtual time to every op) and the capture executor the static
+verifier reads — must agree *exactly* on what the program means. Both
+realize the same happens-before relation:
 
 * ops enqueued on one stream execute in FIFO order;
 * an event recorded on a stream completes when everything enqueued on that
@@ -17,13 +16,13 @@ relation:
 an issue-ordered list of :class:`~repro.sim.ops.SimOp` nodes whose ``deps``
 sets are exactly the stream-FIFO and event edges. The per-engine FIFO rule
 is realized by the consumer: the simulator drains per-engine queues in
-order, and the concurrent executor runs one worker per engine that services
-its queue in order.
+order.
 
-Because both backends build their graphs here (and name ops with the same
-helpers), a recorded numeric program can be compared node-for-node against
-a simulated trace — the differential test harness does precisely that via
-:func:`happens_before_signature`.
+Because both build their graphs here (and name ops with the same
+helpers), a captured program can be compared node-for-node against a
+simulated trace via :func:`happens_before_signature`, and against a task
+graph (:mod:`repro.runtime`, whose edges come from data accesses instead)
+via :func:`repro.runtime.edges_consistent`.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class StreamProgram:
 
     Ops are appended in program (issue) order; :meth:`append` wires each
     op's stream-FIFO predecessor and any pending event waits into
-    ``op.deps``. The class imposes no timing — consumers (simulator,
-    concurrent executor) decide when ops run, constrained by the graph.
+    ``op.deps``. The class imposes no timing — consumers (the simulator)
+    decide when ops run, constrained by the graph.
     """
 
     def __init__(self) -> None:

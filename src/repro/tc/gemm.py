@@ -15,6 +15,7 @@ writes the stored array must call :meth:`RoundedCopies.invalidate`.
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -36,9 +37,9 @@ def _contains(outer: Rect, inner: Rect) -> bool:
 class RoundedCopies:
     """Rounded copies of one stored fp32 array, keyed by format and rect.
 
-    Lookups take no lock: stores and invalidations replace the entry list
-    under a lock instead of mutating it, so a reader always iterates a
-    consistent snapshot. Freshness rests on the callers' ordering: no op
+    :meth:`rounded` finds or makes a copy in one step under the lock, so
+    two GEMMs reading the same operand on different threads round (and
+    count) it once. Freshness rests on the callers' ordering: no op
     reads a rect while another op writes an overlapping one, and a writer
     invalidates inside its own body, so every copy a reader finds was
     rounded from the current data.
@@ -64,14 +65,25 @@ class RoundedCopies:
                 ]
         return None
 
-    def store(self, fmt: str, rect: Rect, rounded: np.ndarray) -> None:
-        """Keep *rounded* as the *fmt* copy of *rect*, dropping the copies
+    def rounded(
+        self, fmt: str, rect: Rect, make: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """The *fmt* rounding of *rect*: sliced from a stored copy when
+        one contains it, else ``make()``, stored in place of the copies
         of rects it contains."""
+        found = self.lookup(fmt, rect)
+        if found is not None:
+            return found
         with self._lock:
-            self._entries = [
-                entry for entry in self._entries
-                if not (entry[0] == fmt and _contains(rect, entry[1]))
-            ] + [(fmt, rect, rounded)]
+            found = self.lookup(fmt, rect)  # another reader may have made it
+            if found is None:
+                found = make()
+                # replace, never mutate: lock-free lookups see a snapshot
+                self._entries = [
+                    entry for entry in self._entries
+                    if not (entry[0] == fmt and _contains(rect, entry[1]))
+                ] + [(fmt, rect, found)]
+            return found
 
     def invalidate(self, rect: Rect) -> None:
         """Drop every copy overlapping *rect*, whose data is being written."""
@@ -104,10 +116,7 @@ def _round_operand(
     if slot is None or fmt == "fp32":
         return round_to(x.T if trans else x, fmt, stats)
     copies, rect = slot
-    rounded = copies.lookup(fmt, rect)
-    if rounded is None:
-        rounded = round_to(x, fmt, stats)
-        copies.store(fmt, rect, rounded)
+    rounded = copies.rounded(fmt, rect, lambda: round_to(x, fmt, stats))
     return rounded.T if trans else rounded
 
 

@@ -15,6 +15,8 @@ of the accelerator; accumulation stays in fp32 as on real hardware.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.errors import ValidationError
@@ -45,15 +47,20 @@ class QuantStats:
     to range, not just precision.
     """
 
-    __slots__ = ("overflow", "underflow")
+    __slots__ = ("overflow", "underflow", "_lock")
 
     def __init__(self, overflow: int = 0, underflow: int = 0):
         self.overflow = int(overflow)
         self.underflow = int(underflow)
+        # GEMMs on different worker threads count into one instance
+        self._lock = threading.Lock()
 
     def count(self, before: np.ndarray, after: np.ndarray) -> None:
-        self.overflow += int(np.count_nonzero(np.isinf(after) & np.isfinite(before)))
-        self.underflow += int(np.count_nonzero((after == 0.0) & (before != 0.0)))
+        overflow = int(np.count_nonzero(np.isinf(after) & np.isfinite(before)))
+        underflow = int(np.count_nonzero((after == 0.0) & (before != 0.0)))
+        with self._lock:
+            self.overflow += overflow
+            self.underflow += underflow
 
 
 #: Largest finite fp16 value. From it up, values can round to inf, so

@@ -1,9 +1,9 @@
 """Shared rectangle/interval overlap predicates.
 
 One definition of "two regions overlap" serves every consumer — the
-dynamic race detector (:mod:`repro.sim.race`), the concurrent executor's
-host-coherence edges (:mod:`repro.execution.concurrent`) and the static
-plan verifier (:mod:`repro.analysis.verify`) — so the three can never
+dynamic race detector (:mod:`repro.sim.race`), the task graph's
+host-coherence edges (:mod:`repro.runtime.task`) and the static plan
+verifier (:mod:`repro.analysis.verify`) — so the three can never
 disagree about what constitutes a conflict.
 
 The predicates are strict about degenerate regions: a zero-size interval

@@ -257,8 +257,8 @@ class TestLayeringImports:
     def test_engines_may_not_choose_an_executor(self):
         for layer in ("qr", "factor", "ooc"):
             for target in (
-                "repro.execution.numeric", "repro.execution.concurrent",
-                "repro.execution.sim", "repro.runtime",
+                "repro.execution.numeric", "repro.execution.sim",
+                "repro.runtime",
             ):
                 assert rules(
                     f"from {target} import x", parts=(layer, "api.py")

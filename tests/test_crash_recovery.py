@@ -4,8 +4,8 @@ The fault-injection wrappers from tests/test_fault_injection.py kill a
 checkpointed run at every (or a spread of) operation index(es); a second
 run pointed at the same checkpoint directory must restore state, skip the
 completed prefix, and produce output *bitwise identical* to an
-uninterrupted run — under both the serial and the per-engine-threaded
-executor. Also covered: the two-level OOC case (memmap-backed HostMatrix
+uninterrupted run — under both the serial executor and the threaded
+task-DAG executor. Also covered: the two-level OOC case (memmap-backed HostMatrix
 resumed in-place from disk), the service's retry-with-resume path, and
 typed refusals surfacing through the public API.
 """
@@ -94,7 +94,7 @@ class TestKillAtEveryOpSerial:
 
 @pytest.mark.parametrize("driver", QR_DRIVERS, ids=QR_IDS)
 class TestKillAtEveryOpThreads:
-    """Same sweep with faults inside the concurrent executor's worker
+    """Same sweep with faults inside the task-DAG scheduler's worker
     threads; the resumed result must stay bitwise equal to *serial*."""
 
     def test_resume_is_bitwise_identical(self, driver, tmp_path):

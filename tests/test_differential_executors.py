@@ -1,14 +1,16 @@
-"""Differential harness: serial numeric vs. concurrent numeric vs. simulator.
+"""Differential harness: serial numeric vs. threaded task DAG vs. simulator.
 
-The contract under test (ISSUE satellite 1):
+The contract under test:
 
-* the serial and concurrent numeric executors produce **bitwise identical**
+* the eager serial executor and the threaded task-DAG executor
+  (:class:`~repro.runtime.GraphBuilder`) produce **bitwise identical**
   Q/R/C outputs for the same plan — thread scheduling must not change a
   single ULP;
-* all three executors emit the **same happens-before graph** for the same
-  plan — op-for-op equal ``(engine, kind, name, deps)`` signatures, proving
-  the concurrent scheduler honours exactly the semantics the simulator
-  (and race detector) reason about.
+* the task graph the threaded run executes is **node-for-node** the
+  simulator's program (same ops, same issue order), and every dataflow
+  edge it derives agrees with the simulator's happens-before closure —
+  the threaded scheduler honours the semantics the simulator (and race
+  detector) reason about.
 
 The simulator runs on the same backed matrices (it never touches data), so
 one set of inputs drives all three backends.
@@ -20,11 +22,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.execution import (
-    ConcurrentNumericExecutor,
-    NumericExecutor,
-    SimExecutor,
-)
+from repro.execution import NumericExecutor, SimExecutor
 from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
 from repro.ooc.api import ooc_gemm
@@ -34,7 +32,7 @@ from repro.ooc.outer import run_rowstream_outer
 from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.options import QrOptions
 from repro.qr.recursive import ooc_recursive_qr
-from repro.sim import happens_before_signature
+from repro.runtime import GraphBuilder, edges_consistent, node_signature
 
 from conftest import make_tiny_spec
 
@@ -45,15 +43,28 @@ def _config(mem_bytes: int = 1 << 20) -> SystemConfig:
 
 def _qr_executors(config):
     return (
-        NumericExecutor(config, record=True),
-        ConcurrentNumericExecutor(config),
+        NumericExecutor(config),
+        GraphBuilder(config),
         SimExecutor(config),
     )
 
 
-def _signature_of(ex) -> list:
-    program = ex.sim.program if isinstance(ex, SimExecutor) else ex.program
-    return happens_before_signature(program.ops)
+def _ops_of(ex) -> list:
+    """The recorded op stream: the threaded run's task graph, or the
+    simulator's stream program (the eager executor records none)."""
+    if isinstance(ex, SimExecutor):
+        return ex.sim.program.ops
+    if isinstance(ex, GraphBuilder):
+        return ex.graph.ops
+    return []
+
+
+def check_graph_matches_sim(ops: list) -> None:
+    """The threaded run's graph (``ops[1]``) is node-for-node the
+    simulator's program (``ops[2]``), with consistent edges."""
+    graph_ops, sim_ops = ops[1], ops[2]
+    assert node_signature(graph_ops) == node_signature(sim_ops)
+    assert edges_consistent(graph_ops, sim_ops), "threads vs simulator graph"
 
 
 QR_GRID = [
@@ -75,7 +86,7 @@ class TestQrDifferential:
     def test_three_executors_agree(self, driver, rows, cols, options, rng):
         config = _config()
         a0 = rng.standard_normal((rows, cols)).astype(np.float32)
-        outputs, signatures = [], []
+        outputs, ops = [], []
         for ex in _qr_executors(config):
             a = HostMatrix.from_array(a0.copy(), name="A")
             r = HostMatrix.zeros(cols, cols, name="R")
@@ -84,15 +95,14 @@ class TestQrDifferential:
                 ex.synchronize()
             finally:
                 ex.close()
-            signatures.append(_signature_of(ex))
+            ops.append(_ops_of(ex))
             if not isinstance(ex, SimExecutor):
                 outputs.append((a.data.copy(), r.data.copy()))
 
         serial, threaded = outputs
         assert np.array_equal(serial[0], threaded[0]), "Q differs"
         assert np.array_equal(serial[1], threaded[1]), "R differs"
-        assert signatures[0] == signatures[1], "serial vs concurrent graph"
-        assert signatures[0] == signatures[2], "numeric vs simulator graph"
+        check_graph_matches_sim(ops)
 
 
 class TestGemmDifferential:
@@ -104,7 +114,7 @@ class TestGemmDifferential:
         a0 = rng.standard_normal((128, 64)).astype(np.float32)
         b0 = rng.standard_normal((128, 48)).astype(np.float32)
         budget = None
-        outputs, signatures = [], []
+        outputs, ops = [], []
         for ex in _qr_executors(config):
             a = HostMatrix.from_array(a0.copy(), name="A")
             b = HostMatrix.from_array(b0.copy(), name="B")
@@ -119,12 +129,12 @@ class TestGemmDifferential:
                 ex.synchronize()
             finally:
                 ex.close()
-            signatures.append(_signature_of(ex))
+            ops.append(_ops_of(ex))
             if not isinstance(ex, SimExecutor):
                 outputs.append(c.data.copy())
 
         assert np.array_equal(outputs[0], outputs[1])
-        assert signatures[0] == signatures[1] == signatures[2]
+        check_graph_matches_sim(ops)
 
     @pytest.mark.parametrize("pipelined", [True, False])
     def test_rowstream_outer(self, pipelined, rng):
@@ -133,7 +143,7 @@ class TestGemmDifferential:
         b0 = rng.standard_normal((32, 48)).astype(np.float32)
         c0 = rng.standard_normal((96, 48)).astype(np.float32)
         budget = None
-        outputs, signatures = [], []
+        outputs, ops = [], []
         for ex in _qr_executors(config):
             a = HostMatrix.from_array(a0.copy(), name="A")
             b = HostMatrix.from_array(b0.copy(), name="B")
@@ -148,12 +158,12 @@ class TestGemmDifferential:
                 ex.synchronize()
             finally:
                 ex.close()
-            signatures.append(_signature_of(ex))
+            ops.append(_ops_of(ex))
             if not isinstance(ex, SimExecutor):
                 outputs.append(c.data.copy())
 
         assert np.array_equal(outputs[0], outputs[1])
-        assert signatures[0] == signatures[1] == signatures[2]
+        check_graph_matches_sim(ops)
 
     def test_api_serial_vs_threads_bitwise(self, rng):
         config = _config()

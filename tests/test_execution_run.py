@@ -4,12 +4,15 @@ hybrid run returns, and that threaded runs never leak engine threads."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.execution.run as run_module
 import repro.factor.api as factor_api
 import repro.ooc.api as ooc_api
 import repro.qr.api as qr_api
@@ -34,42 +37,67 @@ from repro.hw.gemm import Precision
 from repro.ooc.api import ooc_gemm
 from repro.qr.api import ooc_qr
 from repro.qr.options import QrOptions
+from repro.runtime import DagScheduler, GraphBuilder
 
 from tests.conftest import make_tiny_spec
 
 CONFIG = SystemConfig(gpu=make_tiny_spec(1 << 17), precision=Precision.TC_FP16)
 MODES = ("numeric", "sim", "hybrid")
 CONCURRENCY = ("serial", "threads")
+#: How a numeric run executes its ops: "legacy" as the entry point makes
+#: it (eager serial, or the task DAG on threads); "dag" records every
+#: numeric run, serial ones too, as a task DAG replayed serially.
 RUNTIMES = ("legacy", "dag")
 ENTRY_POINTS = ("qr", "lu", "cholesky", "gemm")
+
+
+@contextlib.contextmanager
+def _runtime(runtime: str):
+    """Swap the eager executor for the task-graph builder, and the
+    threaded scheduler for the serial one, when *runtime* is "dag"."""
+    if runtime == "legacy":
+        yield
+        return
+    with mock.patch.object(run_module, "NumericExecutor", GraphBuilder), \
+            mock.patch.object(
+                DagScheduler, "run_threaded", DagScheduler.run_serial
+            ):
+        yield
 
 
 def _call(entry, *, mode="numeric", concurrency="serial", runtime="legacy",
           checkpoint=None, health=False, config=CONFIG):
     """Run one entry point on a small out-of-core input."""
+    with _runtime(runtime):
+        return _call_entry(entry, mode=mode, concurrency=concurrency,
+                           checkpoint=checkpoint, health=health, config=config)
+
+
+def _call_entry(entry, *, mode, concurrency, checkpoint, health, config):
     kwargs = dict(mode=mode, concurrency=concurrency, config=config)
     if entry == "gemm":
         a, b = random_tall(96, 32, seed=1), random_tall(32, 24, seed=2)
-        return ooc_gemm(a, b, blocksize=32, runtime=runtime, **kwargs)
+        return ooc_gemm(a, b, blocksize=32, **kwargs)
     options = QrOptions(
         blocksize=16, health=HealthOptions(mode="monitor" if health else "off")
     )
     kwargs.update(options=options, checkpoint=checkpoint)
     if entry == "qr":
-        return ooc_qr(random_tall(96, 48, seed=3), runtime=runtime, **kwargs)
+        return ooc_qr(random_tall(96, 48, seed=3), **kwargs)
     if entry == "lu":
         return ooc_lu(diagonally_dominant(64, 64, seed=4), **kwargs)
     return ooc_cholesky(spd_matrix(64, seed=5), **kwargs)
 
 
-def _refused(entry, mode, concurrency, runtime, checkpoint, health):
+def _refused(entry, mode, concurrency, checkpoint, health):
     """Which combinations each entry point refuses, restated independently
-    of :data:`repro.execution.run.REFUSALS`."""
+    of :data:`repro.execution.run.REFUSALS`. The task DAG refuses
+    nothing the eager executor runs."""
     if mode == "hybrid" and entry != "qr":
         return True
-    if mode != "numeric" and (concurrency == "threads" or checkpoint or health):
-        return True
-    return runtime == "dag" and (mode == "hybrid" or checkpoint or health)
+    return mode != "numeric" and bool(
+        concurrency == "threads" or checkpoint or health
+    )
 
 
 def _combinations():
@@ -77,8 +105,6 @@ def _combinations():
         ENTRY_POINTS, MODES, CONCURRENCY, RUNTIMES, (False, True), (False, True)
     ):
         # options an entry point does not take are left at their default
-        if entry in ("lu", "cholesky") and runtime != "legacy":
-            continue
         if entry == "gemm" and (ckpt or health):
             continue
         yield entry, mode, conc, runtime, ckpt, health
@@ -96,7 +122,7 @@ class TestRefusalMatrix:
             mode=mode, concurrency=concurrency, runtime=runtime, health=health,
             checkpoint=CheckpointConfig(str(tmp_path)) if ckpt else None,
         )
-        if _refused(entry, mode, concurrency, runtime, ckpt, health):
+        if _refused(entry, mode, concurrency, ckpt, health):
             with pytest.raises(ValidationError):
                 _call(entry, **call)
         else:
@@ -325,9 +351,9 @@ class TestThreadsNeverLeak:
         a, b = random_tall(64, 32, seed=6), random_tall(64, 16, seed=7)
         before = threading.active_count()
         for _ in range(5):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError), _runtime(runtime):
                 ooc_gemm(a, b, trans_a=True, alpha=2.0, config=CONFIG,
-                         concurrency="threads", runtime=runtime)
+                         concurrency="threads")
         assert threading.active_count() == before
 
     def test_refused_gemm_shapes(self):

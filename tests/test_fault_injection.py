@@ -9,11 +9,12 @@ DeviceScope unwinding).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.execution.concurrent import ConcurrentNumericExecutor
 from repro.execution.numeric import NumericExecutor
 from repro.factor.cholesky import ooc_blocking_cholesky, ooc_recursive_cholesky
 from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
@@ -22,6 +23,7 @@ from repro.hw.gemm import Precision
 from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.options import QrOptions
 from repro.qr.recursive import ooc_recursive_qr
+from repro.runtime import GraphBuilder
 from repro.sim.trace import Trace
 from tests.conftest import make_tiny_spec
 
@@ -192,9 +194,10 @@ class TestTsqrPanelPath:
         assert factorization_error(a_np, a.data, r.data) < 1e-5
 
 
-class WorkerFaultyExecutor(ConcurrentNumericExecutor):
-    """Concurrent executor whose Nth op body raises *inside its worker
-    thread* — exercising cross-thread error propagation and pool drain."""
+class WorkerFaultyExecutor(GraphBuilder):
+    """Threaded task-DAG executor whose Nth op body raises *inside a
+    scheduler worker thread* — exercising cross-thread error propagation
+    and pool drain."""
 
     def __init__(self, config, fail_at: int | None = None):
         super().__init__(config)
@@ -213,6 +216,11 @@ class WorkerFaultyExecutor(ConcurrentNumericExecutor):
 
             body.__wrapped__ = original
         super()._issue(stream, body=body, **kwargs)
+
+
+def dag_threads() -> list[threading.Thread]:
+    """Live scheduler worker threads (they are named ``dag-*``)."""
+    return [t for t in threading.enumerate() if t.name.startswith("dag-")]
 
 
 @pytest.mark.parametrize("driver,needs_r", DRIVERS[:2],
@@ -249,9 +257,7 @@ class TestWorkerFaults:
                     ex.synchronize()
             finally:
                 ex.close()
-            for worker in ex._workers:
-                worker.join(5.0)
-                assert not worker.is_alive()
+            assert not dag_threads()
 
     def test_failed_ops_left_out_of_trace(self, driver, needs_r):
         ex = WorkerFaultyExecutor(_config(), fail_at=4)
@@ -259,7 +265,7 @@ class TestWorkerFaults:
             with pytest.raises(InjectedFault):
                 _run(driver, needs_r, ex)
                 ex.synchronize()
-            ran = [op for op in ex.program.ops if op.scheduled]
+            ran = [op for op in ex.graph.ops if op.scheduled]
             assert len(ran) < ex.op_counter
             Trace(ran).check_causality()
         finally:

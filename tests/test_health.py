@@ -38,7 +38,6 @@ from repro.errors import (
     NumericalError,
     ValidationError,
 )
-from repro.execution.concurrent import ConcurrentNumericExecutor
 from repro.execution.numeric import NumericExecutor
 from repro.health import HealthOptions, HealthReport, HealthSentinel
 from repro.host.tiled import HostMatrix
@@ -48,6 +47,7 @@ from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.cgs import cgs2_qr
 from repro.qr.options import QrOptions
 from repro.qr.recursive import ooc_recursive_qr
+from repro.runtime import GraphBuilder
 from repro.serve import FactorService, JobSpec, JobState
 from repro.util.rng import default_rng
 
@@ -391,7 +391,7 @@ class PoisonSerial(PoisonMixin, NumericExecutor):
     pass
 
 
-class PoisonThreads(PoisonMixin, ConcurrentNumericExecutor):
+class PoisonThreads(PoisonMixin, GraphBuilder):
     pass
 
 

@@ -9,7 +9,9 @@ staying bitwise identical to obs-on runs.
 
 from __future__ import annotations
 
+import contextlib
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.obs import (
 )
 from repro.qr.api import ooc_qr
 from repro.qr.cgs import factorization_error
+from repro.runtime import DagScheduler
 from tests.conftest import make_tiny_spec
 
 
@@ -134,11 +137,20 @@ class TestNullRecorder:
 
 def qr_spans(config, *, obs, concurrency="serial", runtime="legacy",
              m=96, n=48, b=16):
+    """One QR run. ``runtime="legacy"`` runs it as the entry point does
+    (eager serial, or the task DAG on threads); ``"dag"`` runs a serial
+    run as a task DAG too, replayed in emission order."""
     a = random_tall(m, n, seed=7)
-    res = ooc_qr(
-        a, method="recursive", config=config, blocksize=b,
-        concurrency=concurrency, runtime=runtime, obs=obs,
-    )
+    with contextlib.ExitStack() as stack:
+        if runtime == "dag" and concurrency == "serial":
+            stack.enter_context(mock.patch.object(
+                DagScheduler, "run_threaded", DagScheduler.run_serial
+            ))
+            concurrency = "threads"
+        res = ooc_qr(
+            a, method="recursive", config=config, blocksize=b,
+            concurrency=concurrency, obs=obs,
+        )
     return a, res
 
 
@@ -160,7 +172,8 @@ class TestExecutorInstrumentation:
         roots = [s for s in spans if s.parent_id is None]
         assert [r.cat for r in roots] == ["run"]
         assert roots[0].name == "ooc_qr[recursive]"
-        assert roots[0].attrs["m"] == 96 and roots[0].attrs["runtime"] == "legacy"
+        assert roots[0].attrs["m"] == 96
+        assert roots[0].attrs["concurrency"] == "serial"
         ids = {s.span_id for s in spans}
         root_id = roots[0].span_id
         ops = [s for s in spans if s.lane in ENGINE_LANES]

@@ -13,6 +13,8 @@ that runs ops refuses one on a freed buffer.
 
 from __future__ import annotations
 
+from functools import partial
+
 import hashlib
 from dataclasses import replace
 
@@ -22,7 +24,7 @@ import repro.ooc.plan
 from repro.analysis import ENGINE_CAPTURES, CaptureExecutor, verify_program
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ExecutionError
-from repro.execution import ConcurrentNumericExecutor, NumericExecutor, SimExecutor
+from repro.execution import NumericExecutor, SimExecutor
 from repro.factor.cholesky import ooc_blocking_cholesky, ooc_recursive_cholesky
 from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
 from repro.host.tiled import HostMatrix
@@ -280,9 +282,9 @@ def _free_then_use(ex, use: str) -> None:
 
 EXECUTORS = {
     "numeric": NumericExecutor,
-    "threads": ConcurrentNumericExecutor,
+    "threads": GraphBuilder,
     "sim": SimExecutor,
-    "graph": GraphBuilder,
+    "graph": partial(GraphBuilder, materialize=False),
 }
 
 

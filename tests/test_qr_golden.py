@@ -71,7 +71,7 @@ def _ooc(
 #: isolates the change to the CholQR2 panel.
 _OOC_CASES = {
     "ooc-recursive-serial": {},
-    "ooc-recursive-dag-threads": {"runtime": "dag", "concurrency": "threads"},
+    "ooc-recursive-dag-threads": {"concurrency": "threads"},
     "ooc-blocking": {"method": "blocking"},
     "ooc-health-monitor": {
         "options": QrOptions(

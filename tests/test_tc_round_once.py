@@ -5,10 +5,12 @@ its data (``payload["rounded"]``), so a resident operand is rounded once
 per residence. These tests pin the contract:
 
 * every op that writes a buffer between two GEMM reads invalidates the
-  copies, on the serial and threaded executors and on the DAG runtime,
-  so results are bitwise what rounding on every use gives;
-* a resident operand read by several GEMMs is rounded once;
-* no copy survives a buffer's free, on the legacy path and on the DAG
+  copies, on the serial and threaded executors and on a whole task graph
+  run by the DAG scheduler, so results are bitwise what rounding on
+  every use gives;
+* a resident operand read by several GEMMs is rounded once, also when
+  they read it on different threads at the same time;
+* no copy survives a buffer's free, on the eager executor and on the DAG
   backend's free task.
 """
 
@@ -22,13 +24,13 @@ import pytest
 
 import repro.tc.gemm as tc_gemm_module
 from repro.config import SystemConfig
-from repro.execution.concurrent import ConcurrentNumericExecutor
 from repro.execution.numeric import NumericExecutor
 from repro.factor.incore import diagonally_dominant, spd_matrix
 from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
 from repro.runtime import DagScheduler, GraphBuilder, NumericGraphBackend
 from repro.tc.gemm import RoundedCopies, tc_gemm
+from repro.tc.precision import QuantStats, round_to
 
 from conftest import make_tiny_spec
 
@@ -119,9 +121,17 @@ def _program(ex, writer: str, host: dict[str, HostMatrix]) -> None:
         ex.free(buf)
 
 
+class _Deferred(GraphBuilder):
+    """Records the whole program without running it: the test hands the
+    complete graph to the scheduler itself."""
+
+    def synchronize(self) -> None:
+        pass
+
+
 def _run(run: str, cfg: SystemConfig, writer: str, host) -> None:
     if run.startswith("dag"):
-        builder = GraphBuilder(cfg)
+        builder = _Deferred(cfg)
         _program(builder, writer, host)
         sched = DagScheduler(builder.graph)
         backend = NumericGraphBackend(cfg)
@@ -130,9 +140,10 @@ def _run(run: str, cfg: SystemConfig, writer: str, host) -> None:
         else:
             sched.run_threaded(backend)
         return
-    ex = ConcurrentNumericExecutor(cfg) if run == "threads" else NumericExecutor(cfg)
+    ex = GraphBuilder(cfg) if run == "threads" else NumericExecutor(cfg)
     try:
         _program(ex, writer, host)
+        ex.synchronize()  # the threaded run's frees
     finally:
         ex.close()
 
@@ -237,16 +248,69 @@ def test_slices_equal_fresh_rounding(cfg):
 def test_invalidate_drops_only_overlapping_copies():
     copies = RoundedCopies()
     left = np.zeros((4, 4), dtype=np.float32)
-    copies.store("fp16", (0, 4, 0, 4), left)
-    copies.store("fp16", (0, 4, 4, 8), left)
-    copies.store("bf16", (0, 4, 0, 8), np.zeros((4, 8), dtype=np.float32))
+    copies.rounded("fp16", (0, 4, 0, 4), lambda: left)
+    copies.rounded("fp16", (0, 4, 4, 8), lambda: left)
+    copies.rounded("bf16", (0, 4, 0, 8), lambda: np.zeros((4, 8), np.float32))
     copies.invalidate((0, 4, 6, 7))
     assert copies.lookup("fp16", (1, 3, 0, 2)) is not None
     assert copies.lookup("fp16", (0, 4, 4, 8)) is None
     assert copies.lookup("bf16", (0, 4, 0, 4)) is None
-    # a larger store replaces the copies it contains
-    copies.store("fp16", (0, 4, 0, 8), np.zeros((4, 8), dtype=np.float32))
+    # a larger copy replaces the copies it contains
+    copies.rounded("fp16", (0, 4, 0, 8), lambda: np.zeros((4, 8), np.float32))
     assert len(copies) == 1
+
+
+def test_concurrent_readers_round_and_count_once(monkeypatch):
+    """GEMMs on several threads read the same stored operand at once: one
+    of them rounds it, the rest slice that copy, and its quantization
+    casualties are counted once."""
+    rows, cols, n_threads = 64, 32, 6
+    rng = np.random.default_rng(9)
+    stored = rng.standard_normal((rows, cols)).astype(np.float32)
+    stored[::3] *= np.float32(1e-9)        # fp16 underflows to zero
+    eye = np.eye(cols, dtype=np.float32)
+    expected = QuantStats()
+    round_to(stored, "fp16", expected)
+    assert expected.underflow > 0
+    reference = tc_gemm(stored, eye)
+    calls = _count_roundings(monkeypatch)
+    errors: list[str] = []
+
+    def reader(copies, stats, barrier) -> None:
+        try:
+            barrier.wait()
+            got = tc_gemm(
+                stored, eye, a_slot=(copies, (0, rows, 0, cols)),
+                quant_stats=stats,
+            )
+            if not np.array_equal(got, reference):
+                errors.append("a reader got a different product")
+        except Exception as exc:  # surfaced through `errors`
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            copies, stats = RoundedCopies(), QuantStats()
+            barrier = threading.Barrier(n_threads)
+            calls.clear()
+            threads = [
+                threading.Thread(target=reader, args=(copies, stats, barrier))
+                for _ in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            # the (cols, cols) identity has no slot: rounded per reader
+            assert calls.count((rows, cols)) == 1
+            assert (stats.overflow, stats.underflow) == (
+                expected.overflow, expected.underflow,
+            )
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
 
 
 def test_no_copy_survives_free_legacy(cfg):
