@@ -182,10 +182,10 @@ class CaptureExecutor(Executor):
         return self._stream_program.stream(name)
 
     def record_event(self, stream: Stream) -> Event:
-        return self._stream_program.record_event(stream)
+        return stream.record()
 
     def wait_event(self, stream: Stream, event: Event) -> None:
-        self._stream_program.wait_event(stream, event)
+        stream.wait(event)
 
     def synchronize(self) -> None:
         """No-op: a capture has no clock and nothing in flight."""

@@ -492,7 +492,7 @@ def exp_multi_gpu_panel(config: SystemConfig = PAPER_SYSTEM) -> ExperimentResult
 
     Panel factorization is the serial floor of both OOC algorithms (Table 4
     charges it identically to both). TSQR splits a panel across devices;
-    each point is the verified, globally list-scheduled
+    each point is the verified, globally scheduled
     :func:`~repro.dist.sim.simulate_dist_qr` run (binomial tree, factor
     broadcasts staged through the host). The sweep shows the regime
     split: skinny panels approach linear scaling (the tree reduction is

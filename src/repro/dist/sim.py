@@ -21,15 +21,16 @@ The pipeline is the tentpole path end to end:
    explicit inter-device transfers.
 3. **verify** — ``verify_program`` proves every device's slice
    race-free, leak-free, and within the per-device memory budget.
-4. **time** — the makespan is a global list-schedule of the whole
-   graph: tasks run in emission order, each serializing on its
+4. **time** — one schedule of the whole graph
+   (:class:`~repro.runtime.backends.SimGraphBackend` with the placement's
+   device map): tasks run in emission order, each serializing on its
    ``(device, engine)`` resource and waiting for all dependencies
    (including cross-device ones). No separate "transfer time" term is
    added — every inter-device byte moves as a D2H op priced on the
    producer's link plus an H2D op priced on the consumer's link, so the
-   staging cost lives inside the schedule itself. Per-device isolated
-   timelines (:class:`~repro.sim.simulator.GpuSimulator` runs of each
-   device's slice) feed the span lanes and scaling diagnostics.
+   staging cost lives inside the schedule itself. The same schedule
+   feeds the per-device span lanes, so every lane shows the waits
+   across the reduction tree.
 
 Per-device communication is reported both ways: the packed-triangle
 schedule accounting of :meth:`~repro.dist.tree.ReductionTree.comm_report`
@@ -44,7 +45,7 @@ from dataclasses import dataclass, replace
 from repro.analysis.precision import check_precision
 from repro.analysis.verify import AnalysisReport, verify_program
 from repro.config import SystemConfig
-from repro.dist.placement import DeviceProgram, Placement, partition_graph
+from repro.dist.placement import Placement, partition_graph
 from repro.dist.recovery import RecoveryPlan, recover_placement
 from repro.dist.shard import BlockCyclicLayout, ShardedMatrix, slab_offsets
 from repro.dist.topology import DeviceTopology
@@ -54,10 +55,9 @@ from repro.faults.inject import as_injector
 from repro.faults.report import FaultReport
 from repro.host.tiled import HostMatrix
 from repro.obs.span import Span
-from repro.runtime.backends import simulate_tasks
+from repro.runtime.backends import SimGraphBackend
 from repro.runtime.builder import GraphBuilder
 from repro.runtime.task import TaskGraph
-from repro.sim.simulator import GpuSimulator
 from repro.sim.trace import Trace
 from repro.util.validation import positive_int
 
@@ -74,13 +74,9 @@ class DistSimResult:
     graph: TaskGraph
     placement: Placement
     reports: list[AnalysisReport]
-    traces: list[Trace]
-    #: Global list-schedule makespan (model seconds): all devices, all
-    #: engines, cross-device dependencies included.
-    makespan: float
-    #: Each device's slice timed in isolation (no cross-device waits) —
-    #: the per-lane busy picture, not the end-to-end time.
-    local_makespans: tuple[float, ...]
+    #: The one schedule of the whole graph: every op tagged with its
+    #: ``device``, cross-device dependencies included.
+    trace: Trace
     comm: TreeCommReport
     #: Fault-plane provenance; ``None`` when no injector was active.
     faults: FaultReport | None = None
@@ -94,6 +90,11 @@ class DistSimResult:
     #: flat. See :mod:`repro.analysis.precision` / docs/analysis.md.
     precision_bound: float = 0.0
     precision_plan: str = ""
+
+    @property
+    def makespan(self) -> float:
+        """End of the schedule (model seconds): all devices, all engines."""
+        return self.trace.makespan
 
     @property
     def all_verified(self) -> bool:
@@ -225,49 +226,6 @@ def build_dist_qr_graph(
     return builder.graph, shards, pin
 
 
-def _simulate_program(prog: DeviceProgram) -> Trace:
-    """Discrete-event simulation of one device's slice; its edges to
-    other devices' tasks are dropped."""
-    return simulate_tasks(
-        GpuSimulator(prog.config), prog.tasks, f"dev{prog.device}"
-    )
-
-
-def _simulate_global(placement: Placement) -> float:
-    """Global list-schedule makespan: tasks run in emission order (a
-    valid topological order), each waiting for every dependency —
-    cross-device ones included — and serializing FIFO on its
-    ``(device, engine)`` resource, mirroring the stream semantics of the
-    single-device simulator. Allocator pseudo-tasks take zero time, and
-    the emission-order allocator chain only binds *within* a device:
-    each pool member replays its own allocator's sequence, so one
-    device's frees must not gate another's allocations."""
-    free: dict[tuple[int, str], float] = {}
-    done: dict[int, float] = {}
-    device_of = placement.device_of
-    makespan = 0.0
-    for task in placement.graph.tasks:
-        dev = device_of[task.task_id]
-        ready = max(
-            (
-                done[dep.task_id]
-                for dep in task.deps
-                if not (dep.mem and task.mem and device_of[dep.task_id] != dev)
-            ),
-            default=0.0,
-        )
-        if task.mem:
-            done[task.task_id] = ready
-            continue
-        res = (dev, task.op.engine.value)
-        start = max(ready, free.get(res, 0.0))
-        end = start + task.cost
-        free[res] = end
-        done[task.task_id] = end
-        makespan = max(makespan, end)
-    return makespan
-
-
 def _play_plan(injector) -> tuple[FaultReport, tuple[int, ...], int]:
     """The sim's static fault model: fire every spec in the plan at its
     declared coordinates. Device losses become structural (the topology
@@ -357,7 +315,9 @@ def simulate_dist_qr(
     else:
         placement = partition_graph(graph, shards, topology, pin=pin)
         reports = placement.verify(budget_bytes=budget_bytes)
-    traces = [_simulate_program(prog) for prog in placement.programs]
+    trace = SimGraphBackend(placement.graph.config).run(
+        placement.graph, device_of=placement.device_of
+    )
     flow, _ = check_precision(graph)
     return DistSimResult(
         m=m,
@@ -368,9 +328,7 @@ def simulate_dist_qr(
         graph=graph,
         placement=placement,
         reports=reports,
-        traces=traces,
-        makespan=_simulate_global(placement),
-        local_makespans=tuple(t.makespan for t in traces),
+        trace=trace,
         comm=tree_obj.comm_report(n),
         faults=fault_report,
         recovery=recovery,
@@ -430,22 +388,26 @@ def dist_scaling_sweep(
 
 
 def dist_trace_spans(result: DistSimResult) -> list[Span]:
-    """Per-device span lanes (``dev0``, ``dev1``, ...) from the isolated
-    device timelines, plus one instant per reduction round on a ``tree``
-    lane — ready for :func:`repro.obs.export.spans_to_chrome_trace`.
-    Timestamps are model seconds."""
+    """Per-device span lanes (``dev0``, ``dev1``, ...) from the one
+    schedule, plus one instant per reduction round on a ``tree`` lane —
+    ready for :func:`repro.obs.export.spans_to_chrome_trace`. Timestamps
+    are model seconds; the latest lane ends at the makespan."""
+    # a schedule span carries its op's id
+    device = {op.op_id: op.tags["device"] for op in result.trace}
     spans: list[Span] = []
     sid = 0
-    for d, trace in enumerate(result.traces):
-        for span in trace.spans():
-            sid += 1
-            spans.append(
-                replace(
-                    span, span_id=sid, lane=f"dev{d}",
-                    attrs={"device": d, "engine": span.lane},
-                )
+    for span in sorted(
+        result.trace.spans(), key=lambda span: device[span.span_id]
+    ):
+        d = device[span.span_id]
+        sid += 1
+        spans.append(
+            replace(
+                span, span_id=sid, lane=f"dev{d}",
+                attrs={"device": d, "engine": span.lane},
             )
-    t = max(result.local_makespans, default=0.0)
+        )
+    t = result.makespan
     for k, merges in enumerate(result.tree.rounds):
         sid += 1
         spans.append(

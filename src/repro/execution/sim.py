@@ -2,8 +2,8 @@
 
 Feeds the executor call stream into the discrete-event simulator. Every op
 becomes a :class:`~repro.sim.ops.SimOp` timed by the one duration model
-(:func:`~repro.sim.simulator.op_duration`); ``synchronize``/``finish`` run
-the event loop. Paper-scale problems (131072 x 131072 = 68 GB matrices)
+(:func:`~repro.sim.simulator.op_duration`); ``synchronize``/``finish`` time
+the program so far. Paper-scale problems (131072 x 131072 = 68 GB matrices)
 cost only the op graph, not the data.
 """
 
@@ -66,6 +66,6 @@ class SimExecutor(Executor):
     # -- results ------------------------------------------------------------------------
 
     def finish(self) -> Trace:
-        """Drain all work and return the completed trace."""
+        """Time all work and return the completed trace."""
         self.synchronize()
         return self.sim.trace

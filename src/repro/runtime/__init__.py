@@ -3,9 +3,9 @@
 Engines emit :class:`TaskGraph` objects — tasks carrying engine class
 (h2d/compute/d2h), tile read/write sets, and the simulator's duration
 as a cost hint — via :class:`GraphBuilder`; :class:`DagScheduler`
-executes them with dynamic dataflow scheduling (lookahead, work stealing)
-on either the numeric backend or the discrete-event simulator; and
-:func:`repro.analysis.verify_program` checks the graphs directly. Every
+executes them with dynamic dataflow scheduling (work stealing) on the
+numeric backend, :class:`SimGraphBackend` predicts their simulated time,
+and :func:`repro.analysis.verify_program` checks the graphs directly. Every
 ``concurrency="threads"`` run is a materialized :class:`GraphBuilder`
 whose ``synchronize()`` runs the tasks recorded so far. See
 ``docs/runtime.md`` for the task model and scheduler semantics.

@@ -13,17 +13,18 @@ backend decides *what* running means.
   both), so execution-time peak memory is exactly the build-time — and
   hence the eager executor's — peak. A threaded run's builder keeps one
   backend and hands it each segment it runs.
-* :class:`SimGraphBackend` — translates the whole graph onto the
-  discrete-event :class:`~repro.sim.simulator.GpuSimulator`, one stream
-  per engine class with the derived dataflow edges as cross-stream
-  dependencies, and returns the simulated :class:`~repro.sim.trace.Trace`.
+* :class:`SimGraphBackend` — times the whole graph with the simulator's
+  one scheduling rule (:func:`~repro.sim.simulator.schedule`), the
+  derived dataflow and allocator edges as dependencies, and returns the
+  simulated :class:`~repro.sim.trace.Trace`.
 * :class:`RecordingBackend` — test double that just logs execution order.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from collections import defaultdict
+from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.obs.span import NULL_RECORDER
 from repro.runtime.task import TaskGraph, TileTask
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, SimOp
-from repro.sim.simulator import GpuSimulator
+from repro.sim.simulator import schedule
 from repro.sim.trace import Trace
 from repro.tc.gemm import RoundedCopies
 
@@ -140,70 +141,64 @@ class NumericGraphBackend:
 
 
 class SimGraphBackend:
-    """Discrete-event simulation of a task graph.
+    """Simulated time of a task graph.
 
-    Unlike the eager backends this consumes the graph whole (``run``):
-    the simulator owns scheduling inside its engine model, so the DAG
-    scheduler's role collapses to handing over ops with their dataflow
-    edges. Graph ops are *cloned* before enqueueing — the simulator
-    mutates timestamps and stream FIFO edges, and the graph must stay
-    pristine for analysis after the run.
+    Unlike the eager backends this consumes the graph whole (``run``).
+    Each task becomes a fresh op (the graph stays as recorded for
+    analysis) whose dependencies are the task's edges, and
+    :func:`~repro.sim.simulator.schedule` times them in emission order,
+    each op holding its engine. Allocator tasks become markers that take
+    no time and hold no resource but keep their ordering, as they do when
+    the threaded executor runs them: a buffer's first touch waits for the
+    frees ahead of its allocation.
+
+    With *device_of* (task id to device, a :mod:`repro.dist` placement)
+    each op holds ``(device, engine)`` instead, and the allocator chain
+    binds only within a device: each device replays its own allocator,
+    so one device's frees never gate another's allocations.
     """
 
     def __init__(self, config: SystemConfig):
         self.config = config
-        self.sim = GpuSimulator(config)
 
-    def run(self, graph: TaskGraph) -> Trace:
+    def run(
+        self, graph: TaskGraph, *, device_of: Mapping[int, int] | None = None
+    ) -> Trace:
         graph.validate()
-        trace = simulate_tasks(self.sim, graph.tasks, "dag")
+        dev = device_of if device_of is not None else defaultdict(int)
+        ops: dict[int, SimOp] = {}
+        for task in graph.tasks:
+            src = task.op
+            if src is None:
+                op = SimOp(name=task.name, engine=None, kind=None, duration=0.0)
+            else:
+                op = SimOp(
+                    name=src.name,
+                    engine=src.engine,
+                    kind=src.kind,
+                    duration=task.cost,
+                    nbytes=src.nbytes,
+                    flops=src.flops,
+                    tags={**src.tags, "device": dev[task.task_id]},
+                )
+            for dep in task.deps:
+                # edges into earlier segments were satisfied before it
+                mapped = ops.get(dep.task_id)
+                if mapped is not None and not (
+                    dep.mem and task.mem
+                    and dev[dep.task_id] != dev[task.task_id]
+                ):
+                    op.deps.add(mapped)
+            ops[task.task_id] = op
+        schedule(list(ops.values()), {}, resource=_device_engine)
+        trace = Trace()
+        trace.extend(op for op in ops.values() if op.engine is not None)
         graph.stats.makespan = trace.makespan
         return trace
 
 
-def simulate_tasks(
-    sim: GpuSimulator, tasks: Iterable[TileTask], prefix: str
-) -> Trace:
-    """Run *tasks* (in emission order) on the simulator *sim* and return
-    its trace.
-
-    Each engine class gets one stream, ``f"{prefix}-{engine}"``; dataflow
-    edges become cross-stream dependencies, and edges to tasks outside
-    *tasks* are dropped. Allocator tasks replay on the simulator's
-    allocator. Ops are cloned first: the simulator stamps them and adds
-    stream FIFO edges, and the graph must stay as recorded."""
-    streams = {
-        engine: sim.stream(f"{prefix}-{engine.value}") for engine in EngineKind
-    }
-    clones: dict[int, SimOp] = {}
-    allocations: dict[int, object] = {}
-    for task in tasks:
-        if task.mem == "alloc":
-            buf = task.buffer
-            assert buf is not None
-            allocations[id(buf)] = sim.allocator.alloc(task.nbytes, name=buf.name)
-            continue
-        if task.mem == "free":
-            sim.allocator.free(allocations.pop(id(task.buffer)))
-            continue
-        src = task.op
-        assert src is not None
-        op = SimOp(
-            name=src.name,
-            engine=src.engine,
-            kind=src.kind,
-            duration=task.cost,
-            nbytes=src.nbytes,
-            flops=src.flops,
-            tags=dict(src.tags),
-        )
-        sim.enqueue(op, streams[src.engine])
-        for dep in task.deps:
-            mapped = clones.get(dep.task_id)
-            if mapped is not None:
-                op.deps.add(mapped)
-        clones[task.task_id] = op
-    return sim.run()
+def _device_engine(op: SimOp) -> tuple[int, EngineKind]:
+    return op.tags["device"], op.engine
 
 
 class RecordingBackend:
@@ -224,5 +219,4 @@ __all__ = [
     "NumericGraphBackend",
     "RecordingBackend",
     "SimGraphBackend",
-    "simulate_tasks",
 ]

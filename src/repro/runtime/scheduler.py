@@ -11,9 +11,9 @@ Two execution strategies over a validated :class:`TaskGraph`:
   threads. A central ready set tracks tile readiness by indegree
   counting; compute tasks are round-robin dealt to per-worker deques and
   idle compute workers *steal* from the back of their peers' deques.
-  ``lookahead`` bounds how far past the completion frontier the scheduler
-  may run, trading overlap depth for resident working set (the DAG
-  analogue of §4.2's bounded copy/compute lookahead).
+  Every worker runs under the caller's floating-point error state
+  (``np.errstate``, which numpy keeps per thread), so an op body raises
+  where the serial run raises.
 
 Both entry points call :meth:`TaskGraph.validate` first, so a cyclic
 graph raises :class:`~repro.errors.DeadlockError` immediately instead of
@@ -23,8 +23,8 @@ out into the same error rather than deadlocking the interpreter.
 Determinism: every pair of conflicting tasks is ordered by a path of
 dataflow edges (see :mod:`repro.runtime.task`), so tasks that can run
 concurrently touch disjoint data. Results are therefore bitwise
-independent of worker count, steal order, and lookahead depth — the
-property the scheduler suite asserts.
+independent of worker count and steal order — the property the
+scheduler suite asserts.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from typing import Protocol
+
+import numpy as np
 
 from repro.errors import DeadlockError, ValidationError
 from repro.faults.inject import as_injector
@@ -52,11 +54,8 @@ class GraphBackend(Protocol):
 class DagScheduler:
     """Schedules one :class:`TaskGraph` onto a :class:`GraphBackend`."""
 
-    def __init__(self, graph: TaskGraph, *, lookahead: int | None = None):
-        if lookahead is not None and lookahead < 0:
-            raise ValidationError("lookahead must be None or >= 0")
+    def __init__(self, graph: TaskGraph):
         self.graph = graph
-        self.lookahead = lookahead
 
     def validate(self) -> None:
         self.graph.validate()
@@ -91,7 +90,7 @@ class DagScheduler:
             raise ValidationError("compute_workers must be >= 1")
         self.validate()
         run = _ThreadedRun(
-            self.graph, backend, compute_workers, self.lookahead, timeout_s,
+            self.graph, backend, compute_workers, timeout_s,
             injector=as_injector(faults),
         )
         run.execute()
@@ -119,8 +118,8 @@ class _ThreadedRun:
 
     Each ready queue has its own condition on that lock. Routing a task
     wakes the queue's worker, and a compute task also wakes the compute
-    peers that may steal it. Completion, failure, a deadlock timeout and
-    (under ``lookahead``) a frontier advance wake every worker.
+    peers that may steal it. Completion, failure and a deadlock timeout
+    wake every worker.
     """
 
     def __init__(
@@ -128,16 +127,17 @@ class _ThreadedRun:
         graph: TaskGraph,
         backend: GraphBackend,
         compute_workers: int,
-        lookahead: int | None,
         timeout_s: float,
         injector=None,
     ):
         self.graph = graph
         self.backend = backend
-        self.lookahead = lookahead
         self.timeout_s = timeout_s
         self.injector = injector
         self.tasks = graph.tasks
+        # numpy keeps the floating-point error state per thread: workers
+        # adopt the caller's, so op bodies raise where serial ones do
+        self.fp_errors = np.geterr()
         # tasks are indexed by task_id - base; edges into earlier
         # segments were satisfied before this run
         self.base = base = graph.base
@@ -151,7 +151,6 @@ class _ThreadedRun:
                     self.dependents[dep.task_id - base].append(t)
         self.lock = threading.Lock()
         self.finished = bytearray(n)
-        self.frontier = 0          # smallest unfinished index
         self.n_done = 0
         self.failure: BaseException | None = None
         # ready queues: one per copy engine, one deque per compute worker
@@ -184,35 +183,17 @@ class _ThreadedRun:
         for queue in (self.h2d, self.d2h, *self.compute):
             queue.ready.notify()
 
-    def _eligible(self, task: TileTask) -> bool:
-        if self.lookahead is None:
-            return True
-        return task.task_id - self.base <= self.frontier + self.lookahead
-
-    def _take(self, queue: deque[TileTask], *, back: bool) -> TileTask | None:
-        """Pop a runnable task, skipping over lookahead-gated ones."""
-        for _ in range(len(queue)):
-            task = queue.pop() if back else queue.popleft()
-            if self._eligible(task):
-                return task
-            # put it back on the side we took it from and try the next
-            if back:
-                queue.appendleft(task)
-            else:
-                queue.append(task)
-        return None
-
     def _pick(self, worker: int | None, queue: deque[TileTask]) -> TileTask | None:
-        task = self._take(queue, back=False)
-        if task is None and worker is not None:
+        if queue:
+            return queue.popleft()
+        if worker is not None:
             # work stealing: raid the *back* of a peer's deque so the
             # owner keeps its cache-warm front
             for shift in range(1, len(self.compute)):
                 peer = self.compute[(worker + shift) % len(self.compute)]
-                task = self._take(peer, back=True)
-                if task is not None:
-                    break
-        return task
+                if peer:
+                    return peer.pop()
+        return None
 
     # -- retirement (lock held) --------------------------------------------------
 
@@ -220,23 +201,21 @@ class _ThreadedRun:
         base = self.base
         self.finished[task.task_id - base] = 1
         self.n_done += 1
-        frontier = self.frontier
-        while self.frontier < len(self.tasks) and self.finished[self.frontier]:
-            self.frontier += 1
         for dependent in self.dependents[task.task_id - base]:
             index = dependent.task_id - base
             self.indegree[index] -= 1
             if self.indegree[index] == 0:
                 self._route(dependent)
-        if self.n_done == len(self.tasks) or (
-            # a frontier advance may admit lookahead-gated tasks anywhere
-            self.lookahead is not None and self.frontier != frontier
-        ):
+        if self.n_done == len(self.tasks):
             self._wake_all()
 
     # -- worker loop -------------------------------------------------------------
 
     def _worker(self, worker: int | None, queue: _ReadyQueue) -> None:
+        with np.errstate(**self.fp_errors):
+            self._work(worker, queue)
+
+    def _work(self, worker: int | None, queue: _ReadyQueue) -> None:
         n = len(self.tasks)
         while True:
             with self.lock:

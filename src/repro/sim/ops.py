@@ -45,12 +45,14 @@ class SimOp:
     """One simulated operation.
 
     Identity semantics (``eq=False``): two ops are the same only if they are
-    the same object, which lets dependency sets hold them directly.
+    the same object, which lets dependency sets hold them directly. An op
+    with no engine (and no kind) is an allocator marker that
+    :func:`~repro.sim.simulator.schedule` times without a resource.
     """
 
     name: str
-    engine: EngineKind
-    kind: OpKind
+    engine: EngineKind | None
+    kind: OpKind | None
     duration: float
     stream: "Any" = None          # repro.sim.stream.Stream, set at enqueue
     nbytes: int = 0

@@ -15,8 +15,8 @@ realize the same happens-before relation:
 :class:`StreamProgram` owns the first three rules — it records a program as
 an issue-ordered list of :class:`~repro.sim.ops.SimOp` nodes whose ``deps``
 sets are exactly the stream-FIFO and event edges. The per-engine FIFO rule
-is realized by the consumer: the simulator drains per-engine queues in
-order.
+is realized by the consumer: :func:`repro.sim.simulator.schedule` times
+the ops in issue order, each holding its engine.
 
 Because both build their graphs here (and name ops with the same
 helpers), a captured program can be compared node-for-node against a
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.sim.ops import SimOp
-from repro.sim.stream import Event, Stream
+from repro.sim.stream import Stream
 from repro.util.regions import rects_overlap
 
 #: Device access record every op carries in ``tags["accesses"]``:
@@ -65,14 +65,6 @@ class StreamProgram:
         stream = Stream(name=name)
         self.streams.append(stream)
         return stream
-
-    def record_event(self, stream: Stream) -> Event:
-        """Record an event capturing all prior work on *stream*."""
-        return stream.record()
-
-    def wait_event(self, stream: Stream, event: Event) -> None:
-        """Make all future ops on *stream* depend on *event*."""
-        stream.wait(event)
 
     def append(self, op: SimOp, stream: Stream) -> SimOp:
         """Attach *op* to *stream* (wiring FIFO/event deps) and record it."""

@@ -1,27 +1,29 @@
-"""The discrete-event GPU simulator.
+"""The discrete-event GPU simulator and the one rule for simulated time.
 
-Scheduling model
-----------------
-Each hardware engine (H2D DMA, D2H DMA, compute) consumes its queue in
-*enqueue order* — exactly how CUDA hardware queues behave for a single
-device: copies on the same DMA engine serialize in issue order even when
-issued on different streams, and large GEMMs serialize on the compute
-engine. An op starts when (a) its engine has retired everything enqueued
-before it and (b) all its dependencies (stream FIFO predecessors and
-awaited events) have completed.
+:func:`schedule` times every simulated op, whatever program form it came
+from: a stream program (:class:`GpuSimulator`), a task graph
+(:class:`~repro.runtime.backends.SimGraphBackend`) or a multi-device TSQR
+graph (:func:`repro.dist.sim.simulate_dist_qr`). It walks the ops in
+issue order and starts each at the latest of: the time its resource is
+free (its engine — H2D DMA, D2H DMA, compute — or ``(device, engine)`` in
+:mod:`repro.dist`), the end of its dependencies, and the last host
+barrier. So copies on one DMA engine serialize in issue order even across
+streams and GEMMs serialize on the compute engine, as CUDA hardware
+queues do, while move-ins, GEMMs and move-outs on different streams
+overlap: the pipelines of the paper's Figures 7-15.
 
-This makes simulated time deterministic and reproduces the pipelines of
-the paper's Figures 7-15: move-ins, GEMMs and move-outs on different
-streams overlap across engines but serialize within one.
-
-Deadlock (e.g. engine-queue head waiting on an event recorded behind it)
-is detected and raised — real CUDA would simply hang.
+One pass suffices because dependencies point to ops issued earlier: an
+event is recorded before a stream can wait on it, and a task graph links
+each task to tasks recorded before it. An untimed dependency can only
+come from a hand-wired cycle; it raises
+:class:`~repro.errors.DeadlockError` naming every stuck op (real CUDA
+would simply hang).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, Hashable, Sequence
 
 from repro.config import SystemConfig
 from repro.errors import DeadlockError
@@ -33,25 +35,51 @@ from repro.sim.stream import Event, Stream
 from repro.sim.trace import Trace
 
 
-@dataclass
+def schedule(
+    ops: Sequence[SimOp],
+    free: dict[Hashable, float],
+    *,
+    resource: Callable[[SimOp], Hashable] = attrgetter("engine"),
+    barrier: float = 0.0,
+) -> None:
+    """Assign each op of *ops*, in issue order, its simulated start and
+    end (see the module docstring for the rule).
+
+    *free* maps each resource (``resource(op)``) to the time it is next
+    free and is advanced in place, so a caller may schedule a program in
+    pieces. An op without an engine is an allocator marker: it takes no
+    time and holds no resource, but ops that depend on it wait for its
+    own dependencies. Raises :class:`~repro.errors.DeadlockError` naming
+    every op from the first stuck one on that waits on an untimed op;
+    the ops before it stay timed.
+    """
+    for i, op in enumerate(ops):
+        ready = barrier
+        for dep in op.deps:
+            if dep.end is None:
+                raise DeadlockError(
+                    [o for o in ops[i:] if any(d.end is None for d in o.deps)]
+                )
+            ready = max(ready, dep.end)
+        if op.engine is None:
+            op.start = op.end = ready
+            continue
+        key = resource(op)
+        op.start = max(ready, free.get(key, 0.0))
+        op.end = free[key] = op.start + op.duration
+
+
 class GpuSimulator:
-    """Event-driven simulator of one GPU with three concurrent engines."""
+    """Simulator of one GPU with three concurrent engines."""
 
-    config: SystemConfig
-    allocator: DeviceAllocator = field(init=False)
-    #: The recorded stream program (shared graph machinery with the
-    #: concurrent numeric executor — see :mod:`repro.sim.scheduler`).
-    program: StreamProgram = field(init=False)
-    _queues: dict[EngineKind, deque[SimOp]] = field(init=False)
-    _engine_free: dict[EngineKind, float] = field(init=False)
-    _trace: Trace = field(init=False)
-    _pending: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        self.allocator = DeviceAllocator(self.config.usable_device_bytes)
+    def __init__(self, config: SystemConfig):
+        self.config = config
+        self.allocator = DeviceAllocator(config.usable_device_bytes)
+        #: The recorded stream program (shared graph machinery with the
+        #: capture executor — see :mod:`repro.sim.scheduler`).
         self.program = StreamProgram()
-        self._queues = {kind: deque() for kind in EngineKind}
-        self._engine_free = {kind: 0.0 for kind in EngineKind}
+        self._engine_free: dict[EngineKind, float] = {}
+        self._barrier = 0.0
         self._trace = Trace()
 
     # -- stream / event API ---------------------------------------------------
@@ -62,64 +90,45 @@ class GpuSimulator:
 
     def record_event(self, stream: Stream) -> Event:
         """Record an event on *stream* (captures prior work on the stream)."""
-        return self.program.record_event(stream)
+        return stream.record()
 
     def wait_event(self, stream: Stream, event: Event) -> None:
         """Future work on *stream* waits for *event*."""
-        self.program.wait_event(stream, event)
+        stream.wait(event)
 
     # -- enqueue ---------------------------------------------------------------
 
     def enqueue(self, op: SimOp, stream: Stream) -> SimOp:
         """Submit *op* on *stream*; it will execute when the simulator runs."""
-        self.program.append(op, stream)
-        self._queues[op.engine].append(op)
-        self._pending += 1
-        return op
+        return self.program.append(op, stream)
 
     # -- execution --------------------------------------------------------------
 
     def run(self) -> Trace:
-        """Drain all queues, assigning start/end times; returns the trace.
+        """Time every op enqueued since the last run; returns the trace.
 
         Incremental: may be called repeatedly as more work is enqueued;
         engine clocks and the trace persist across calls (like repeatedly
-        synchronizing a device).
+        synchronizing a device). The trace lists the timed ops in issue
+        order.
         """
-        progressed = True
-        while self._pending and progressed:
-            progressed = False
-            for engine in EngineKind:
-                queue = self._queues[engine]
-                while queue and all(d.scheduled for d in queue[0].deps):
-                    op = queue.popleft()
-                    ready = max(
-                        (d.end for d in op.deps), default=0.0
-                    )
-                    op.start = max(self._engine_free[engine], ready)
-                    op.end = op.start + op.duration
-                    self._engine_free[engine] = op.end
-                    self._trace.add(op)
-                    self._pending -= 1
-                    progressed = True
-        if self._pending:
-            stuck = [op for q in self._queues.values() for op in q]
-            raise DeadlockError(stuck)
+        pending = self.program.ops[len(self._trace):]
+        try:
+            schedule(pending, self._engine_free, barrier=self._barrier)
+        finally:
+            self._trace.extend(op for op in pending if op.scheduled)
         return self._trace
 
     def barrier(self) -> float:
         """Model a host-side device synchronization.
 
-        Drains all pending work, then advances every engine clock to the
-        resulting makespan: work enqueued *after* the barrier cannot start
-        before it (the host was blocked until now). Returns the barrier
-        time.
+        Times all pending work; work enqueued *after* the barrier cannot
+        start before the resulting makespan (the host was blocked until
+        now). Returns the barrier time.
         """
         self.run()
-        now = self._trace.makespan
-        for engine in self._engine_free:
-            self._engine_free[engine] = max(self._engine_free[engine], now)
-        return now
+        self._barrier = self._trace.makespan
+        return self._barrier
 
     @property
     def trace(self) -> Trace:

@@ -177,6 +177,19 @@ class TestTraceSpans:
         assert devs == {0, 1}
         assert all(s.end_s >= s.start_s for s in spans)
 
+    def test_device_lanes_end_at_the_makespan(self, sweep):
+        """The lanes come from the one schedule that gives the makespan,
+        waits across the reduction tree included: none ends after it,
+        and the latest ends exactly at it."""
+        for result in sweep.values():
+            lane_end: dict[str, float] = {}
+            for s in dist_trace_spans(result):
+                if s.lane.startswith("dev"):
+                    lane_end[s.lane] = max(lane_end.get(s.lane, 0.0), s.end_s)
+            assert len(lane_end) == result.n_devices
+            assert all(end <= result.makespan for end in lane_end.values())
+            assert max(lane_end.values()) == result.makespan
+
     def test_exports_as_chrome_trace(self, sweep, tmp_path):
         import json
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis import verify_program
 from repro.analysis.engines import capture_engine
-from repro.config import SystemConfig
+from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ValidationError
 from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
@@ -195,6 +195,38 @@ class TestProgramEquivalence:
         assert graph.stats.h2d_bytes == legacy.stats.h2d_bytes
         assert graph.stats.d2h_bytes == legacy.stats.d2h_bytes
         assert trace.makespan > 0.0
+
+
+class TestSimPrediction:
+    """SimGraphBackend's prediction keeps the orderings the threaded
+    executor enforces, allocator tasks included."""
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_BUILDERS))
+    @pytest.mark.parametrize("m,n,b", [(96, 64, 16), (128, 64, 8)])
+    def test_no_op_starts_before_the_frees_ahead_of_its_buffer(
+        self, name, m, n, b
+    ):
+        """A buffer's allocation waits for every free recorded before it,
+        and each free for the last touches of its buffer: no op on the
+        buffer may start before those touches end."""
+        graph = GRAPH_BUILDERS[name](PAPER_SYSTEM, m, n, b)
+        trace = SimGraphBackend(PAPER_SYSTEM).run(graph)
+        timed = dict(zip(map(id, graph.ops), trace.ops))
+        touched: dict[int, float] = {}  # buffer -> end of its last touch
+        freed = 0.0    # latest end of a touch of an already-freed buffer
+        gate: dict[int, float] = {}     # buffer -> `freed` at its alloc
+        for task in graph.tasks:
+            if task.mem:
+                handle = task.buffer.payload["allocation"].handle
+                if task.mem == "alloc":
+                    gate[handle] = freed
+                else:
+                    freed = max(freed, touched.get(handle, 0.0))
+                continue
+            op = timed[id(task.op)]
+            for handle in {access[0] for access in task.accesses}:
+                assert op.start >= gate[handle], (op.name, handle)
+                touched[handle] = max(touched.get(handle, 0.0), op.end)
 
 
 class TestGraphVerification:

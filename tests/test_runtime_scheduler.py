@@ -11,8 +11,6 @@ properties:
   ordered by a path of edges, so schedules may differ but data cannot;
 * a cyclic graph raises :class:`DeadlockError` (not a hang) from both the
   serial and the threaded entry points;
-* ``lookahead=0`` degrades threaded execution to emission order (the
-  frontier gate), and small lookaheads still complete;
 * the live-frontier wiring orders every conflicting pair of a random
   graph with variable-size device rectangles, host regions and buffer
   lifetimes by a path of edges, and derives no edge the all-pairs
@@ -150,44 +148,6 @@ class TestThreadedExecution:
         # bitwise-identical data under every worker count / steal pattern
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("case", range(N_CASES))
-    def test_lookahead_zero_is_emission_order(self, case):
-        graph = _random_graph(case)
-        backend = RecordingBackend()
-        DagScheduler(graph, lookahead=0).run_threaded(
-            backend, compute_workers=3
-        )
-        # the frontier gate admits only the oldest unfinished task
-        assert backend.order == [t.task_id for t in graph.tasks]
-
-    @pytest.mark.parametrize("lookahead", [1, 4, 16])
-    def test_bounded_lookahead_completes(self, lookahead):
-        graph = _random_graph(3)
-        backend = RecordingBackend()
-        DagScheduler(graph, lookahead=lookahead).run_threaded(
-            backend, compute_workers=2
-        )
-        _assert_valid_order(graph, backend.order)
-
-    def test_negative_lookahead_rejected(self):
-        with pytest.raises(ValueError):
-            DagScheduler(_random_graph(0), lookahead=-1)
-
-    @pytest.mark.parametrize("case", range(4))
-    def test_lookahead_one_with_four_compute_workers_completes(self, case):
-        graph = _random_graph(case)
-        backend = RecordingBackend()
-        # a missed frontier wakeup would stall a gated task until the
-        # 5 s timeout
-        raised = _run_in_thread(
-            lambda: DagScheduler(graph, lookahead=1).run_threaded(
-                backend, compute_workers=4, timeout_s=5
-            ),
-            join_s=4,
-        )
-        assert raised == []
-        _assert_valid_order(graph, backend.order)
-
     def test_body_exception_propagates(self):
         graph = TaskGraph(_config(), label="boom")
 
@@ -275,7 +235,7 @@ class TestWakeups:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for lookahead in (None, 2, None, 2):
+            for _ in range(4):
                 cells = {
                     (h, r, c): 0.0
                     for h in range(8) for r in range(4) for c in range(4)
@@ -283,8 +243,9 @@ class TestWakeups:
                 graph = _random_graph(7, cells=cells)
                 backend = RecordingBackend()
                 raised = _run_in_thread(
-                    lambda: DagScheduler(graph, lookahead=lookahead)
-                    .run_threaded(backend, compute_workers=4, timeout_s=10),
+                    lambda: DagScheduler(graph).run_threaded(
+                        backend, compute_workers=4, timeout_s=10
+                    ),
                     join_s=20,
                 )
                 assert raised == []

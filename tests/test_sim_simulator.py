@@ -165,6 +165,25 @@ class TestDeadlock:
             sim.run()
         assert {o.name for o in exc.value.stuck_ops} == {"x", "y"}
 
+    def test_names_every_stuck_op_and_no_other(self, sim):
+        """A cycle across two engines, an independent op issued between
+        them and an op waiting on the cycle: the error names the cycle
+        and its waiter only, and the op issued before them stays timed."""
+        s1, s2, s3, s4 = (sim.stream(str(i)) for i in range(4))
+        before = sim.enqueue(op("before", EngineKind.H2D, 1.0), s4)
+        x = sim.enqueue(op("x", EngineKind.COMPUTE, 1.0), s1)
+        sim.enqueue(op("free", EngineKind.D2H, 1.0), s2)
+        y = sim.enqueue(op("y", EngineKind.H2D, 1.0), s3)
+        sim.wait_event(s2, sim.record_event(s1))
+        waiter = sim.enqueue(op("waiter", EngineKind.D2H, 1.0), s2)
+        x.deps.add(y)
+        y.deps.add(x)
+        with pytest.raises(DeadlockError) as exc:
+            sim.run()
+        assert {o.name for o in exc.value.stuck_ops} == {"x", "y", "waiter"}
+        assert before.end == 1.0 and before in sim.trace.ops
+        assert waiter.end is None
+
 
 class TestOpBuilders:
     """Sim ops come from the executor vocabulary, timed by ``op_duration``."""

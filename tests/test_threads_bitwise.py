@@ -115,27 +115,42 @@ def test_escalation_inputs_escalate():
     assert res.info.health.escalations
 
 
-# the overflowing fp16 GEMMs warn (threads) or raise (the suite's
-# errstate, serial) unless told the NaNs are expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _overflowing_qr(method: str, concurrency: str):
+    """Escalate-mode QR of an input whose fp16 GEMMs overflow."""
+    a = random_tall(M, N, seed=24)
+    a[:, N // 2:] *= np.float32(1e5)       # beyond the fp16 range
+    cfg = SystemConfig(gpu=make_tiny_spec(1 << 20), precision=Precision.TC_FP16)
+    options = QrOptions(blocksize=B, health=HealthOptions(mode="escalate"))
+    return ooc_qr(
+        a, method=method, config=cfg, options=options, concurrency=concurrency
+    )
+
+
+@pytest.mark.parametrize("method", ["recursive", "blocking"])
+@pytest.mark.parametrize("concurrency", ["serial", "threads"])
+def test_gemm_overflow_raises_under_caller_errstate(method, concurrency):
+    """numpy keeps the floating-point error state per thread; the DAG
+    workers run under the caller's, so the overflow's NaNs raise on a
+    threaded run exactly as on a serial one."""
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            _overflowing_qr(method, concurrency)
+
+
 @pytest.mark.parametrize("method", ["recursive", "blocking"])
 def test_gemm_overflow_escalation_threads_equal_serial(method):
     """A GEMM whose fp16 inputs overflow switches every later GEMM to
     fp32 (escalate mode). GEMMs issued before it may be independent of
     it in the graph; they must still run at fp16, as in the serial run."""
-    a = random_tall(M, N, seed=24)
-    a[:, N // 2:] *= np.float32(1e5)       # beyond the fp16 range
-    cfg = SystemConfig(gpu=make_tiny_spec(1 << 20), precision=Precision.TC_FP16)
-    options = QrOptions(blocksize=B, health=HealthOptions(mode="escalate"))
+    # the overflow's NaNs are expected: the suite's errstate would raise
     with np.errstate(invalid="ignore"):
-        serial = ooc_qr(a, method=method, config=cfg, options=options)
+        serial = _overflowing_qr(method, "serial")
     assert any(
         e.trigger == "non-finite-gemm" for e in serial.info.health.escalations
     )
     for _ in range(2 * REPEATS):
-        threads = ooc_qr(
-            a, method=method, config=cfg, options=options, concurrency="threads",
-        )
+        with np.errstate(invalid="ignore"):
+            threads = _overflowing_qr(method, "threads")
         np.testing.assert_array_equal(serial.q, threads.q)
         np.testing.assert_array_equal(serial.r, threads.r)
         assert threads.info.health == serial.info.health
