@@ -389,9 +389,10 @@ def dist_scaling_sweep(
 
 def dist_trace_spans(result: DistSimResult) -> list[Span]:
     """Per-device span lanes (``dev0``, ``dev1``, ...) from the one
-    schedule, plus one instant per reduction round on a ``tree`` lane —
-    ready for :func:`repro.obs.export.spans_to_chrome_trace`. Timestamps
-    are model seconds; the latest lane ends at the makespan."""
+    schedule, plus one instant per reduction round on a ``tree`` lane at
+    the start of that round's first ``tsqr-merge`` op — ready for
+    :func:`repro.obs.export.spans_to_chrome_trace`. Timestamps are model
+    seconds; the latest lane ends at the makespan."""
     # a schedule span carries its op's id
     device = {op.op_id: op.tags["device"] for op in result.trace}
     spans: list[Span] = []
@@ -407,8 +408,14 @@ def dist_trace_spans(result: DistSimResult) -> list[Span]:
                 attrs={"device": d, "engine": span.lane},
             )
         )
+    # the trace keeps emission order, in which round k's merges follow
+    # round k-1's
+    merge_starts = iter(
+        [op.start for op in result.trace if op.tags.get("tag") == "tsqr-merge"]
+    )
     t = result.makespan
     for k, merges in enumerate(result.tree.rounds):
+        round_start = min(next(merge_starts) for _ in merges)
         sid += 1
         spans.append(
             Span(
@@ -417,8 +424,8 @@ def dist_trace_spans(result: DistSimResult) -> list[Span]:
                 name=f"tree round {k} ({len(merges)} merges)",
                 cat="tree",
                 lane="tree",
-                start_s=t,
-                end_s=t,
+                start_s=round_start,
+                end_s=round_start,
                 attrs={"round": k, "merges": len(merges)},
             )
         )

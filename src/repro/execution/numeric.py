@@ -320,13 +320,12 @@ class NumericExecutor(Executor):
             a_data = self._data(panel)
             self._written(panel)
             self._written(r_out)
-            # Keep the pre-factorization panel for the sentinel: breakdown
-            # probes compare diag(R) against original column norms, and
-            # the TSQR escalation rung refactorizes from it.
-            orig = a_data.copy() if self.health.enabled else None
             q, r = self._factorize_panel(a_data)
             if self.health.enabled:
-                q, r = self.health.after_panel(orig, q, r, self._factorize_panel)
+                # a_data is still the input: breakdown probes compare
+                # diag(R) against its column norms, and the TSQR
+                # escalation rung refactorizes from it
+                q, r = self.health.after_panel(a_data, q, r, self._factorize_panel)
             np.copyto(a_data, q)
             np.copyto(self._data(r_out), r)
 
@@ -335,6 +334,8 @@ class NumericExecutor(Executor):
     def _factorize_panel(self, a_data: np.ndarray):
         """Dispatch on ``config.panel_algorithm``; imports are lazy because
         repro.qr also hosts the OOC drivers that import this module.
+        Every algorithm returns new arrays and leaves *a_data* untouched,
+        which the health sentinel's panel probe relies on.
 
         ``"cholqr2"`` falls back to the recursive-CGS panel on the
         untouched input whenever its acceptance rule rejects the panel,

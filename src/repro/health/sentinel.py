@@ -73,6 +73,71 @@ _LOW_PRECISION_FORMATS = ("fp16", "bf16", "tf32")
 #: (evenly spaced over [0, col0), deterministic — no RNG).
 CROSS_SAMPLE_COLUMNS = 64
 
+#: Bytes of each fp64 block buffer a probe pass converts its operands
+#: into, one row block at a time: the pass reads each operand once from
+#: memory and works on it in L2 cache, and the fp64 products it feeds
+#: stay long enough for BLAS to run near full speed.
+PROBE_BLOCK_BYTES = 512 << 10
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per block: an fp64 block of *cols* columns stays within
+    :data:`PROBE_BLOCK_BYTES`."""
+    return max(1, PROBE_BLOCK_BYTES // (8 * max(1, cols)))
+
+
+def _fp64_blocks(x: np.ndarray):
+    """The rows of *x* as fp64 blocks of :func:`_block_rows` rows,
+    converted one at a time into one reused buffer (each block is
+    overwritten by the next)."""
+    step = _block_rows(x.shape[1])
+    buf = np.empty((min(step, x.shape[0]), x.shape[1]))
+    for i in range(0, x.shape[0], step):
+        blk = buf[: min(step, x.shape[0] - i)]
+        np.copyto(blk, x[i : i + step])
+        yield blk
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """No NaN or +/-inf in *x*, without a full-size mask: NaN propagates
+    through ``min`` and ``max``, and an infinity is one of them."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
+def _column_sumsq(a: np.ndarray) -> np.ndarray:
+    """fp64 column sums of squares of *a*; finite exactly when *a* is
+    (fp32 squares cannot overflow fp64)."""
+    sumsq = np.zeros(a.shape[1])
+    for blk in _fp64_blocks(a):
+        sumsq += np.square(blk, out=blk).sum(axis=0)
+    return sumsq
+
+
+def _gram(q: np.ndarray) -> np.ndarray:
+    """fp64 ``qᵀq``; finite exactly when *q* is."""
+    gram = np.zeros((q.shape[1], q.shape[1]))
+    for blk in _fp64_blocks(q):
+        gram += blk.T @ blk
+    return gram
+
+
+def _cross(a: np.ndarray, sample: np.ndarray, col0: int, col1: int) -> np.ndarray:
+    """fp64 ``a[:, sample]ᵀ a[:, col0:col1]`` in one pass over the rows
+    of *a*: each row block's sampled and panel columns are gathered
+    together with one ``take`` and converted to fp64 in one copy."""
+    cols = np.concatenate([sample, np.arange(col0, col1)])
+    s = len(sample)
+    step = _block_rows(len(cols))
+    gathered = np.empty((min(step, a.shape[0]), len(cols)), dtype=a.dtype)
+    block = np.empty(gathered.shape)
+    cross = np.zeros((s, col1 - col0))
+    for i in range(0, a.shape[0], step):
+        n = min(step, a.shape[0] - i)
+        np.take(a[i : i + n], cols, axis=1, out=gathered[:n], mode="clip")
+        np.copyto(block[:n], gathered[:n])
+        cross += block[:n, :s].T @ block[:n, s:]
+    return cross
+
 
 class HealthSentinel:
     """Per-run numerical-health monitor and escalation policy."""
@@ -153,7 +218,7 @@ class HealthSentinel:
             return
         with self._lock:
             self.report.probes_run += 1
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise NonFiniteError(
                 f"h2d transfer {name!r} carried non-finite values",
                 report=self.finalize(),
@@ -166,7 +231,7 @@ class HealthSentinel:
             return
         with self._lock:
             self.report.probes_run += 1
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise NonFiniteError(
                 f"d2h writeback {name!r} carried non-finite values",
                 report=self.finalize(),
@@ -187,7 +252,7 @@ class HealthSentinel:
             return
         with self._lock:
             self.report.probes_run += 1
-        if np.isfinite(out).all():
+        if _all_finite(out):
             return
         if self.escalating and retry_fp32 is not None:
             self._record_escalation(
@@ -195,7 +260,7 @@ class HealthSentinel:
             )
             self._raise_gemm_precision("non-finite-gemm")
             retry_fp32()
-            if np.isfinite(out).all():
+            if _all_finite(out):
                 return
         raise NonFiniteError(
             f"gemm {name!r} produced non-finite values"
@@ -210,7 +275,7 @@ class HealthSentinel:
             return
         with self._lock:
             self.report.probes_run += 1
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise NonFiniteError(
                 f"{name!r} produced non-finite values", report=self.finalize()
             )
@@ -223,24 +288,24 @@ class HealthSentinel:
         return self._last_panel
 
     def _probe_panel(
-        self, orig: np.ndarray, q: np.ndarray, r: np.ndarray
+        self, sumsq: np.ndarray, q: np.ndarray, r: np.ndarray
     ) -> tuple[str | None, float]:
-        """Classify the factorization of *orig* into Q*R. Returns
-        ``(problem, measure)`` with problem one of None, "non-finite",
-        "breakdown", "drift"."""
-        if not (np.isfinite(q).all() and np.isfinite(r).all()):
+        """Classify a panel factorization Q*R of an input whose fp64
+        column sums of squares are *sumsq*. Returns ``(problem,
+        measure)`` with problem one of None, "non-finite", "breakdown",
+        "drift"."""
+        gram = _gram(q)
+        if not (np.isfinite(gram).all() and np.isfinite(r).all()):
             return "non-finite", float("inf")
         # Column-norm collapse: |r_jj| tiny relative to the original
         # column norm means the column cancelled against earlier ones.
-        col_norms = np.linalg.norm(orig.astype(np.float64), axis=0)
+        col_norms = np.sqrt(sumsq)
         diag = np.abs(np.diag(r).astype(np.float64))
         ref = np.maximum(col_norms, np.finfo(np.float64).tiny)
         ratio = float(np.min(diag / ref))
         if ratio < self.options.breakdown_tol:
             return "breakdown", ratio
         # Loss-of-orthogonality drift of the panel basis.
-        q64 = q.astype(np.float64)
-        gram = q64.T @ q64
         drift = float(np.linalg.norm(gram - np.eye(gram.shape[0])))
         with self._lock:
             self.report.worst_drift = max(self.report.worst_drift, drift)
@@ -268,7 +333,11 @@ class HealthSentinel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Probe a finished panel factorization and, in escalate mode, walk
         the ladder until it is healthy. *refactor* is the executor's base
-        panel algorithm (used for the reorthogonalization rung)."""
+        panel algorithm (used for the reorthogonalization rung).
+
+        *orig* is the panel input itself, not a copy: every panel
+        algorithm leaves its input untouched, and the executor overwrites
+        the panel only after this returns."""
         if not self.enabled:
             return q, r
         panel, col0, col1 = (
@@ -280,10 +349,11 @@ class HealthSentinel:
         )
         with self._lock:
             self.report.panel_probes += 1
-        problem, value = self._probe_panel(orig, q, r)
+        sumsq = _column_sumsq(orig)
+        problem, value = self._probe_panel(sumsq, q, r)
         if problem is None:
             return q, r
-        if problem == "non-finite" and not np.isfinite(orig).all():
+        if problem == "non-finite" and not np.isfinite(sumsq).all():
             raise NonFiniteError(
                 f"{where} input data is non-finite", report=self.finalize()
             )
@@ -310,7 +380,7 @@ class HealthSentinel:
             r_new = (
                 r2.astype(np.float64) @ r.astype(np.float64)
             ).astype(np.float32)
-            problem2, value2 = self._probe_panel(orig, q_new, r_new)
+            problem2, value2 = self._probe_panel(sumsq, q_new, r_new)
             if problem2 is None:
                 return q_new, r_new
         # Rung 3: TSQR from the original panel data.
@@ -320,7 +390,7 @@ class HealthSentinel:
         q3, r3 = tsqr(orig.astype(np.float64))
         q3 = np.asarray(q3, dtype=np.float32)
         r3 = np.asarray(r3, dtype=np.float32)
-        problem3, value3 = self._probe_panel(orig, q3, r3)
+        problem3, value3 = self._probe_panel(sumsq, q3, r3)
         if problem3 is None:
             return q3, r3
         if problem3 == "breakdown":
@@ -369,13 +439,12 @@ class HealthSentinel:
             return False
         with self._lock:
             self.report.panel_probes += 1
-        qp = a.data[:, col0:col1].astype(np.float64)
         sample = np.unique(
             np.linspace(
                 0, col0 - 1, num=min(col0, CROSS_SAMPLE_COLUMNS)
             ).round().astype(np.intp)
         )
-        cross = a.data[:, sample].astype(np.float64).T @ qp
+        cross = _cross(a.data, sample, col0, col1)
         drift = float(np.max(np.abs(cross))) if cross.size else 0.0
         with self._lock:
             self.report.worst_drift = max(self.report.worst_drift, drift)
@@ -394,6 +463,7 @@ class HealthSentinel:
         )
         self._reorth_sticky = True
         self._raise_gemm_precision("cross-drift")
+        qp = a.data[:, col0:col1].astype(np.float64)
         q_prev = a.data[:, :col0].astype(np.float64)
         # Project twice ("twice is enough"): a single projection leaves a
         # residual ~|c| * |I - Q1ᵀQ1| that the normalization can amplify

@@ -56,16 +56,27 @@ class QuantStats:
         self._lock = threading.Lock()
 
     def count(self, before: np.ndarray, after: np.ndarray) -> None:
-        overflow = int(np.count_nonzero(np.isinf(after) & np.isfinite(before)))
-        underflow = int(np.count_nonzero((after == 0.0) & (before != 0.0)))
+        """Count the casualties of rounding *before* to *after*."""
+        self.add(
+            int(np.count_nonzero(np.isinf(after) & np.isfinite(before))),
+            int(np.count_nonzero((after == 0.0) & (before != 0.0))),
+        )
+
+    def add(self, overflow: int, underflow: int) -> None:
+        """Add casualties counted elsewhere (:func:`round_fp16` counts
+        them in its rounding pass)."""
         with self._lock:
-            self.overflow += overflow
-            self.underflow += underflow
+            self.overflow += int(overflow)
+            self.underflow += int(underflow)
 
 
 #: Largest finite fp16 value. From it up, values can round to inf, so
-#: :func:`round_fp16` casts any array that reaches it.
+#: :func:`round_fp16` casts any block that reaches it.
 FP16_MAX = 65504.0
+
+#: Elements per block of :func:`round_fp16`'s pass: the block, its
+#: result and the shifter scratch (128 KiB each) stay in L2 cache.
+ROUND_BLOCK = 1 << 15
 
 _EXPONENT = np.uint32(0x7F800000)
 _SIGN = np.uint32(0x80000000)
@@ -83,26 +94,68 @@ def round_fp16(a: np.ndarray, stats: QuantStats | None = None) -> np.ndarray:
     count the overflow/underflow casualties.
 
     The result is bitwise what ``a.astype(float16).astype(float32)``
-    returns, in the same memory layout. An array whose values all lie
-    strictly inside the fp16 range takes :func:`_fp16_shifter`, which uses
-    only fp32 and integer arithmetic and is faster than numpy's
-    half-precision cast; an array holding NaN, +/-inf or a magnitude of at
-    least :data:`FP16_MAX` takes the cast.
+    returns, in the same memory layout. The array is rounded in one pass
+    of :data:`ROUND_BLOCK`-element blocks along its outer memory axis, so
+    each block is read once from memory and worked on in cache. A block
+    whose values all lie strictly inside the fp16 range takes
+    :func:`_fp16_shifter`, which uses only fp32 and integer arithmetic and
+    is faster than numpy's half-precision cast; a block holding NaN,
+    +/-inf or a magnitude of at least :data:`FP16_MAX` takes the cast.
+    The casualties are counted on each block while it is in cache.
     """
     a32 = np.asarray(a, dtype=np.float32)
-    if a32.size and -FP16_MAX < a32.min() and a32.max() < FP16_MAX:
-        out = _fp16_shifter(a32)
-    else:
-        with np.errstate(over="ignore"):
-            out = a32.astype(np.float16).astype(np.float32)
+    out = np.empty_like(a32)
+    if a32.size == 0:
+        return out
+    overflow = underflow = 0
+    blocks = _blocks(a32, out)
+    # shifter scratch shared by the blocks; the first block is the largest
+    work = np.empty_like(blocks[0][1], np.uint32) if len(blocks) > 1 else None
+    for src, dst in blocks:
+        if -FP16_MAX < src.min() and src.max() < FP16_MAX:
+            _fp16_shifter(src, dst, None if work is None else work[: len(dst)])
+            if stats is not None:
+                # no overflow inside the range; a zero result is a zero
+                # input or an underflow
+                zeros = np.count_nonzero(dst == 0.0)
+                if zeros:
+                    underflow += zeros - np.count_nonzero(src == 0.0)
+        else:
+            with np.errstate(over="ignore"):
+                np.copyto(dst, src.astype(np.float16))
+            if stats is not None:
+                overflow += np.count_nonzero(np.isinf(dst) & np.isfinite(src))
+                underflow += np.count_nonzero((dst == 0.0) & (src != 0.0))
     if stats is not None:
-        stats.count(a32, out)
+        stats.add(overflow, underflow)
     return out
 
 
-def _fp16_shifter(a32: np.ndarray) -> np.ndarray:
+def _blocks(
+    src: np.ndarray, dst: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Matching blocks of *src* and of *dst* (contiguous, laid out like
+    *src*), at most about :data:`ROUND_BLOCK` elements each, cut along
+    *dst*'s outer memory axis. An array of at most one block, or of more
+    than two dimensions, is one block."""
+    if dst.size <= ROUND_BLOCK or dst.ndim not in (1, 2):
+        return [(src, dst)]
+    if dst.ndim == 2 and dst.strides[0] < dst.strides[1]:
+        src, dst = src.T, dst.T
+    step = max(1, ROUND_BLOCK // (dst.size // len(dst)))
+    return [
+        (src[i : i + step], dst[i : i + step]) for i in range(0, len(dst), step)
+    ]
+
+
+def _fp16_shifter(
+    a32: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """fp16 round-to-nearest-even in fp32 arithmetic, for finite
-    ``|a| < 65504``.
+    ``|a| < 65504``, into *out* (a new array when None); *work* is uint32
+    scratch of *a32*'s shape.
 
     For ``|a|`` in ``[2^k, 2^(k+1))`` with ``k >= -14`` the shifter
     ``c = 1.5 * 2^(k+13)`` puts ``a + c`` in the binade ``[2^(k+13),
@@ -115,12 +168,14 @@ def _fp16_shifter(a32: np.ndarray) -> np.ndarray:
     input's sign bit gives ``-0`` for negative inputs, as the cast does.
     """
     bits = a32.view(np.uint32)
-    work = np.empty_like(bits)
+    if work is None:
+        work = np.empty_like(bits)
+    if out is None:
+        out = np.empty_like(a32)
     np.bitwise_and(bits, _EXPONENT, out=work)
     shifter = work.view(np.float32)  # 2^k, or 0 below the fp32 normals
     np.maximum(shifter, _FP16_MIN_NORMAL, out=shifter)
     shifter *= _SHIFTER_SCALE
-    out = np.empty_like(a32)
     np.add(a32, shifter, out=out)
     out -= shifter
     np.bitwise_and(bits, _SIGN, out=work)

@@ -190,6 +190,28 @@ class TestTraceSpans:
             assert all(end <= result.makespan for end in lane_end.values())
             assert max(lane_end.values()) == result.makespan
 
+    def test_tree_instants_mark_each_rounds_first_merge(self, sweep):
+        """Each ``tree round k`` instant sits at the start of round k's
+        earliest ``tsqr-merge`` op, so the three rounds on 8 devices
+        strictly increase instead of stacking at the makespan."""
+        result = sweep[8]
+        spans = dist_trace_spans(result)
+        rounds = sorted(
+            (s for s in spans if s.lane == "tree"), key=lambda s: s.attrs["round"]
+        )
+        times = [s.start_s for s in rounds]
+        assert len(times) == 3 and times[0] < times[1] < times[2]
+        assert all(s.end_s == s.start_s for s in rounds)
+        # the trace keeps emission order: round k's merges follow round k-1's
+        per_round = [len(m) for m in result.tree.rounds]
+        starts = [
+            op.start for op in result.trace if op.tags.get("tag") == "tsqr-merge"
+        ]
+        assert len(starts) == sum(per_round)
+        for k, t in enumerate(times):
+            lo = sum(per_round[:k])
+            assert min(starts[lo : lo + per_round[k]]) == t
+
     def test_exports_as_chrome_trace(self, sweep, tmp_path):
         import json
 

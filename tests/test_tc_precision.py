@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.tc.precision import (
     FP16_MAX,
+    ROUND_BLOCK,
     UNIT_ROUNDOFF,
     QuantStats,
     _fp16_shifter,
@@ -146,6 +147,92 @@ class TestFp16Exact:
             assert np.array_equal(got.view(np.uint32), ref.view(np.uint32)), (
                 f"round_fp16 mismatch in block {start:#010x}"
             )
+
+
+#: fp32 values that round to zero in fp16 (underflows), that are zeros,
+#: or that survive as fp16 subnormals.
+_TINY = np.array(
+    [1e-30, -1e-30, 2.0**-25, -(2.0**-25), 2.0**-26, 1e-45, -1e-40, 0.0, -0.0,
+     2.0**-24, -(2.0**-24), 6e-8, 2.0**-126],
+    dtype=np.float32,
+)
+#: fp32 values that send their block down the cast path: overflows to
+#: +/-inf, NaN and infinities.
+_SPECIALS = np.array(
+    [65520.0, -65520.0, 1e6, -1e38, np.nan, np.inf, -np.inf, 65504.0],
+    dtype=np.float32,
+)
+
+
+def _outer_boundary(view: np.ndarray) -> tuple[int, int]:
+    """(axis, index) of the first block boundary of round_fp16's pass
+    over *view*: blocks are cut along the result's outer memory axis."""
+    out = np.empty_like(view)
+    axis = 1 if out.strides[0] < out.strides[1] else 0
+    return axis, ROUND_BLOCK // view.shape[1 - axis]
+
+
+def _layouts() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(8)
+    base = (rng.standard_normal((700, 120)) * 100).astype(np.float32)
+    wide = (rng.standard_normal((1400, 360)) * 100).astype(np.float32)
+    return {
+        "C": base,
+        "F": np.asfortranarray(base),
+        "sliced": wide[::2, 1::3],
+        "transposed": base.T,
+    }
+
+
+class TestFusedCount:
+    """``round_fp16(a, stats)`` counts what ``QuantStats.count(a, cast)``
+    counts, in the same pass that rounds."""
+
+    @staticmethod
+    def _check(a: np.ndarray) -> None:
+        got = QuantStats()
+        out = round_fp16(a, got)
+        ref = QuantStats()
+        ref.count(a, _cast_fp16(a))
+        assert (got.overflow, got.underflow) == (ref.overflow, ref.underflow)
+        _assert_bitwise(out, _cast_fp16(a))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["in-range", "mixed"])
+    @pytest.mark.parametrize("layout", sorted(_layouts()))
+    def test_both_sides_of_a_block_boundary(self, layout, mixed):
+        """Underflows, zeros and subnormals on both sides of the first
+        block boundary; with *mixed*, NaN/+-inf/overflows on one side only,
+        so one block is cast and its neighbour takes the shifter."""
+        a = _layouts()[layout]
+        axis, edge = _outer_boundary(a)
+        lines = np.moveaxis(a, axis, 0)  # lines[i] lies across the boundary
+        assert 0 < edge < lines.shape[0] - 1
+        lines[edge - 1, : _TINY.size] = _TINY
+        lines[edge, : _TINY.size] = _TINY
+        if mixed:
+            lines[edge - 1, -_SPECIALS.size :] = _SPECIALS
+        self._check(a)
+
+    def test_one_dimensional_boundary(self):
+        a = np.full(ROUND_BLOCK + 64, 3.0, dtype=np.float32)
+        a[ROUND_BLOCK - _TINY.size : ROUND_BLOCK] = _TINY
+        a[ROUND_BLOCK : ROUND_BLOCK + _TINY.size] = _TINY
+        self._check(a)
+        a[ROUND_BLOCK + 32 : ROUND_BLOCK + 32 + _SPECIALS.size] = _SPECIALS
+        self._check(a)
+
+    def test_every_casualty_kind_in_one_block(self):
+        self._check(np.concatenate([_TINY, _SPECIALS, _fp16_edge_set()]))
+
+    def test_count_adds_up_across_calls(self):
+        stats = QuantStats(overflow=2, underflow=3)
+        round_fp16(_SPECIALS, stats)
+        round_fp16(_TINY, stats)
+        ref = QuantStats(overflow=2, underflow=3)
+        ref.count(_SPECIALS, _cast_fp16(_SPECIALS))
+        ref.count(_TINY, _cast_fp16(_TINY))
+        assert (stats.overflow, stats.underflow) == (ref.overflow, ref.underflow)
+        assert (stats.overflow, stats.underflow) == (2 + 4, 3 + 8)
 
 
 class TestBf16:
