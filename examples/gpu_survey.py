@@ -2,7 +2,7 @@
 """Survey: where does recursion win, and by how much?
 
 Sweeps GPU generations x problem sizes x blocksizes through the event
-simulator and the analytic predictor, printing the recursive-vs-blocking
+simulator, printing the recursive-vs-blocking
 speedup surface — the §6 outlook ("the gap between computation speed and
 data movement speed is likely going to continue to increase") made
 quantitative.
@@ -13,7 +13,6 @@ Run:  python examples/gpu_survey.py
 from repro.config import SystemConfig
 from repro.hw.specs import A100_40GB, RTX2080TI, RTX3090, V100_16GB, V100_32GB
 from repro.models.overlap import machine_balance, overlap_threshold
-from repro.models.predict import predicted_speedup
 from repro.qr import QrOptions, ooc_qr
 from repro.util.tables import render_table
 
@@ -41,13 +40,12 @@ for gpu in GPUS:
                 f"{m}x{n}",
                 b,
                 f"{speedup:.2f}x",
-                f"{predicted_speedup(config, m, n, b):.2f}x",
                 f"{rec.achieved_tflops:.0f} TF",
             ]
         )
 
 print(render_table(
-    ["GPU", "matrix", "blocksize", "sim speedup", "analytic", "rec rate"],
+    ["GPU", "matrix", "blocksize", "sim speedup", "rec rate"],
     rows,
     title="recursive vs blocking OOC QR across hardware",
 ))

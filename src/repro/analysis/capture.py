@@ -137,10 +137,10 @@ class CapturedProgram:
     mem_events: list[MemEvent] = field(default_factory=list)
     stats: RunStats = field(default_factory=RunStats)
     label: str = ""
-    #: Optional §3.2 transfer-volume model this program should respect:
-    #: ``(model, m, n, b)`` with model ``"blocking"`` or ``"recursive"``
-    #: (set by the engine capture drivers; None for GEMM-style programs
-    #: with no closed-form QR bound).
+    #: Optional transfer-volume law this program should respect:
+    #: ``(law, m, n, b)`` with law a ``repro.models.movement.VOLUME_LAWS``
+    #: key such as ``"qr-recursive"`` (set by the engine capture drivers;
+    #: None for GEMM-style programs with no closed-form bound).
     volume_hint: tuple[str, int, int, int] | None = None
 
     def __len__(self) -> int:

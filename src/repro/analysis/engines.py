@@ -4,7 +4,7 @@
 library ships (blocking/recursive QR — including the TSQR panel-algorithm
 config — LU, Cholesky, and both OOC GEMM engines). Each
 :class:`EngineBinding` holds the driver, the shape-only operands it
-consumes and the §3.2 volume model its transfers answer to, so one
+consumes and the volume law its transfers answer to, so one
 binding runs on any executor. Two registries derive from the table:
 
 * :data:`ENGINE_CAPTURES` — name -> ``capture(config, m, n, b)``, a
@@ -41,7 +41,7 @@ from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.options import QrOptions
 from repro.qr.recursive import ooc_recursive_qr
 
-#: ``(model, m, n, b)`` §3.2 transfer-volume hint of a factorization run.
+#: ``(law, m, n, b)`` transfer-volume hint of a factorization run.
 VolumeHint = tuple[str, int, int, int]
 
 
@@ -83,10 +83,9 @@ class EngineBinding:
     #: The registry's ``(m, n)`` -> the engine's dims (GEMM entries fold
     #: the reduction dimension into m; LU/Cholesky are n-by-n).
     dims: Callable[[int, int], tuple[int, ...]]
-    #: §3.2 model (``"blocking"``/``"recursive"``) bounding the transfers;
-    #: None when no closed form applies (GEMM). LU moves strictly less per
-    #: panel step than QR (no Q writeback) and Cholesky touches only the
-    #: lower triangle, so the QR closed forms bound both from above.
+    #: The :data:`~repro.models.movement.VOLUME_LAWS` entry bounding the
+    #: transfers (each factorization answers to its own law, e.g.
+    #: ``"lu-blocking"``); None when no closed form applies (GEMM).
     volume: str | None = None
     #: Panel algorithm the binding runs under (a config override).
     panel_algorithm: str | None = None
@@ -146,26 +145,26 @@ def _square(m: int, n: int) -> tuple[int, int]:
 #: shipped configuration that admission must be able to verify).
 ENGINE_BINDINGS: dict[str, EngineBinding] = {
     "qr-blocking": EngineBinding(
-        ooc_blocking_qr, _qr_operands, _identity, "blocking"
+        ooc_blocking_qr, _qr_operands, _identity, "qr-blocking"
     ),
     "qr-recursive": EngineBinding(
-        ooc_recursive_qr, _qr_operands, _identity, "recursive"
+        ooc_recursive_qr, _qr_operands, _identity, "qr-recursive"
     ),
     "qr-tsqr": EngineBinding(
-        ooc_recursive_qr, _qr_operands, _identity, "recursive",
+        ooc_recursive_qr, _qr_operands, _identity, "qr-recursive",
         panel_algorithm="tsqr",
     ),
     "lu-blocking": EngineBinding(
-        ooc_blocking_lu, _square_operand, _square, "blocking"
+        ooc_blocking_lu, _square_operand, _square, "lu-blocking"
     ),
     "lu-recursive": EngineBinding(
-        ooc_recursive_lu, _square_operand, _square, "recursive"
+        ooc_recursive_lu, _square_operand, _square, "lu-recursive"
     ),
     "chol-blocking": EngineBinding(
-        ooc_blocking_cholesky, _square_operand, _square, "blocking"
+        ooc_blocking_cholesky, _square_operand, _square, "chol-blocking"
     ),
     "chol-recursive": EngineBinding(
-        ooc_recursive_cholesky, _square_operand, _square, "recursive"
+        ooc_recursive_cholesky, _square_operand, _square, "chol-recursive"
     ),
     "gemm-inner": EngineBinding(
         _gemm_inner,

@@ -26,7 +26,6 @@ from repro.bench.studies import (
     exp_multi_gpu_panel,
     exp_multi_gpu_scaling,
     exp_overlap_crossover,
-    exp_prediction_accuracy,
     exp_qr_level_opt,
 )
 
@@ -55,7 +54,6 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "S4": exp_movement_validation,
     "S5": exp_overlap_crossover,
     "S6": exp_future_hardware,
-    "S7": exp_prediction_accuracy,
     "S8": exp_lu_cholesky_extension,
     "S10": exp_communication_analysis,
     "S11": exp_blocksize_sensitivity,
@@ -85,7 +83,6 @@ __all__ = [
     "exp_numerics_study",
     "exp_precision_tradeoff",
     "exp_overlap_crossover",
-    "exp_prediction_accuracy",
     "exp_qr_level_opt",
     "exp_qr_timeline",
     "exp_table1",

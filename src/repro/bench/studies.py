@@ -11,7 +11,6 @@ measurable but not a numbered table/figure:
 * S5 — §3.3 overlap crossovers located empirically with the simulator;
 * S6 — §6 projections to A100 and RTX-class GPUs (the
   compute-to-bandwidth ratio keeps growing, so recursion keeps winning);
-* S7 — the analytic predictor cross-validated against the simulator;
 * S8 — the §6 LU/Cholesky future work, built and measured;
 * S10 — the [3] communication lower bound + the pinned-memory ablation;
 * S11 — blocksize sensitivity (the paper's concluding claim, swept);
@@ -36,7 +35,6 @@ from repro.models.movement import (
     recursive_h2d_words,
 )
 from repro.models.overlap import machine_balance, overlap_threshold
-from repro.models.predict import predict, predicted_speedup
 from repro.ooc.api import GemmResult, ooc_gemm
 from repro.ooc.plan import split_even
 from repro.qr.api import ooc_qr
@@ -190,7 +188,6 @@ def exp_future_hardware() -> ExperimentResult:
         (RTX2080TI, 4096),
     ):
         config = SystemConfig(gpu=spec)
-        s_analytic = predicted_speedup(config, m, n, b)
         rec = ooc_qr((m, n), method="recursive", mode="sim", config=config,
                      options=QrOptions(blocksize=b))
         blk = ooc_qr((m, n), method="blocking", mode="sim", config=config,
@@ -199,7 +196,7 @@ def exp_future_hardware() -> ExperimentResult:
         speedups[spec.name] = s_sim
         res.add_row(
             f"{spec.name} (b={b})",
-            f"{s_analytic:.2f}x (analytic)",
+            "> 1x (§6)",
             fmt_ratio(s_sim),
             f"balance {machine_balance(spec):,.0f} flops/word",
         )
@@ -217,26 +214,6 @@ def exp_future_hardware() -> ExperimentResult:
         speedups[V100_16GB.name] > speedups[V100_32GB.name]
         and speedups[RTX2080TI.name] > speedups[V100_32GB.name],
     )
-    return res
-
-
-def exp_prediction_accuracy(config: SystemConfig = PAPER_SYSTEM) -> ExperimentResult:
-    """S7: the analytic predictor (a lower bound) tracks the simulator."""
-    res = ExperimentResult("S7", "Analytic predictor vs simulator")
-    for shape, b in ((PAPER_MAIN_SHAPE, 16384), ((65536, 65536), 8192)):
-        for method in ("recursive", "blocking"):
-            pred = predict(config, shape[0], shape[1], b, method).total_s
-            sim = ooc_qr(shape, method=method, mode="sim", config=config,
-                         options=QrOptions(blocksize=b)).makespan
-            res.add_row(
-                f"{shape[0]}x{shape[1]} {method}",
-                f"{fmt_s(pred)} (analytic)", fmt_s(sim),
-            )
-            res.add_check(
-                f"{shape[0]}x{shape[1]} {method}: simulator within "
-                "[-10%, +45%] of the lower-bound predictor",
-                0.90 * pred <= sim <= 1.45 * pred,
-            )
     return res
 
 

@@ -390,7 +390,8 @@ def dist_scaling_sweep(
 def dist_trace_spans(result: DistSimResult) -> list[Span]:
     """Per-device span lanes (``dev0``, ``dev1``, ...) from the one
     schedule, plus one instant per reduction round on a ``tree`` lane at
-    the start of that round's first ``tsqr-merge`` op — ready for
+    the start of that round's first ``tsqr-merge`` op and one per injected
+    fault on a ``faults`` lane — ready for
     :func:`repro.obs.export.spans_to_chrome_trace`. Timestamps are model
     seconds; the latest lane ends at the makespan."""
     # a schedule span carries its op's id
@@ -413,9 +414,10 @@ def dist_trace_spans(result: DistSimResult) -> list[Span]:
     merge_starts = iter(
         [op.start for op in result.trace if op.tags.get("tag") == "tsqr-merge"]
     )
-    t = result.makespan
+    round_starts = [
+        min(next(merge_starts) for _ in merges) for merges in result.tree.rounds
+    ]
     for k, merges in enumerate(result.tree.rounds):
-        round_start = min(next(merge_starts) for _ in merges)
         sid += 1
         spans.append(
             Span(
@@ -424,13 +426,18 @@ def dist_trace_spans(result: DistSimResult) -> list[Span]:
                 name=f"tree round {k} ({len(merges)} merges)",
                 cat="tree",
                 lane="tree",
-                start_s=round_start,
-                end_s=round_start,
+                start_s=round_starts[k],
+                end_s=round_starts[k],
                 attrs={"round": k, "merges": len(merges)},
             )
         )
     if result.faults is not None:
         for ev in result.faults.events:
+            if ev.round_index is not None and ev.round_index < len(round_starts):
+                t = round_starts[ev.round_index]
+            else:  # its device's first op; a lost device runs none
+                t = min((op.start for op in result.trace
+                         if device[op.op_id] == ev.device), default=0.0)
             sid += 1
             spans.append(
                 Span(

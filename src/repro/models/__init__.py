@@ -1,5 +1,6 @@
-"""Analytic models from the paper's §3: data-movement closed forms,
-overlap crossovers, and a roofline-style end-to-end predictor."""
+"""Analytic models from the paper's §3: every OOC factorization engine's
+data-movement law, overlap crossovers and the communication lower bound.
+Time is the event simulator's alone (:mod:`repro.sim`)."""
 
 from repro.models.bounds import (
     communication_lower_bound_words,
@@ -8,6 +9,7 @@ from repro.models.bounds import (
     qr_lower_bound_bytes,
 )
 from repro.models.movement import (
+    VOLUME_LAWS,
     MovementComparison,
     blocking_d2h_exact,
     blocking_d2h_words,
@@ -29,20 +31,11 @@ from repro.models.overlap import (
     recursive_inner_overlap,
     recursive_outer_overlap,
 )
-from repro.models.predict import (
-    PhaseEstimate,
-    QrPrediction,
-    predict,
-    predict_blocking,
-    predict_recursive,
-    predicted_speedup,
-)
 
 __all__ = [
+    "VOLUME_LAWS",
     "MovementComparison",
     "OverlapCase",
-    "PhaseEstimate",
-    "QrPrediction",
     "all_cases",
     "blocking_d2h_exact",
     "communication_lower_bound_words",
@@ -57,10 +50,6 @@ __all__ = [
     "compare_movement",
     "machine_balance",
     "overlap_threshold",
-    "predict",
-    "predict_blocking",
-    "predict_recursive",
-    "predicted_speedup",
     "recursive_d2h_exact",
     "recursive_d2h_words",
     "recursive_h2d_exact",

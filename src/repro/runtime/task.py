@@ -117,7 +117,7 @@ class TaskGraph:
         self.tasks: list[TileTask] = []
         self.mem_events: list[MemEvent] = []
         self.stats = RunStats()
-        #: §3.2 volume model hint ``(model, m, n, b)``; see CapturedProgram.
+        #: Volume law hint ``(law, m, n, b)``; see CapturedProgram.
         self.volume_hint: tuple[str, int, int, int] | None = None
         #: Id of the first task: a segment (:meth:`since`) starts later,
         #: and its edges into earlier tasks count as satisfied.

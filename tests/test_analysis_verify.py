@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import (
     DEFAULT_TOLERANCE,
+    ENGINE_BINDINGS,
     ENGINE_CAPTURES,
     CaptureExecutor,
     PrecisionPlan,
@@ -40,7 +41,7 @@ def capture_blocking_qr(ex):
     r = HostMatrix.shape_only(N, N, EB, name="R")
     ooc_blocking_qr(ex, a, r, QrOptions(blocksize=B))
     program = ex.finish()
-    program.volume_hint = ("blocking", M, N, B)
+    program.volume_hint = ("qr-blocking", M, N, B)
     return program
 
 
@@ -71,7 +72,7 @@ class TestShippedEnginesClean:
         # captured volume sits at or below the §3.2 no-reuse worst case
         # (x the documented slack) and above the every-element-once floor
         report = verify_engine("qr-blocking")
-        assert report.volume_model == "blocking"
+        assert report.volume_model == "qr-blocking"
         assert 0 < report.h2d_bytes <= 1.25 * report.model_h2d_bytes
         assert report.h2d_bytes >= M * N * EB
 
@@ -217,6 +218,57 @@ class TestRedundantTransfer:
         (finding,) = report.findings
         assert "re-moves" in finding.message
         assert finding.op.startswith("h2d")
+
+
+# -- mutation: trailing block read twice per step ---------------------------------
+
+
+class ReloadTrailing(CaptureExecutor):
+    """Seeded bug: every trailing-update tile is read from the host twice
+    per panel step — once into a throwaway buffer, once into the tile."""
+
+    def h2d(self, dst, src, stream):
+        buf = dst if hasattr(dst, "payload") else dst.buffer
+        if buf.name.startswith("outer-tile"):
+            scratch = self.alloc(*src.shape, name="reload")
+            super().h2d(scratch, src, stream)
+            self.free(scratch)
+        super().h2d(dst, src, stream)
+
+
+def capture_binding(executor_cls, name):
+    """Drive registry binding *name* through *executor_cls*."""
+    ex = executor_cls(PAPER_SYSTEM, label=name)
+    hint = ENGINE_BINDINGS[name].run(ex, (N, N), B)
+    program = ex.finish()
+    program.volume_hint = hint
+    return program
+
+
+class TestTrailingReload:
+    """LU and Cholesky answer to their own laws. The QR law their bound
+    used to borrow is ~3.5x looser and let this mutation pass."""
+
+    @pytest.mark.parametrize("name", ["lu-blocking", "chol-blocking"])
+    def test_flagged_as_exactly_one_volume_over_model(self, name):
+        report = verify_program(capture_binding(ReloadTrailing, name))
+        assert rule_counts(report) == Counter({"volume-over-model": 1})
+        (finding,) = report.findings
+        assert finding.op == "h2d"
+        assert name in finding.message
+        assert report.volume_model == name
+
+    @pytest.mark.parametrize("name", ["lu-blocking", "chol-blocking"])
+    def test_clean_twin_is_not_flagged(self, name):
+        report = verify_program(capture_binding(CaptureExecutor, name))
+        assert report.ok, report.summary()
+        assert report.volume_model == name
+        assert 0 < report.h2d_bytes <= report.model_h2d_bytes
+
+    def test_reports_name_each_factorizations_own_law(self):
+        for name in ("lu-blocking", "lu-recursive", "chol-blocking",
+                     "chol-recursive"):
+            assert verify_engine(name).volume_model == name
 
 
 # -- budget: exact peak vs a tight budget -------------------------------------------

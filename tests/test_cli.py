@@ -193,7 +193,8 @@ class TestExperiments:
         from repro.bench import EXPERIMENTS
 
         assert list(EXPERIMENTS)[-1] == "S15"
-        assert len(EXPERIMENTS) == 28
+        assert len(EXPERIMENTS) == 27
+        assert "S7" not in EXPERIMENTS
 
 
 class TestDist:

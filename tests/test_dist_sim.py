@@ -212,6 +212,33 @@ class TestTraceSpans:
             lo = sum(per_round[:k])
             assert min(starts[lo : lo + per_round[k]]) == t
 
+    def test_fault_instants_sit_where_they_fire(self):
+        """A fault with a round sits at that round's tree instant; one
+        without sits at its device's first op, or at 0 for a lost device
+        — never stacked at the makespan."""
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan(specs=(
+            FaultSpec("transfer_timeout", device=3, round_index=1,
+                      site="transfer-up"),
+            FaultSpec("worker_crash", device=5, site="pushdown"),
+            FaultSpec("device_loss", device=2, site="leaf"),
+        ))
+        result = simulate_dist_qr(
+            PAPER_SYSTEM, n_devices=8, faults=plan, **SIM_SHAPE
+        )
+        spans = dist_trace_spans(result)
+        tree = {s.attrs["round"]: s.start_s for s in spans if s.lane == "tree"}
+        faults = {s.attrs["kind"]: s.start_s for s in spans if s.lane == "faults"}
+        first_on_5 = min(op.start for op in result.trace
+                         if op.tags["device"] == 5)
+        assert faults == {
+            "transfer_timeout": tree[1],
+            "worker_crash": first_on_5,
+            "device_loss": 0.0,
+        }
+        assert all(t < result.makespan for t in faults.values())
+
     def test_exports_as_chrome_trace(self, sweep, tmp_path):
         import json
 

@@ -1,19 +1,34 @@
-"""Tests for the §3.2 data-movement closed forms."""
+"""Tests for the §3.2 data-movement closed forms and the LU/Cholesky
+laws beside them."""
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.errors import ValidationError
+from repro.execution.sim import SimExecutor
+from repro.factor.cholesky import ooc_blocking_cholesky, ooc_recursive_cholesky
+from repro.factor.lu import ooc_blocking_lu, ooc_recursive_lu
+from repro.host.tiled import HostMatrix
+from repro.hw.gemm import Precision
 from repro.models.movement import (
+    VOLUME_LAWS,
+    blocking_cholesky_h2d_exact,
     blocking_d2h_exact,
     blocking_d2h_words,
     blocking_h2d_exact,
     blocking_h2d_words,
+    blocking_lu_exact,
     compare_movement,
+    recursive_cholesky_h2d_exact,
     recursive_d2h_exact,
     recursive_d2h_words,
     recursive_h2d_exact,
     recursive_h2d_words,
+    recursive_lu_d2h_exact,
+    recursive_lu_h2d_exact,
 )
+from repro.qr.options import QrOptions
+from tests.conftest import make_tiny_spec
 
 
 class TestClosedFormsMatchBruteForce:
@@ -103,3 +118,87 @@ class TestValidation:
         assert recursive_h2d_words(m, n, n) == pytest.approx(
             2 * m * n + m * n / 2 - n * n / 2
         )
+
+
+class TestLuCholeskyGrowthLaws:
+    def test_blocking_lu_linear_in_k(self):
+        n = 4096
+        v8 = blocking_lu_exact(n, n // 8)
+        v32 = blocking_lu_exact(n, n // 32)
+        # the trailing-tile term grows ~linearly with k
+        assert v32 / v8 > 2.5
+
+    def test_recursive_lu_logarithmic_in_k(self):
+        n = 4096
+        v8 = recursive_lu_h2d_exact(n, n // 8)
+        v32 = recursive_lu_h2d_exact(n, n // 32)
+        assert v32 / v8 < 1.5
+
+    def test_gap_widens_with_k_for_both_factorizations(self):
+        n = 8192
+        for blocking, recursive in (
+            (blocking_lu_exact, recursive_lu_h2d_exact),
+            (blocking_cholesky_h2d_exact, recursive_cholesky_h2d_exact),
+        ):
+            ratios = [
+                blocking(n, n // k) / recursive(n, n // k) for k in (4, 8, 16, 32)
+            ]
+            assert ratios == sorted(ratios)
+            assert ratios[-1] > 1.5
+
+    def test_requires_power_of_two_k(self):
+        for law in (recursive_lu_h2d_exact, recursive_lu_d2h_exact,
+                    recursive_cholesky_h2d_exact):
+            with pytest.raises(ValidationError, match="power of two"):
+                law(96, 16)   # k = 6
+
+    def test_cholesky_cheaper_than_lu(self):
+        # Cholesky touches roughly the lower half
+        n, b = 4096, 512
+        assert blocking_cholesky_h2d_exact(n, b) < blocking_lu_exact(n, b)
+
+    def test_every_factorization_engine_has_a_law(self):
+        from repro.analysis import ENGINE_BINDINGS
+
+        named = {bd.volume for bd in ENGINE_BINDINGS.values()} - {None}
+        assert named == set(VOLUME_LAWS)
+
+
+class TestLuCholeskyAgainstMeasurement:
+    """The engines reuse aggressively, so with ample memory measured <=
+    worst-case law for all four engines, while the blocking/recursive
+    ordering is preserved."""
+
+    @pytest.fixture
+    def config(self):
+        return SystemConfig(gpu=make_tiny_spec(1 << 20), precision=Precision.FP32)
+
+    def _measure(self, config, driver, n, b):
+        ex = SimExecutor(config)
+        driver(ex, HostMatrix.shape_only(n, n), QrOptions(blocksize=b))
+        ex.finish()
+        return ex.stats.h2d_bytes // config.element_bytes, (
+            ex.stats.d2h_bytes // config.element_bytes
+        )
+
+    def test_lu_measured_below_model(self, config):
+        n, b = 256, 32
+        blk_h2d, blk_d2h = self._measure(config, ooc_blocking_lu, n, b)
+        rec_h2d, rec_d2h = self._measure(config, ooc_recursive_lu, n, b)
+        assert blk_h2d <= blocking_lu_exact(n, b)
+        assert blk_d2h <= blocking_lu_exact(n, b)
+        assert rec_h2d <= recursive_lu_h2d_exact(n, b)
+        assert rec_d2h <= recursive_lu_d2h_exact(n, b)
+        assert rec_h2d < blk_h2d
+
+    def test_cholesky_measured_below_model(self, config):
+        # Cholesky's D2H answers to its H2D law: every word written back
+        # was read in
+        n, b = 256, 32
+        blk_h2d, blk_d2h = self._measure(config, ooc_blocking_cholesky, n, b)
+        rec_h2d, rec_d2h = self._measure(config, ooc_recursive_cholesky, n, b)
+        assert blk_h2d <= blocking_cholesky_h2d_exact(n, b)
+        assert blk_d2h <= blocking_cholesky_h2d_exact(n, b)
+        assert rec_h2d <= recursive_cholesky_h2d_exact(n, b)
+        assert rec_d2h <= 0.5 * recursive_cholesky_h2d_exact(n, b)
+        assert rec_h2d < blk_h2d
