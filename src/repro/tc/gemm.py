@@ -204,6 +204,7 @@ def tc_gemm(
     if alpha != 1.0:
         prod *= np.float32(alpha)
 
+    term = None
     if beta != 0.0:
         if c is None:
             raise ShapeError("tc_gemm: beta != 0 requires operand c")
@@ -212,13 +213,17 @@ def tc_gemm(
             raise ShapeError(
                 f"tc_gemm: c has shape {c_arr.shape}, expected {(m, n)}"
             )
-        prod += np.float32(beta) * c_arr
+        # beta*c is exact for beta == 1, so c is added as is
+        term = c_arr if beta == 1.0 else np.float32(beta) * c_arr
 
-    if out is not None:
-        if out.shape != (m, n):
-            raise ShapeError(
-                f"tc_gemm: out has shape {out.shape}, expected {(m, n)}"
-            )
-        np.copyto(out, prod.astype(np.float32, copy=False))
+    if out is not None and out.shape != (m, n):
+        raise ShapeError(
+            f"tc_gemm: out has shape {out.shape}, expected {(m, n)}"
+        )
+    if term is None:
+        if out is None:
+            return prod
+        np.copyto(out, prod)
         return out
-    return prod.astype(np.float32, copy=False)
+    # one pass straight into the destination, product first as before
+    return np.add(prod, term, out=prod if out is None else out)

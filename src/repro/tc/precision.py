@@ -202,7 +202,7 @@ def _truncate_mantissa(a: np.ndarray, keep_bits: int) -> np.ndarray:
     nan = np.isnan(a32)
     if nan.any():
         rounded[nan] = (bits[nan] | _QUIET_NAN) & keep
-    return rounded.view(np.float32).copy()
+    return rounded.view(np.float32)  # rounded is a fresh array
 
 
 def round_bf16(a: np.ndarray, stats: QuantStats | None = None) -> np.ndarray:

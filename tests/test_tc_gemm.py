@@ -1,10 +1,13 @@
 """Unit tests for the emulated TensorCore GEMM."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
 from repro.tc.gemm import tc_gemm
+from repro.tc.precision import round_to
 
 
 @pytest.fixture
@@ -90,6 +93,123 @@ class TestOutParameter:
         a = rng.standard_normal((4, 4)).astype(np.float32)
         with pytest.raises(ShapeError):
             tc_gemm(a, a, out=np.zeros((3, 3), dtype=np.float32))
+
+
+def _reference_epilogue(a, b, *, alpha, beta, c, fmt, out):
+    """The earlier epilogue: scale, add ``beta*c`` into the product,
+    then copy into *out*."""
+    prod = round_to(a, fmt) @ round_to(b, fmt)
+    if alpha != 1.0:
+        prod *= np.float32(alpha)
+    if beta != 0.0:
+        prod += np.float32(beta) * np.asarray(c, dtype=np.float32)
+    if out is None:
+        return prod
+    np.copyto(out, prod)
+    return out
+
+
+#: Bit patterns seeded into C: +0, -0, +inf, -inf, the default quiet NaN,
+#: a negative NaN with a payload, and a signalling NaN.
+_SPECIAL_BITS = np.array(
+    [0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+     0x7FC00000, 0xFFC00123, 0x7F800001],
+    dtype=np.uint32,
+)
+
+
+def _accumulator(layout: str, values: np.ndarray) -> np.ndarray:
+    """A fresh array holding *values* in the given memory layout."""
+    if layout == "C":
+        return np.array(values, order="C")
+    if layout == "F":
+        return np.array(values, order="F")
+    host = np.full((2 * values.shape[0] + 1, 3 * values.shape[1]), 7.0,
+                   dtype=np.float32)
+    view = host[1::2, ::3]  # strided in both axes
+    view[...] = values
+    return view
+
+
+class TestEpilogueBitwise:
+    """The in-place epilogue gives the earlier formula's bits exactly."""
+
+    M, N, K = 9, 7, 6
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        # inf and NaN in C are the point here, not floating-point errors
+        with np.errstate(all="ignore"):
+            yield
+
+    @pytest.fixture
+    def operands(self, rng):
+        a = rng.standard_normal((self.M, self.K)).astype(np.float32)
+        b = rng.standard_normal((self.K, self.N)).astype(np.float32)
+        c = rng.standard_normal((self.M, self.N)).astype(np.float32)
+        flat = c.reshape(-1).view(np.uint32)
+        flat[3 : 3 + 5 * len(_SPECIAL_BITS) : 5] = _SPECIAL_BITS
+        return a, b, c
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("fmt", ["fp16", "bf16", "tf32", "fp32"])
+    def test_matches_earlier_formula(self, operands, fmt, layout):
+        a, b, c = operands
+        for alpha in (1.0, -1.0, 0.5):
+            for beta in (0.0, 1.0, -1.0, 0.5):
+                for alias in (False, True):
+                    ref_c = _accumulator(layout, c)
+                    ref_out = ref_c if alias else _accumulator(layout, c * 0)
+                    new_c = _accumulator(layout, c)
+                    new_out = new_c if alias else _accumulator(layout, c * 0)
+                    want = _reference_epilogue(
+                        a, b, alpha=alpha, beta=beta, c=ref_c, fmt=fmt,
+                        out=ref_out,
+                    )
+                    got = tc_gemm(
+                        a, b, alpha=alpha, beta=beta, c=new_c,
+                        input_format=fmt, out=new_out,
+                    )
+                    assert got is new_out
+                    assert np.array_equal(
+                        got.view(np.uint32), want.view(np.uint32)
+                    ), (alpha, beta, alias)
+                    if not alias:  # c is read, never written
+                        assert np.array_equal(
+                            new_c.view(np.uint32), c.view(np.uint32)
+                        )
+
+    @pytest.mark.parametrize("fmt", ["fp16", "bf16", "tf32", "fp32"])
+    def test_matches_earlier_formula_without_out(self, operands, fmt):
+        a, b, c = operands
+        for alpha in (1.0, -1.0, 0.5):
+            for beta in (0.0, 1.0, -1.0, 0.5):
+                want = _reference_epilogue(
+                    a, b, alpha=alpha, beta=beta, c=c, fmt=fmt, out=None
+                )
+                got = tc_gemm(
+                    a, b, alpha=alpha, beta=beta, c=c, input_format=fmt
+                )
+                assert got.dtype == np.float32 and got.flags.c_contiguous
+                assert np.array_equal(
+                    got.view(np.uint32), want.view(np.uint32)
+                ), (alpha, beta)
+
+    def test_accumulate_in_place_allocates_one_output(self, rng):
+        # C += A B with a short inner dimension, the k-split's shape: the
+        # product is the only output-sized array the call allocates
+        m = n = 256
+        a = rng.standard_normal((m, 16)).astype(np.float32)
+        b = rng.standard_normal((16, n)).astype(np.float32)
+        c = rng.standard_normal((m, n)).astype(np.float32)
+        tc_gemm(a, b, beta=1.0, c=c, out=c)  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            tc_gemm(a, b, beta=1.0, c=c, out=c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.nbytes <= peak < 1.5 * c.nbytes
 
 
 class TestErrors:
