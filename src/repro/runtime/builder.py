@@ -90,6 +90,8 @@ class GraphBuilder(NumericExecutor):
         self._backend: NumericGraphBackend | None = None
         self._failure: BaseException | None = None
         self._last_compute: TileTask | None = None
+        #: op_duration per (op, dims, nbytes, flops): tiles repeat shapes
+        self._costs: dict[tuple, float] = {}
 
     # -- op funnel --------------------------------------------------------------
 
@@ -98,18 +100,19 @@ class GraphBuilder(NumericExecutor):
         duration for the same op (:func:`~repro.sim.simulator.op_duration`)."""
         if self._t0 is None and self._materialize:
             self._t0 = _monotonic()
+        key = (spec["op"], spec["dims"], spec["nbytes"], spec["flops"])
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = op_duration(self.config, *key)
         task = self.graph.add_op(
             make_op(**spec),
             body=body if self._materialize else None,
-            cost=op_duration(
-                self.config, spec["op"], spec["dims"], spec["nbytes"],
-                spec["flops"],
-            ),
+            cost=cost,
             accesses=spec["accesses"],
             host_reads=spec["host_reads"],
             host_writes=spec["host_writes"],
         )
-        if self.health.escalating and task.engine is EngineKind.COMPUTE:
+        if task.engine is EngineKind.COMPUTE and self.health.escalating:
             # an escalation switches the GEMM format of every compute body
             # after it in issue order: keep those bodies in that order
             if self._last_compute is not None:
