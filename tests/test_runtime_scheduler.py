@@ -17,7 +17,10 @@ properties:
   conflict reference does not justify;
 * targeted wakeups lose no work: a failure on a copy queue surfaces
   without waiting out the timeout, and an idle copy worker does not
-  declare a stall while compute tasks keep retiring.
+  declare a stall while compute tasks keep retiring;
+* allocator tasks, which run inline where they become ready, run each
+  task exactly once even when they ready later tasks while the run is
+  seeded, and an injected fault at one still latches and re-raises.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, InjectedFaultError
 from repro.execution.base import DeviceBuffer
+from repro.faults import FaultPlan
 from repro.host.tiled import HostMatrix, HostRegion
 from repro.hw.gemm import Precision
 from repro.runtime import DagScheduler, RecordingBackend, TaskGraph
@@ -254,6 +258,114 @@ class TestWakeups:
                 assert cells == reference
         finally:
             sys.setswitchinterval(interval)
+
+
+def _allocator_graph() -> tuple[TaskGraph, dict[str, int]]:
+    """Two segments over four buffers. The second segment starts with an
+    allocation whose only wait (the allocator chain) lies in the first
+    segment, so seeding that segment runs it inline, which readies its
+    buffer's first writer, a task the seeding scan has not reached yet.
+    The last allocation waits, through the chain, on a free that waits
+    on a compute task, so a worker runs both."""
+    graph = TaskGraph(_config(), label="inline-alloc")
+    allocator = DeviceAllocator(capacity=1 << 20)
+    ids: dict[str, int] = {}
+
+    def alloc(name: str) -> DeviceBuffer:
+        buf = DeviceBuffer(name, 8, 8, payload={
+            "allocation": allocator.alloc(8 * 8 * 4, name),
+        })
+        ids[f"alloc {name}"] = graph.add_alloc(buf, 8 * 8 * 4).task_id
+        return buf
+
+    def touch(name: str, buf: DeviceBuffer, write: bool, engine, kind):
+        access = (buf.payload["allocation"].handle, 0, 8, 0, 8, write)
+        op = SimOp(name=name, engine=engine, kind=kind, duration=0.0,
+                   tags={"accesses": [access]})
+        ids[name] = graph.add_op(op, accesses=[access]).task_id
+
+    a = alloc("a")
+    touch("load a", a, True, EngineKind.H2D, OpKind.COPY_H2D)
+    ids["split"] = graph.n_tasks
+    b = alloc("b")
+    touch("load b", b, True, EngineKind.H2D, OpKind.COPY_H2D)
+    touch("use a", a, False, EngineKind.COMPUTE, OpKind.GEMM)
+    c = alloc("c")
+    touch("fill c", c, True, EngineKind.COMPUTE, OpKind.GEMM)
+    touch("store c", c, False, EngineKind.D2H, OpKind.COPY_D2H)
+    ids["free a"] = graph.add_free(a).task_id
+    d = alloc("d")
+    touch("fill d", d, True, EngineKind.COMPUTE, OpKind.GEMM)
+    for buf in (b, c, d):
+        graph.add_free(buf)
+    return graph, ids
+
+
+class TestInlineAllocatorTasks:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_segment_runs_each_task_exactly_once(self, workers):
+        for _ in range(10):
+            graph, ids = _allocator_graph()
+            split = ids["split"]
+            first, second = RecordingBackend(), RecordingBackend()
+            head = TaskGraph(graph.config, label=graph.label)
+            head.tasks = graph.tasks[:split]
+            segment = graph.since(split)
+            # the segment's first task is an allocation it seeds inline
+            assert segment.tasks[0].mem == "alloc"
+            assert all(dep.task_id < split for dep in segment.tasks[0].deps)
+            for part, backend in ((head, first), (segment, second)):
+                # a task run twice overshoots the completion count: the
+                # run then stalls into a DeadlockError instead of ending
+                raised = _run_in_thread(
+                    lambda: DagScheduler(part).run_threaded(
+                        backend, compute_workers=workers, timeout_s=2
+                    ),
+                    join_s=10,
+                )
+                assert raised == []
+            assert sorted(first.order) == list(range(split))
+            assert sorted(second.order) == list(range(split, graph.n_tasks))
+            _assert_valid_order(graph, first.order + second.order)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_whole_graph_runs_each_task_exactly_once(self, workers):
+        graph, _ = _allocator_graph()
+        backend = RecordingBackend()
+        raised = _run_in_thread(
+            lambda: DagScheduler(graph).run_threaded(
+                backend, compute_workers=workers, timeout_s=2
+            ),
+            join_s=10,
+        )
+        assert raised == []
+        _assert_valid_order(graph, backend.order)
+
+    @pytest.mark.parametrize("which", ["alloc a", "free a", "alloc d"])
+    def test_injected_fault_at_allocator_task_latches(self, which):
+        """``alloc a`` runs while the run is seeded; ``free a`` and
+        ``alloc d`` on the worker that retires ``use a``."""
+        graph, ids = _allocator_graph()
+        target = ids[which]
+        injector = FaultPlan.single(
+            "task_error", site="task", op_index=target
+        ).injector()
+        backend = RecordingBackend()
+        raised = _run_in_thread(
+            lambda: DagScheduler(graph).run_threaded(
+                backend, compute_workers=2, timeout_s=5, faults=injector
+            ),
+            join_s=10,
+        )
+        assert len(raised) == 1 and isinstance(raised[0], InjectedFaultError)
+        assert [event.op_index for event in injector.events] == [target]
+        # the faulted allocation never ran, nor did anything after it
+        assert target not in backend.order
+        downstream = {
+            t.task_id for t in graph.tasks
+            if any(dep.task_id == target for dep in t.deps)
+        }
+        assert downstream and not downstream & set(backend.order)
 
 
 # -- hazard coverage -----------------------------------------------------------
