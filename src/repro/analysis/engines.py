@@ -5,29 +5,29 @@ library ships (blocking/recursive QR — including the TSQR panel-algorithm
 config — LU, Cholesky, and both OOC GEMM engines). Each
 :class:`EngineBinding` holds the driver, the shape-only operands it
 consumes and the volume law its transfers answer to, so one
-binding runs on any executor. Two registries derive from the table:
+binding runs on any executor. :data:`repro.runtime.GRAPH_BUILDERS` records
+each binding as a task graph (a
+:class:`~repro.runtime.builder.GraphBuilder` with ``materialize=False``);
+:func:`verify_engine` and :func:`verify_all_engines` verify those graphs
+(the CLI ``analyze --what plans`` sweep CI runs).
 
-* :data:`ENGINE_CAPTURES` — name -> ``capture(config, m, n, b)``, a
-  :class:`~repro.analysis.capture.CapturedProgram` for the verifier (the
-  registry the CLI ``analyze --what plans`` sweep and CI iterate);
-* :data:`repro.runtime.GRAPH_BUILDERS` — the same runs recorded as task
-  graphs by a :class:`~repro.runtime.builder.GraphBuilder`.
-
-Because the engines plan from ``ex.allocator.free_bytes``, a capture
+Because the engines plan from ``ex.allocator.free_bytes``, a recording
 under a given config replays exactly the op stream a real run under that
 config would issue.
 
 :func:`capture_job` maps a serve :class:`~repro.serve.job.JobSpec` onto
-the matching capture so admission can verify a plan before charging it.
+the matching binding so admission can verify a plan before charging it.
+
+:mod:`repro.runtime` imports this package, so the functions here that
+record graphs import the runtime when called, keeping the module
+dependency one-way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.analysis.capture import CapturedProgram, CaptureExecutor
 from repro.analysis.verify import AnalysisReport, verify_program
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.execution.base import Executor
@@ -40,6 +40,9 @@ from repro.ooc.plan import plan_ksplit_inner, plan_rowstream_outer
 from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.options import QrOptions
 from repro.qr.recursive import ooc_recursive_qr
+
+if TYPE_CHECKING:
+    from repro.runtime.task import TaskGraph
 
 #: ``(law, m, n, b)`` transfer-volume hint of a factorization run.
 VolumeHint = tuple[str, int, int, int]
@@ -179,60 +182,6 @@ ENGINE_BINDINGS: dict[str, EngineBinding] = {
 }
 
 
-def capture_engine(
-    name: str,
-    config: SystemConfig,
-    dims: tuple[int, ...],
-    b: int,
-    *,
-    options: QrOptions | None = None,
-) -> CapturedProgram:
-    """Symbolically capture one engine binding's run at *dims*."""
-    binding = ENGINE_BINDINGS[name]
-    ex = CaptureExecutor(
-        binding.configure(config), label=engine_label(name, dims, b)
-    )
-    volume_hint = binding.run(ex, dims, b, options)
-    program = ex.finish()
-    program.volume_hint = volume_hint
-    return program
-
-
-def _registry_capture(
-    name: str, config: SystemConfig, m: int, n: int, b: int
-) -> CapturedProgram:
-    return capture_engine(name, config, ENGINE_BINDINGS[name].dims(m, n), b)
-
-
-#: Engine registry for the sweep: name -> capture(config, m, n, b).
-ENGINE_CAPTURES: dict[
-    str, Callable[[SystemConfig, int, int, int], CapturedProgram]
-] = {name: partial(_registry_capture, name) for name in ENGINE_BINDINGS}
-
-
-def verify_registry_entry(
-    registry: dict[str, Callable[..., Any]],
-    name: str,
-    config: SystemConfig | None,
-    *,
-    m: int,
-    n: int,
-    b: int,
-    tolerance: float | None,
-    precision,
-) -> AnalysisReport:
-    """Record one registry engine (a capture or a task graph) and verify
-    it. QR programs assert the ``m*n``-word input floor on top of the §3.2
-    upper bounds (every input element must be loaded at least once)."""
-    program = registry[name](config or PAPER_SYSTEM, m, n, b)
-    return verify_program(
-        program,
-        input_floor_words=m * n if name.startswith("qr-") else None,
-        tolerance=tolerance,
-        precision=precision,
-    )
-
-
 def verify_engine(
     name: str,
     config: SystemConfig | None = None,
@@ -243,12 +192,19 @@ def verify_engine(
     tolerance: float | None = None,
     precision=None,
 ) -> AnalysisReport:
-    """Capture one registry engine and verify it. ``tolerance`` /
-    ``precision`` flow through to the precision pass (see
-    :func:`repro.analysis.verify.verify_program`)."""
-    return verify_registry_entry(
-        ENGINE_CAPTURES, name, config, m=m, n=n, b=b,
-        tolerance=tolerance, precision=precision,
+    """Record one registry engine's task graph and verify it.
+
+    ``tolerance`` / ``precision`` flow through to the precision pass (see
+    :func:`repro.analysis.verify.verify_program`). QR programs assert the
+    ``m*n``-word input floor on top of the §3.2 upper bounds (every input
+    element must be loaded at least once)."""
+    from repro.runtime import GRAPH_BUILDERS
+
+    return verify_program(
+        GRAPH_BUILDERS[name](config or PAPER_SYSTEM, m, n, b),
+        input_floor_words=m * n if name.startswith("qr-") else None,
+        tolerance=tolerance,
+        precision=precision,
     )
 
 
@@ -262,27 +218,29 @@ def verify_all_engines(
     """Verify every registry engine at one (small) shape."""
     return {
         name: verify_engine(name, config, m=m, n=n, b=b)
-        for name in ENGINE_CAPTURES
+        for name in ENGINE_BINDINGS
     }
 
 
-def capture_job(spec, config: SystemConfig) -> CapturedProgram:
-    """Capture the program a serve job would run under *config*.
+def capture_job(spec, config: SystemConfig) -> "TaskGraph":
+    """Record the task graph a serve job would run under *config*.
 
     *config* must be the job's capped config (allocator capacity = the
     admission grant) so the engines shrink their tilings exactly as the
     real run will.
     """
+    from repro.runtime import build_engine_graph
+
     opts = spec.options
     shapes = spec.shapes()
     if spec.kind == "gemm":
         (r_a, c_a), (_r_b, c_b) = shapes
         if spec.trans_a:
-            return capture_engine(
+            return build_engine_graph(
                 "gemm-inner", config, (c_a, c_b, r_a), opts.blocksize,
                 options=opts,
             )
-        return capture_engine(
+        return build_engine_graph(
             "gemm-outer", config, (r_a, c_b, c_a), opts.blocksize,
             options=opts,
         )
@@ -290,6 +248,6 @@ def capture_job(spec, config: SystemConfig) -> CapturedProgram:
     b = min(opts.blocksize, n)
     family = "chol" if spec.kind == "cholesky" else spec.kind
     dims = (m, n) if family == "qr" else (n, n)
-    return capture_engine(
+    return build_engine_graph(
         f"{family}-{spec.method}", config, dims, b, options=opts
     )

@@ -3,12 +3,11 @@
 The paper's speedup rests on fp16 TensorCore GEMMs with fp32 accumulation
 (plus the Markidis-style fp16x3/fp16x4 precision-splitting variants); the
 runtime health sentinel (docs/health.md) discovers precision trouble only
-*after* burning device time. This pass proves — at capture/graph time,
-before execution — that a plan's worst-case rounding error fits the
+*after* burning device time. This pass proves — when the graph is
+recorded, before execution — that a plan's worst-case rounding error fits the
 caller's tolerance, by abstract interpretation over the same *program
 protocol* the rest of :mod:`repro.analysis.verify` consumes (so one pass
-covers :class:`~repro.analysis.capture.CapturedProgram` op streams,
-:class:`~repro.runtime.task.TaskGraph` DAGs, and the dist layer's
+covers :class:`~repro.runtime.task.TaskGraph` DAGs and the dist layer's
 :class:`~repro.dist.placement.DeviceProgram` slices).
 
 Precision lattice
@@ -265,7 +264,7 @@ def propagate(program, plan: PrecisionPlan | None = None) -> PrecisionFlow:
     plan the program's config implies).
 
     Issue order is a valid topological order of every legal schedule
-    (the capture and graph builders emit it that way). Granularity is one
+    (the graph builder emits it that way). Granularity is one
     bound per device buffer and per host *region* (matrix id + rect —
     partial reads join every overlapping stored region), and a device
     buffer's bound *resets* when a transfer overwrites it after compute — the engines rotate a handful

@@ -1,15 +1,15 @@
-"""Static verification passes over captured OOC programs and task DAGs.
+"""Static verification passes over recorded OOC programs.
 
 The passes consume the *program protocol* — ``config`` / ``ops`` /
-``mem_events`` / ``stats`` / ``label`` / ``volume_hint`` — and therefore
-accept two producers interchangeably: a
-:class:`~repro.analysis.capture.CapturedProgram` (flat op stream recorded
-by the capture executor) and a first-class
-:class:`~repro.runtime.task.TaskGraph` emitted by the DAG runtime's
-:class:`~repro.runtime.builder.GraphBuilder` — no capture pass in
-between; the graph's derived dataflow edges *are* the happens-before
-relation the hazard pass checks. The passes prove (or refute) the
-properties a plan must have *before* it is worth running:
+``mem_events`` / ``stats`` / ``label`` / ``volume_hint``. Its producer is
+the :class:`~repro.runtime.task.TaskGraph` a
+:class:`~repro.runtime.builder.GraphBuilder` records with
+``materialize=False`` (:func:`repro.runtime.build_engine_graph`, and
+:func:`repro.analysis.capture_job` for serve admission), plus the dist
+layer's per-device slices of one (:class:`~repro.dist.placement.DeviceProgram`).
+The graph's derived dataflow edges *are* the happens-before relation the
+hazard pass checks. The passes prove (or refute) the properties a plan
+must have *before* it is worth running:
 
 * :func:`check_hazards` — happens-before hazard analysis: two ops touching
   overlapping device regions, at least one writing, with no stream-FIFO or
@@ -17,18 +17,19 @@ properties a plan must have *before* it is worth running:
   Shares its core (:func:`repro.sim.race.find_hazards`) and its overlap
   predicate (:mod:`repro.util.regions`) with the dynamic trace detector.
 * :func:`check_lifetimes` — allocator lifetime proofs: leaks (allocations
-  never freed), double frees, and use-after-free (an op whose access
-  window opens after its buffer's free), each naming the offending op or
-  buffer.
+  never freed) and use-after-free (an op whose access window opens after
+  its buffer's free), each naming the offending op or buffer. Double
+  frees, and ops on a buffer freed at record time, are refused by the
+  recorder itself.
 * :func:`check_memory` — exact peak device memory: replay the alloc/free
   event log and compare the high-water mark against the budget. This is
   the number :mod:`repro.serve` admission charges in place of its plan
   heuristic.
-* :func:`check_transfer_volume` — compare captured H2D/D2H volumes against
+* :func:`check_transfer_volume` — compare recorded H2D/D2H volumes against
   the engine's own law (QR: the §3.2 closed forms, blocking Θ(k·mn),
   recursive Θ(log k·mn); LU and Cholesky: the same accounting over their
   own update structure). The laws are *no-reuse worst cases*, so a
-  healthy engine stays below ``VOLUME_SLACK`` times its law; a captured
+  healthy engine stays below ``VOLUME_SLACK`` times its law; a recorded
   volume above that bound means the engine regressed past the
   accounting. QR engines must additionally load every input element at
   least once (``m·n`` words).
@@ -47,7 +48,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.analysis.capture import CapturedProgram, MemEvent
 from repro.errors import PlanViolation
 from repro.models.movement import VOLUME_LAWS
 from repro.sim.ops import OpKind, SimOp
@@ -65,11 +65,28 @@ VOLUME_SLACK = 1.25
 
 
 @dataclass(frozen=True)
-class AnalysisFinding:
-    """One violation a verification pass proved about a captured program."""
+class MemEvent:
+    """One allocator event, positioned in the op stream.
 
-    rule: str        # "race" | "leak" | "double-free" | "use-after-free" |
-                     # "over-capacity" | "peak-over-budget" |
+    ``position`` is the number of ops issued before the event, so an op at
+    issue index ``i`` runs after every event with ``position <= i``. The
+    lifetime pass reconstructs leaks, use-after-free windows and the
+    exact peak from this log.
+    """
+
+    kind: str        # "alloc" | "free"
+    handle: int
+    name: str
+    nbytes: int
+    position: int
+
+
+@dataclass(frozen=True)
+class AnalysisFinding:
+    """One violation a verification pass proved about a recorded program."""
+
+    rule: str        # "race" | "leak" | "use-after-free" |
+                     # "peak-over-budget" |
                      # "volume-over-model" | "volume-under-floor" |
                      # "redundant-h2d"
     message: str
@@ -83,7 +100,7 @@ class AnalysisFinding:
 
 @dataclass
 class AnalysisReport:
-    """Everything the verifier proved about one captured program."""
+    """Everything the verifier proved about one recorded program."""
 
     label: str
     n_ops: int = 0
@@ -142,7 +159,7 @@ class AnalysisReport:
 # -- happens-before hazards ------------------------------------------------------
 
 
-def check_hazards(program: CapturedProgram) -> list[AnalysisFinding]:
+def check_hazards(program) -> list[AnalysisFinding]:
     """Unordered conflicting device accesses (races under *some* schedule)."""
     return [
         AnalysisFinding(
@@ -161,8 +178,8 @@ def check_hazards(program: CapturedProgram) -> list[AnalysisFinding]:
 # -- allocator lifetime proofs ----------------------------------------------------
 
 
-def check_lifetimes(program: CapturedProgram) -> list[AnalysisFinding]:
-    """Leaks, double frees and use-after-free, each naming its culprit."""
+def check_lifetimes(program) -> list[AnalysisFinding]:
+    """Leaks and use-after-free, each naming its culprit."""
     findings: list[AnalysisFinding] = []
     alloc_at: dict[int, int] = {}
     freed_at: dict[int, int] = {}
@@ -171,29 +188,6 @@ def check_lifetimes(program: CapturedProgram) -> list[AnalysisFinding]:
         names.setdefault(ev.handle, ev.name or f"handle {ev.handle}")
         if ev.kind == "alloc":
             alloc_at[ev.handle] = ev.position
-        elif ev.handle in freed_at and not ev.ok:
-            findings.append(
-                AnalysisFinding(
-                    rule="double-free",
-                    message=(
-                        f"device buffer {names[ev.handle]!r} freed again at "
-                        f"op position {ev.position} (first freed at position "
-                        f"{freed_at[ev.handle]})"
-                    ),
-                    op=f"free {names[ev.handle]}",
-                )
-            )
-        elif not ev.ok:
-            findings.append(
-                AnalysisFinding(
-                    rule="double-free",
-                    message=(
-                        f"free of unknown device buffer {names[ev.handle]!r} "
-                        f"at op position {ev.position}"
-                    ),
-                    op=f"free {names[ev.handle]}",
-                )
-            )
         else:
             freed_at[ev.handle] = ev.position
 
@@ -233,30 +227,19 @@ def check_lifetimes(program: CapturedProgram) -> list[AnalysisFinding]:
 # -- exact peak device memory ------------------------------------------------------
 
 
-def exact_peak_bytes(program: CapturedProgram) -> int:
+def exact_peak_bytes(program) -> int:
     """The program's exact high-water mark of live device bytes.
 
-    Replays the memory-event log: every alloc raises the watermark by its
-    size, every legal free lowers it (illegal frees — already reported by
-    :func:`check_lifetimes` — change nothing). This is exact, not a
-    heuristic: the engines allocate eagerly at plan boundaries, so issue
-    order is the allocation order of every legal schedule.
+    Replays the memory-event log (see :func:`check_memory`). This is
+    exact, not a heuristic: the engines allocate eagerly at plan
+    boundaries, so issue order is the allocation order of every legal
+    schedule.
     """
-    used = peak = 0
-    live: set[int] = set()
-    for ev in program.mem_events:
-        if ev.kind == "alloc":
-            live.add(ev.handle)
-            used += ev.nbytes
-            peak = max(peak, used)
-        elif ev.handle in live:
-            live.discard(ev.handle)
-            used -= ev.nbytes
-    return peak
+    return check_memory(program, float("inf"))[0]
 
 
 def check_memory(
-    program: CapturedProgram, budget_bytes: int
+    program, budget_bytes: float
 ) -> tuple[int, list[AnalysisFinding]]:
     """Exact peak vs *budget_bytes*; returns ``(peak, findings)``."""
     findings: list[AnalysisFinding] = []
@@ -294,9 +277,9 @@ def check_memory(
 
 
 def check_transfer_volume(
-    program: CapturedProgram, report: AnalysisReport
+    program, report: AnalysisReport
 ) -> list[AnalysisFinding]:
-    """Captured H2D/D2H volume vs the engine's own no-reuse worst case.
+    """Recorded H2D/D2H volume vs the engine's own no-reuse worst case.
 
     Applies the :data:`~repro.models.movement.VOLUME_LAWS` entry named by
     ``program.volume_hint``; fills the model fields of *report* and
@@ -328,17 +311,17 @@ def check_transfer_volume(
     report.model_d2h_bytes = int(d2h_model * eb)
 
     findings: list[AnalysisFinding] = []
-    for direction, captured, bound in (
+    for direction, moved, bound in (
         ("H2D", program.stats.h2d_bytes, h2d_model * eb),
         ("D2H", program.stats.d2h_bytes, d2h_model * eb),
     ):
         limit = VOLUME_SLACK * bound
-        if captured > limit:
+        if moved > limit:
             findings.append(
                 AnalysisFinding(
                     rule="volume-over-model",
                     message=(
-                        f"{direction} volume {captured} B exceeds "
+                        f"{direction} volume {moved} B exceeds "
                         f"{VOLUME_SLACK} x the {model} law "
                         f"({bound:.0f} B): the engine moves asymptotically "
                         f"more data than its no-reuse accounting allows"
@@ -350,9 +333,9 @@ def check_transfer_volume(
 
 
 def check_volume_floor(
-    program: CapturedProgram, floor_words: int
+    program, floor_words: int
 ) -> list[AnalysisFinding]:
-    """Captured H2D volume must load at least *floor_words* elements."""
+    """Recorded H2D volume must load at least *floor_words* elements."""
     eb = program.config.element_bytes
     if program.stats.h2d_bytes < floor_words * eb:
         return [
@@ -360,7 +343,7 @@ def check_volume_floor(
                 rule="volume-under-floor",
                 message=(
                     f"H2D volume {program.stats.h2d_bytes} B is below the "
-                    f"{floor_words * eb}-byte input floor: the capture "
+                    f"{floor_words * eb}-byte input floor: the program "
                     f"cannot have loaded every input element"
                 ),
                 op="h2d",
@@ -392,7 +375,7 @@ def _writes_host_region(
     return rects_overlap((host[1], host[2]), (host[3], host[4]), rect[:2], rect[2:])
 
 
-def check_redundant_transfers(program: CapturedProgram) -> list[AnalysisFinding]:
+def check_redundant_transfers(program) -> list[AnalysisFinding]:
     """H2D copies that are provably no-ops.
 
     An H2D is *dead* when an earlier H2D already moved the identical host
@@ -451,9 +434,9 @@ def verify_program(
     tolerance: float | None = None,
     precision=None,
 ) -> AnalysisReport:
-    """Run every applicable pass over *program* — a
-    :class:`~repro.analysis.capture.CapturedProgram` or a
-    :class:`~repro.runtime.task.TaskGraph` (checked directly as a DAG).
+    """Run every applicable pass over *program*, a
+    :class:`~repro.runtime.task.TaskGraph` (or a dist per-device slice of
+    one).
 
     ``budget_bytes`` defaults to the program config's usable device bytes
     (the capacity the engines planned against); serve admission passes its

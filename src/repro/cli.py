@@ -330,15 +330,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_an.add_argument(
         "--what",
-        choices=["lint", "plans", "graphs", "precision", "all"],
+        choices=["lint", "plans", "precision", "all"],
         default="all",
-        help="run the repo lint pack, the captured-plan verifier sweep, "
-        "the DAG-runtime task-graph sweep, the precision/error-flow "
+        help="run the repo lint pack, the plan verifier sweep over every "
+        "engine's task graph, the precision/error-flow "
         "sweep (split-precision plans must prove their bound, the "
         "flat-tree fp16 negative control must be flagged), or all",
     )
     p_an.add_argument("-m", "--rows", type=int, default=96,
-                      help="capture shape rows (small by design: the "
+                      help="recorded shape rows (small by design: the "
                       "proofs are shape-generic per §3.2)")
     p_an.add_argument("-n", "--cols", type=int, default=64)
     p_an.add_argument("-b", "--blocksize", type=int, default=16)
@@ -598,15 +598,15 @@ def _run_analyze(args) -> int:
         failures += len(findings)
 
     if args.what in ("plans", "all"):
-        from repro.analysis import ENGINE_CAPTURES, verify_engine
+        from repro.analysis import ENGINE_BINDINGS, verify_engine
 
         config = _config(args)
-        if args.engine is not None and args.engine not in ENGINE_CAPTURES:
+        if args.engine is not None and args.engine not in ENGINE_BINDINGS:
             raise ValidationError(
                 f"unknown engine {args.engine!r}; available: "
-                f"{', '.join(ENGINE_CAPTURES)}"
+                f"{', '.join(ENGINE_BINDINGS)}"
             )
-        names = [args.engine] if args.engine else list(ENGINE_CAPTURES)
+        names = [args.engine] if args.engine else list(ENGINE_BINDINGS)
         for name in names:
             report = verify_engine(
                 name, config, m=args.rows, n=args.cols, b=args.blocksize
@@ -623,7 +623,7 @@ def _run_analyze(args) -> int:
 
         from repro.analysis import (
             DEFAULT_TOLERANCE,
-            ENGINE_CAPTURES,
+            ENGINE_BINDINGS,
             verify_engine,
         )
         from repro.dist.sim import dist_precision_report
@@ -635,7 +635,7 @@ def _run_analyze(args) -> int:
 
         # structural sweep: every engine at the config's own precision
         # (no tolerance judging — the bound is reported, not gated)
-        for name in ENGINE_CAPTURES:
+        for name in ENGINE_BINDINGS:
             report = verify_engine(name, config, m=m, n=n, b=b)
             print(f"precision {report.summary()}")
 
@@ -685,27 +685,6 @@ def _run_analyze(args) -> int:
                 f"tol {tol:.1e} — the pass lost its depth sensitivity"
             )
             failures += 1
-
-    if args.what in ("graphs", "all"):
-        from repro.runtime import GRAPH_BUILDERS, verify_engine_graph
-
-        config = _config(args)
-        if args.engine is not None and args.engine not in GRAPH_BUILDERS:
-            raise ValidationError(
-                f"unknown engine {args.engine!r}; available: "
-                f"{', '.join(GRAPH_BUILDERS)}"
-            )
-        names = [args.engine] if args.engine else list(GRAPH_BUILDERS)
-        for name in names:
-            report = verify_engine_graph(
-                name, config, m=args.rows, n=args.cols, b=args.blocksize
-            )
-            print(report.summary())
-            for finding in report.findings:
-                print(f"  {finding}")
-            for skip in report.skipped:
-                print(f"  skipped: {skip}")
-            failures += len(report.findings)
 
     return 1 if failures else 0
 

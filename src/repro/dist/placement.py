@@ -11,7 +11,7 @@ boundary while carrying data becomes an explicit :class:`TransferTask`
 priced by the topology's links.
 
 The output is one :class:`DeviceProgram` per device — each satisfying
-the captured-program protocol (``config`` / ``ops`` / ``mem_events`` /
+the program protocol (``config`` / ``ops`` / ``mem_events`` /
 ``stats`` / ``label`` / ``volume_hint``) — so
 :func:`repro.analysis.verify.verify_program` proves every device's
 slice race-free, leak-free and within its per-device memory budget,
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analysis.capture import MemEvent
+from repro.analysis.verify import MemEvent
 from repro.analysis.verify import AnalysisReport, verify_program
 from repro.dist.shard import ShardedMatrix
 from repro.dist.topology import DeviceTopology
@@ -67,7 +67,7 @@ class TransferTask:
 class DeviceProgram:
     """One device's slice of a partitioned task graph.
 
-    Satisfies the captured-program protocol consumed by
+    Satisfies the program protocol consumed by
     :func:`repro.analysis.verify.verify_program`: ``ops`` keeps the
     graph's emission order (restricted to this device) with the derived
     dataflow deps, and ``mem_events`` are re-positioned against that
@@ -354,7 +354,7 @@ def partition_graph(
             prog.mem_events.append(
                 MemEvent(
                     task.mem, handle, task.buffer.name, task.nbytes,
-                    ops_seen[d], True,
+                    ops_seen[d],
                 )
             )
             prog.tasks.append(task)

@@ -110,7 +110,7 @@ class AnalysisError(ReproError):
 
 
 class PlanViolation(AnalysisError):
-    """The plan verifier proved a captured program unsafe.
+    """The plan verifier proved a recorded program unsafe.
 
     Carries the full :class:`~repro.analysis.verify.AnalysisReport` in
     ``report`` so callers (the serve admission path, tests) can inspect

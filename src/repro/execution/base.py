@@ -10,9 +10,9 @@ factorizations, streams and events — and run on any executor:
 * :class:`~repro.execution.sim.SimExecutor` feeds the same call stream into
   the discrete-event simulator — used for timing at paper scale (131072^2
   and beyond) without touching real data;
-* :class:`~repro.analysis.capture.CaptureExecutor` records it for the
-  static verifier, and :class:`~repro.runtime.builder.GraphBuilder`
-  records it as a task graph for the DAG runtime.
+* :class:`~repro.runtime.builder.GraphBuilder` records it as a task
+  graph: run by the DAG runtime's threads, or, recorded symbolically,
+  checked by the static verifier.
 
 The eight device ops (``h2d``, ``d2h``, ``d2d``, ``gemm``, ``panel_qr``,
 ``trsm``, ``panel_lu``, ``panel_cholesky``) are defined once, on

@@ -210,9 +210,10 @@ class PanelInnerPlan:
     """Layout for the blocking (Fig 4) inner product with resident panel Q.
 
     The M-by-K panel (Q1ᵀ, stored K-by-M) is device-resident; B streams in
-    column blocks; each C block is produced and streamed out. ``keep_c`` is
-    whether the full C additionally stays resident for reuse by the outer
-    product (the §4.2 QR-level optimization).
+    column blocks; each C block is produced and streamed out through
+    ``n_buffers`` rotating block buffers. ``keep_c`` is whether the full C
+    stays resident instead, for reuse by the outer product (the §4.2
+    QR-level optimization).
     """
 
     K: int
@@ -229,8 +230,9 @@ class PanelInnerPlan:
 
     def working_set_elements(self) -> int:
         """Device elements beyond the already-resident panel."""
-        keep = self.M * self.N if self.keep_c else self.M * self.max_block
-        return keep + self.n_buffers * self.K * self.max_block
+        wb = self.max_block
+        c = self.M * self.N if self.keep_c else self.n_buffers * self.M * wb
+        return c + self.n_buffers * self.K * wb
 
     def h2d_elements(self) -> int:
         """B streams in once (the resident panel is accounted by the caller)."""
@@ -263,8 +265,8 @@ def plan_panel_inner(
     for keep_c in passes:
         b = blocksize
         while b >= 1:
-            keep = M * N if keep_c else M * b
-            need = keep + n_buffers * K * b
+            c = M * N if keep_c else n_buffers * M * b
+            need = c + n_buffers * K * b
             if need <= budget_elements:
                 return PanelInnerPlan(
                     K=K,

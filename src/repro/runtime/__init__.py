@@ -5,7 +5,8 @@ Engines emit :class:`TaskGraph` objects — tasks carrying engine class
 as a cost hint — via :class:`GraphBuilder`; :class:`DagScheduler`
 executes them with dynamic dataflow scheduling (work stealing) on the
 numeric backend, :class:`SimGraphBackend` predicts their simulated time,
-and :func:`repro.analysis.verify_program` checks the graphs directly. Every
+and :func:`repro.analysis.verify_program` checks them (a symbolic graph is
+the verifier's one program form). Every
 ``concurrency="threads"`` run is a materialized :class:`GraphBuilder`
 whose ``synchronize()`` runs the tasks recorded so far. See
 ``docs/runtime.md`` for the task model and scheduler semantics.
@@ -17,12 +18,7 @@ from repro.runtime.backends import (
     SimGraphBackend,
 )
 from repro.runtime.builder import GraphBuilder
-from repro.runtime.engines import (
-    GRAPH_BUILDERS,
-    build_engine_graph,
-    verify_all_engine_graphs,
-    verify_engine_graph,
-)
+from repro.runtime.engines import GRAPH_BUILDERS, build_engine_graph
 from repro.runtime.scheduler import DagScheduler, GraphBackend
 from repro.runtime.task import (
     TaskGraph,
@@ -44,6 +40,4 @@ __all__ = [
     "build_engine_graph",
     "edges_consistent",
     "node_signature",
-    "verify_all_engine_graphs",
-    "verify_engine_graph",
 ]

@@ -1,14 +1,15 @@
 """Graph registry: every shipped OOC engine recorded as a task graph.
 
 The engines and their shape-only operands come from the one binding table,
-:data:`repro.analysis.engines.ENGINE_BINDINGS` — the same runs the capture
-registry records, here driven through a
-:class:`~repro.runtime.builder.GraphBuilder` so each yields a first-class
-:class:`~repro.runtime.task.TaskGraph`. :data:`GRAPH_BUILDERS` is the
-registry the CLI ``analyze --what graphs`` sweep and the CI
-``runtime-dag`` leg iterate. Every engine here also *executes* as a task
-graph: ``concurrency="threads"`` on the public entry points runs the same
-recording on the threaded scheduler.
+:data:`repro.analysis.engines.ENGINE_BINDINGS`, driven here through a
+:class:`~repro.runtime.builder.GraphBuilder` with ``materialize=False`` so
+each yields a :class:`~repro.runtime.task.TaskGraph`: the one program the
+verifier (:func:`repro.analysis.verify_engine`, serve admission's
+:func:`repro.analysis.capture_job`) checks. :data:`GRAPH_BUILDERS` is
+the registry the CLI ``analyze --what plans`` sweep and CI iterate. Every
+engine here also *executes* as a task graph: ``concurrency="threads"`` on
+the public entry points runs the same recording on the threaded
+scheduler.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from repro.analysis.engines import (
-    ENGINE_BINDINGS,
-    engine_label,
-    verify_registry_entry,
-)
-from repro.analysis.verify import AnalysisReport
+from repro.analysis.engines import ENGINE_BINDINGS, engine_label
 from repro.config import SystemConfig
 from repro.qr.options import QrOptions
 from repro.runtime.builder import GraphBuilder
@@ -40,12 +36,10 @@ def build_engine_graph(
     binding = ENGINE_BINDINGS[name]
     ex = GraphBuilder(
         binding.configure(config),
-        label=engine_label(f"{name}[dag]", dims, b),
+        label=engine_label(name, dims, b),
         materialize=False,
     )
-    volume_hint = binding.run(ex, dims, b, options)
-    ex.allocator.check_balanced()
-    ex.graph.volume_hint = volume_hint
+    ex.graph.volume_hint = binding.run(ex, dims, b, options)
     return ex.graph
 
 
@@ -56,47 +50,13 @@ def _registry_graph(
 
 
 #: Graph registry for the sweep: name -> builder(config, m, n, b), with
-#: the exact argument conventions of ``ENGINE_CAPTURES``.
+#: ``(m, n)`` mapped onto each engine's dims by its binding.
 GRAPH_BUILDERS: dict[
     str, Callable[[SystemConfig, int, int, int], TaskGraph]
 ] = {name: partial(_registry_graph, name) for name in ENGINE_BINDINGS}
-
-def verify_engine_graph(
-    name: str,
-    config: SystemConfig | None = None,
-    *,
-    m: int = 96,
-    n: int = 64,
-    b: int = 16,
-    tolerance: float | None = None,
-    precision=None,
-) -> AnalysisReport:
-    """Build one registry engine's task graph and verify it directly —
-    no capture pass; ``verify_program`` consumes the DAG itself.
-    ``tolerance`` / ``precision`` flow through to the precision pass."""
-    return verify_registry_entry(
-        GRAPH_BUILDERS, name, config, m=m, n=n, b=b,
-        tolerance=tolerance, precision=precision,
-    )
-
-
-def verify_all_engine_graphs(
-    config: SystemConfig | None = None,
-    *,
-    m: int = 96,
-    n: int = 64,
-    b: int = 16,
-) -> dict[str, AnalysisReport]:
-    """Verify every registry engine's task graph at one (small) shape."""
-    return {
-        name: verify_engine_graph(name, config, m=m, n=n, b=b)
-        for name in GRAPH_BUILDERS
-    }
 
 
 __all__ = [
     "GRAPH_BUILDERS",
     "build_engine_graph",
-    "verify_all_engine_graphs",
-    "verify_engine_graph",
 ]

@@ -27,11 +27,10 @@ dependency edges are derived purely from declared data accesses:
   allocator sequence of the eager executor and the exact peak of
   §5.2's memory accounting is preserved.
 
-The graph exposes the :class:`~repro.analysis.capture.CapturedProgram`
-protocol (``config`` / ``ops`` / ``mem_events`` / ``stats`` / ``label`` /
-``volume_hint``), so :func:`repro.analysis.verify.verify_program` checks a
-task graph directly — races, lifetimes, exact peak memory, §3.2 transfer
-volume — with no capture pass in between.
+The graph exposes the program protocol (``config`` / ``ops`` /
+``mem_events`` / ``stats`` / ``label`` / ``volume_hint``) that
+:func:`repro.analysis.verify.verify_program` checks — races, lifetimes,
+exact peak memory, §3.2 transfer volume.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.analysis.capture import MemEvent
+from repro.analysis.verify import MemEvent
 from repro.config import SystemConfig
 from repro.errors import DeadlockError
 from repro.execution.base import DeviceBuffer, RunStats
@@ -102,12 +101,11 @@ class TileTask:
 class TaskGraph:
     """A recorded tile-task DAG, ready to schedule, simulate, or verify.
 
-    Satisfies the captured-program protocol consumed by
+    Satisfies the program protocol consumed by
     :func:`repro.analysis.verify.verify_program`: ``ops`` is the
     emission-ordered list of real op nodes (allocator tasks excluded)
     whose ``deps`` are the derived dataflow edges, and ``mem_events``
-    is the allocator log positioned against that op list exactly like a
-    capture's.
+    is the allocator log positioned against that op list.
     """
 
     def __init__(self, config: SystemConfig, label: str = ""):
@@ -116,7 +114,10 @@ class TaskGraph:
         self.tasks: list[TileTask] = []
         self.mem_events: list[MemEvent] = []
         self.stats = RunStats()
-        #: Volume law hint ``(law, m, n, b)``; see CapturedProgram.
+        #: Optional transfer-volume law the program should respect:
+        #: ``(law, m, n, b)`` with law a
+        #: ``repro.models.movement.VOLUME_LAWS`` key (set by the engine
+        #: bindings; None for GEMM, which has no closed-form bound).
         self.volume_hint: tuple[str, int, int, int] | None = None
         #: Id of the first task: a segment (:meth:`since`) starts later,
         #: and its edges into earlier tasks count as satisfied.
@@ -242,7 +243,7 @@ class TaskGraph:
         self._last_mem = task
         self.tasks.append(task)
         self.mem_events.append(
-            MemEvent(kind, handle, buf.name, nbytes, len(self._ops), True)
+            MemEvent(kind, handle, buf.name, nbytes, len(self._ops))
         )
         return task
 
@@ -300,14 +301,6 @@ class TaskGraph:
             stuck = [t for t in self.tasks if indegree[t.task_id] > 0]
             raise DeadlockError(stuck)
 
-    def signature(self) -> list[tuple[str, str, str, tuple[int, ...]]]:
-        """Canonical ``(engine, kind, name, dep-indices)`` form of the real
-        op stream — comparable against
-        :func:`repro.sim.scheduler.happens_before_signature` output."""
-        from repro.sim.scheduler import happens_before_signature
-
-        return happens_before_signature(self._ops)
-
 
 def _advance(
     frontier: _Frontier,
@@ -353,11 +346,10 @@ def _advance(
 
 def node_signature(ops: Iterable[SimOp]) -> list[tuple[str, str, str]]:
     """Dependency-free node identity of an op stream: ``(engine, kind,
-    name)`` per op in issue order. Stream programs (the simulator, a
-    capture) wire stream-FIFO/event edges and task graphs wire dataflow
-    edges, so full happens-before signatures differ by design;
-    node-for-node equality plus :func:`edges_consistent` is the
-    comparison between them."""
+    name)`` per op in issue order. The simulator's stream program wires
+    stream-FIFO/event edges and task graphs wire dataflow edges, so their
+    dependency sets differ by design; node-for-node equality plus
+    :func:`edges_consistent` is the comparison between them."""
     return [(op.engine.value, op.kind.value, op.name) for op in ops]
 
 

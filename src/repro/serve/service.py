@@ -283,7 +283,7 @@ class FactorService:
         Replacement for :func:`run_job` (fault injection, test doubles).
     verify_plans
         Run the static plan verifier (:mod:`repro.analysis`) at submit
-        time: the job's op stream is captured symbolically under its
+        time: the job's task graph is recorded symbolically under its
         exact grant, proved race-free / leak-free / within budget, and
         the verifier's *exact* peak-memory result — not the plan
         heuristic — is what admission charges. Plans with findings are
@@ -466,7 +466,7 @@ class FactorService:
     def verify_job(self, spec: JobSpec):
         """Statically verify the plan *spec* would run under its grant.
 
-        Captures the job's op stream symbolically (no data, no clock)
+        Records the job's task graph symbolically (no data, no clock)
         under the same capped config :meth:`job_config` returns and runs
         every verifier pass against the grant as the budget. Returns the
         :class:`~repro.analysis.verify.AnalysisReport`; raises

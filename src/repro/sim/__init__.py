@@ -5,7 +5,6 @@ and the scheduled trace (whose ``spans()`` feed every timeline view in
 from repro.sim.memory import Allocation, DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.race import Race, assert_race_free, detect_races
-from repro.sim.scheduler import StreamProgram, happens_before_signature
 from repro.sim.simulator import GpuSimulator
 from repro.sim.stream import Event, Stream
 from repro.sim.trace import Trace
@@ -20,9 +19,7 @@ __all__ = [
     "Race",
     "SimOp",
     "Stream",
-    "StreamProgram",
     "Trace",
     "assert_race_free",
     "detect_races",
-    "happens_before_signature",
 ]

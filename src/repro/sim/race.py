@@ -42,8 +42,8 @@ def find_hazards(ops: Sequence[SimOp]) -> list[Race]:
 
     The static core shared by the dynamic detector (:func:`detect_races`,
     which feeds it schedule-ordered trace ops) and the plan verifier
-    (:mod:`repro.analysis.verify`, which feeds it a captured program that
-    was never executed). *ops* must be topologically ordered — every
+    (:mod:`repro.analysis.verify`, which feeds it a recorded task graph
+    that was never executed). *ops* must be topologically ordered — every
     dependency precedes its dependent — which both issue order and
     schedule order guarantee.
 

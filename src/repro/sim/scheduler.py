@@ -1,36 +1,20 @@
-"""Shared stream/event scheduling core.
+"""Shared op vocabulary helpers: device-access records and op names.
 
-Every recorder of a stream program — the discrete-event simulator (which
-assigns virtual time to every op) and the capture executor the static
-verifier reads — must agree *exactly* on what the program means. Both
-realize the same happens-before relation:
-
-* ops enqueued on one stream execute in FIFO order;
-* an event recorded on a stream completes when everything enqueued on that
-  stream before the record has completed;
-* ``wait_event`` makes all later ops on the waiting stream depend on the
-  event;
-* ops bound to one hardware engine retire in enqueue order.
-
-:class:`StreamProgram` owns the first three rules — it records a program as
-an issue-ordered list of :class:`~repro.sim.ops.SimOp` nodes whose ``deps``
-sets are exactly the stream-FIFO and event edges. The per-engine FIFO rule
-is realized by the consumer: :func:`repro.sim.simulator.schedule` times
-the ops in issue order, each holding its engine.
-
-Because both build their graphs here (and name ops with the same
-helpers), a captured program can be compared node-for-node against a
-simulated trace via :func:`happens_before_signature`, and against a task
-graph (:mod:`repro.runtime`, whose edges come from data accesses instead)
-via :func:`repro.runtime.edges_consistent`.
+Every recorder of an engine run — the simulator's stream program
+(:class:`~repro.sim.simulator.GpuSimulator`) and the task graph
+(:mod:`repro.runtime`) — describes an op the same way: the device
+accesses it makes (:data:`DeviceAccess`, compared by
+:func:`accesses_conflict`, the hazard both the race detector and the DAG
+runtime order) and a canonical name. So a simulated trace and a task
+graph can be compared node-for-node
+(:func:`repro.runtime.node_signature`), and their edges checked against
+each other (:func:`repro.runtime.edges_consistent`).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.sim.ops import SimOp
-from repro.sim.stream import Stream
 from repro.util.regions import rects_overlap
 
 #: Device access record every op carries in ``tags["accesses"]``:
@@ -45,35 +29,6 @@ def accesses_conflict(a: DeviceAccess, b: DeviceAccess) -> bool:
     if a[0] != b[0] or not (a[5] or b[5]):
         return False
     return rects_overlap((a[1], a[2]), (a[3], a[4]), (b[1], b[2]), (b[3], b[4]))
-
-
-class StreamProgram:
-    """Issue-ordered record of a stream program and its dependency DAG.
-
-    Ops are appended in program (issue) order; :meth:`append` wires each
-    op's stream-FIFO predecessor and any pending event waits into
-    ``op.deps``. The class imposes no timing — consumers (the simulator)
-    decide when ops run, constrained by the graph.
-    """
-
-    def __init__(self) -> None:
-        self.ops: list[SimOp] = []
-        self.streams: list[Stream] = []
-
-    def stream(self, name: str) -> Stream:
-        """Create a new stream belonging to this program."""
-        stream = Stream(name=name)
-        self.streams.append(stream)
-        return stream
-
-    def append(self, op: SimOp, stream: Stream) -> SimOp:
-        """Attach *op* to *stream* (wiring FIFO/event deps) and record it."""
-        stream.attach(op)
-        self.ops.append(op)
-        return op
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
 
 def device_access(view: Any, write: bool) -> DeviceAccess:
@@ -104,26 +59,3 @@ def gemm_name(tag: str, m: int, n: int, k: int) -> str:
 def panel_name(tag: str, m: int, b: int) -> str:
     """Canonical op name for a panel factorization / TRSM-style op."""
     return f"{tag} {m}x{b}"
-
-
-def happens_before_signature(
-    ops: list[SimOp],
-) -> list[tuple[str, str, str, tuple[int, ...]]]:
-    """Canonical, executor-independent form of a recorded program.
-
-    One tuple per op, in issue order: ``(engine, kind, name, deps)`` where
-    *deps* are issue indices of the op's stream-FIFO/event predecessors.
-    Two executors replayed the same program with the same happens-before
-    semantics iff their signatures are equal — the differential harness's
-    cross-backend assertion.
-    """
-    index = {op: i for i, op in enumerate(ops)}
-    return [
-        (
-            op.engine.value,
-            op.kind.value,
-            op.name,
-            tuple(sorted(index[d] for d in op.deps if d in index)),
-        )
-        for op in ops
-    ]

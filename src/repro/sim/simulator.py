@@ -30,7 +30,6 @@ from repro.errors import DeadlockError
 from repro.hw.transfer import Direction
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, SimOp
-from repro.sim.scheduler import StreamProgram
 from repro.sim.stream import Event, Stream
 from repro.sim.trace import Trace
 
@@ -70,14 +69,19 @@ def schedule(
 
 
 class GpuSimulator:
-    """Simulator of one GPU with three concurrent engines."""
+    """Simulator of one GPU with three concurrent engines.
+
+    Records a stream program: ops in issue order, each op's ``deps`` the
+    stream-FIFO and event edges (:meth:`repro.sim.stream.Stream.attach`
+    wires them). Per-engine FIFO order is the scheduling rule's job
+    (:func:`schedule`).
+    """
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.allocator = DeviceAllocator(config.usable_device_bytes)
-        #: The recorded stream program (shared graph machinery with the
-        #: capture executor — see :mod:`repro.sim.scheduler`).
-        self.program = StreamProgram()
+        #: The recorded stream program, in issue order.
+        self.ops: list[SimOp] = []
         self._engine_free: dict[EngineKind, float] = {}
         self._barrier = 0.0
         self._trace = Trace()
@@ -86,7 +90,7 @@ class GpuSimulator:
 
     def stream(self, name: str) -> Stream:
         """Create a new stream."""
-        return self.program.stream(name)
+        return Stream(name=name)
 
     def record_event(self, stream: Stream) -> Event:
         """Record an event on *stream* (captures prior work on the stream)."""
@@ -100,7 +104,9 @@ class GpuSimulator:
 
     def enqueue(self, op: SimOp, stream: Stream) -> SimOp:
         """Submit *op* on *stream*; it will execute when the simulator runs."""
-        return self.program.append(op, stream)
+        stream.attach(op)
+        self.ops.append(op)
+        return op
 
     # -- execution --------------------------------------------------------------
 
@@ -112,7 +118,7 @@ class GpuSimulator:
         synchronizing a device). The trace lists the timed ops in issue
         order.
         """
-        pending = self.program.ops[len(self._trace):]
+        pending = self.ops[len(self._trace):]
         try:
             schedule(pending, self._engine_free, barrier=self._barrier)
         finally:

@@ -35,10 +35,8 @@ from repro.analysis import (
     DEFAULT_TOLERANCE,
     PRECISION_LEVELS,
     PRECISION_RULES,
-    CaptureExecutor,
     PrecisionPlan,
     assert_precision_ok,
-    capture_engine,
     check_precision,
     propagate,
     verify_program,
@@ -66,6 +64,7 @@ from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
 from repro.qr.api import ooc_qr
 from repro.qr.options import QrOptions
+from repro.runtime import GraphBuilder, build_engine_graph
 from repro.serve import FactorService, JobSpec
 from repro.tc.precision import UNIT_ROUNDOFF
 
@@ -87,7 +86,7 @@ def config_with(
 
 
 def recursive_program(config: SystemConfig = PAPER_SYSTEM):
-    return capture_engine("qr-recursive", config, (M, N), B)
+    return build_engine_graph("qr-recursive", config, (M, N), B)
 
 
 def rule_counts(findings) -> Counter:
@@ -152,7 +151,7 @@ class TestPrecisionPlan:
 
 def one_gemm_program(k: int = 64):
     """h2d A, h2d B, C = A B, d2h C — one GEMM, one k-chain."""
-    ex = CaptureExecutor(PAPER_SYSTEM, label="one-gemm")
+    ex = GraphBuilder(PAPER_SYSTEM, label="one-gemm", materialize=False)
     s = ex.stream("compute")
     eb = PAPER_SYSTEM.element_bytes
     ha = HostMatrix.shape_only(32, k, eb, name="hA")
@@ -163,7 +162,7 @@ def one_gemm_program(k: int = 64):
     ex.h2d(b, hb.full(), s)
     ex.gemm(c, a, b, s)
     ex.d2h(hc.full(), c, s)
-    return ex.finish()
+    return ex.graph
 
 
 class TestPropagate:
@@ -245,7 +244,7 @@ class TestStructuralRules:
             assert findings == [], fmt
 
     def test_fp16_capture_config_is_wasted_upcast_end_to_end(self):
-        # a real capture under element_bytes=2 + split inputs: the config
+        # a real recording under element_bytes=2 + split inputs: the config
         # itself implies the defective plan
         config = config_with(Precision.TC_FP16_SPLIT3, element_bytes=2)
         report = verify_program(recursive_program(config))

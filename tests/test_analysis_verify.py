@@ -1,10 +1,13 @@
 """Mutation tests for the static plan verifier.
 
 Every shipped engine must verify clean; to prove that clean verdict is
-falsifiable, wrapper executors seed one deliberate bug each into a real
-engine run — a dropped cross-stream wait, a skipped free, a premature
-free with continued use, a duplicated H2D — and the verifier must flag
-exactly the seeded defect class, naming the offending op or buffer.
+falsifiable, graph-builder subclasses seed one deliberate bug each into a
+real engine recording — a skipped free, a duplicated H2D, a trailing
+block reloaded every step — and the verifier must flag exactly the seeded
+defect class, naming the offending op or buffer. A dropped cross-stream
+wait changes only the simulator's stream program (a task graph's edges
+come from data accesses), so that mutation runs on the simulator and the
+race detector.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ import pytest
 from repro.analysis import (
     DEFAULT_TOLERANCE,
     ENGINE_BINDINGS,
-    ENGINE_CAPTURES,
-    CaptureExecutor,
     PrecisionPlan,
-    capture_engine,
     check_precision,
     verify_all_engines,
     verify_engine,
@@ -27,22 +27,23 @@ from repro.analysis import (
 )
 from repro.config import PAPER_SYSTEM
 from repro.dist.sim import dist_precision_report
-from repro.host.tiled import HostMatrix
-from repro.qr.blocking import ooc_blocking_qr
-from repro.qr.options import QrOptions
+from repro.execution import SimExecutor
+from repro.runtime import GRAPH_BUILDERS, GraphBuilder, build_engine_graph
+from repro.sim.race import detect_races
 
 M, N, B = 96, 64, 16
 EB = PAPER_SYSTEM.element_bytes
 
 
-def capture_blocking_qr(ex):
-    """Drive the real blocking-QR engine through *ex* at the test shape."""
-    a = HostMatrix.shape_only(M, N, EB, name="A")
-    r = HostMatrix.shape_only(N, N, EB, name="R")
-    ooc_blocking_qr(ex, a, r, QrOptions(blocksize=B))
-    program = ex.finish()
-    program.volume_hint = ("qr-blocking", M, N, B)
-    return program
+def symbolic(builder_cls=GraphBuilder):
+    """A symbolic (``materialize=False``) builder of *builder_cls*."""
+    return builder_cls(PAPER_SYSTEM, label="mutation", materialize=False)
+
+
+def record(ex, name="qr-blocking", dims=(M, N)):
+    """Drive registry binding *name* through *ex*; returns its graph."""
+    ex.graph.volume_hint = ENGINE_BINDINGS[name].run(ex, dims, B)
+    return ex.graph
 
 
 def rule_counts(report):
@@ -53,7 +54,7 @@ def rule_counts(report):
 
 
 class TestShippedEnginesClean:
-    @pytest.mark.parametrize("name", sorted(ENGINE_CAPTURES))
+    @pytest.mark.parametrize("name", sorted(GRAPH_BUILDERS))
     def test_engine_verifies_clean(self, name):
         report = verify_engine(name)
         assert report.ok, report.summary() + "\n" + "\n".join(
@@ -65,11 +66,11 @@ class TestShippedEnginesClean:
 
     def test_sweep_covers_whole_registry(self):
         reports = verify_all_engines()
-        assert set(reports) == set(ENGINE_CAPTURES)
+        assert set(reports) == set(GRAPH_BUILDERS)
         assert all(r.ok for r in reports.values())
 
     def test_qr_volumes_within_model(self):
-        # captured volume sits at or below the §3.2 no-reuse worst case
+        # recorded volume sits at or below the §3.2 no-reuse worst case
         # (x the documented slack) and above the every-element-once floor
         report = verify_engine("qr-blocking")
         assert report.volume_model == "qr-blocking"
@@ -90,39 +91,42 @@ class TestShippedEnginesClean:
         assert any("power-of-two" in s for s in report.skipped)
 
 
-# -- mutation: dropped event (race) -------------------------------------------------
+# -- mutation: dropped event (race, on the simulator) ------------------------------
 
 
-class DropWaits(CaptureExecutor):
+class DropWaits(SimExecutor):
     """Seeded bug: every cross-stream wait is forgotten."""
 
     def wait_event(self, stream, event):
         pass
 
 
+def simulate_blocking_qr(executor_cls):
+    ex = executor_cls(PAPER_SYSTEM)
+    ENGINE_BINDINGS["qr-blocking"].run(ex, (M, N), B)
+    return ex.finish()
+
+
 class TestDroppedEvent:
     def test_flagged_as_race_and_nothing_else(self):
-        report = verify_program(
-            capture_blocking_qr(DropWaits(PAPER_SYSTEM, label="drop-waits")),
-            input_floor_words=M * N,
-        )
-        counts = rule_counts(report)
-        assert set(counts) == {"race"}
-        assert counts["race"] > 0
+        racy = simulate_blocking_qr(DropWaits)
+        clean = simulate_blocking_qr(SimExecutor)
+        assert detect_races(racy)
+        # the clean twin issues the same ops: the waits alone order them
+        assert detect_races(clean) == []
+        assert [op.name for op in racy.ops] == [op.name for op in clean.ops]
 
     def test_finding_names_the_unordered_ops(self):
-        report = verify_program(
-            capture_blocking_qr(DropWaits(PAPER_SYSTEM, label="drop-waits"))
-        )
-        first = report.findings[0]
-        assert first.op  # the second op of the unordered pair
-        assert "unordered" in first.message
+        first = detect_races(simulate_blocking_qr(DropWaits))[0]
+        assert first.op_a.name and first.op_b.name
+        # one stream orders its own ops: the pair spans the dropped wait
+        assert first.op_a.stream is not first.op_b.stream
 
 
 # -- mutation: missing free (leak) --------------------------------------------------
 
 
-class SkipFirstFree(CaptureExecutor):
+class SkipFirstFree(GraphBuilder):
     """Seeded bug: the first freed buffer is never actually freed."""
 
     def __init__(self, *args, **kwargs):
@@ -138,60 +142,24 @@ class SkipFirstFree(CaptureExecutor):
 
 class TestMissingFree:
     def test_flagged_as_exactly_one_leak(self):
-        ex = SkipFirstFree(PAPER_SYSTEM, label="skip-free")
-        report = verify_program(capture_blocking_qr(ex), input_floor_words=M * N)
+        report = verify_program(
+            record(symbolic(SkipFirstFree)), input_floor_words=M * N
+        )
         counts = rule_counts(report)
         assert counts == Counter({"leak": 1})
 
     def test_finding_names_the_leaked_buffer(self):
-        ex = SkipFirstFree(PAPER_SYSTEM, label="skip-free")
-        report = verify_program(capture_blocking_qr(ex))
+        ex = symbolic(SkipFirstFree)
+        report = verify_program(record(ex))
         (finding,) = report.findings
         assert finding.op == ex.skipped
         assert ex.skipped in finding.message
 
 
-# -- mutation: premature buffer reuse (use-after-free + double-free) ---------------
-
-
-class FreeEarly(CaptureExecutor):
-    """Seeded bug: the first H2D destination is freed immediately after the
-    copy, while the engine keeps using (and eventually re-freeing) it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.target = None
-
-    def h2d(self, dst, src, stream):
-        super().h2d(dst, src, stream)
-        if self.target is None:
-            buf = dst if hasattr(dst, "payload") else dst.buffer
-            self.target = buf.name
-            self.allocator.free(buf.payload["allocation"])
-
-
-class TestPrematureReuse:
-    def test_flagged_as_use_after_free_and_double_free_only(self):
-        ex = FreeEarly(PAPER_SYSTEM, label="free-early")
-        report = verify_program(capture_blocking_qr(ex), input_floor_words=M * N)
-        counts = rule_counts(report)
-        assert set(counts) == {"use-after-free", "double-free"}
-        assert counts["use-after-free"] > 0
-        assert counts["double-free"] == 1  # the engine's own (late) free
-
-    def test_findings_name_the_reused_buffer(self):
-        ex = FreeEarly(PAPER_SYSTEM, label="free-early")
-        report = verify_program(capture_blocking_qr(ex))
-        uaf = [f for f in report.findings if f.rule == "use-after-free"]
-        assert all(ex.target in f.message for f in uaf)
-        (dbl,) = [f for f in report.findings if f.rule == "double-free"]
-        assert ex.target in dbl.message
-
-
 # -- mutation: extra redundant H2D --------------------------------------------------
 
 
-class DupFirstH2d(CaptureExecutor):
+class DupFirstH2d(GraphBuilder):
     """Seeded bug: the first H2D is issued twice, back to back."""
 
     def __init__(self, *args, **kwargs):
@@ -207,14 +175,14 @@ class DupFirstH2d(CaptureExecutor):
 
 class TestRedundantTransfer:
     def test_flagged_as_exactly_one_redundant_h2d(self):
-        ex = DupFirstH2d(PAPER_SYSTEM, label="dup-h2d")
-        report = verify_program(capture_blocking_qr(ex), input_floor_words=M * N)
+        report = verify_program(
+            record(symbolic(DupFirstH2d)), input_floor_words=M * N
+        )
         counts = rule_counts(report)
         assert counts == Counter({"redundant-h2d": 1})
 
     def test_finding_points_at_the_duplicate(self):
-        ex = DupFirstH2d(PAPER_SYSTEM, label="dup-h2d")
-        report = verify_program(capture_blocking_qr(ex))
+        report = verify_program(record(symbolic(DupFirstH2d)))
         (finding,) = report.findings
         assert "re-moves" in finding.message
         assert finding.op.startswith("h2d")
@@ -223,7 +191,7 @@ class TestRedundantTransfer:
 # -- mutation: trailing block read twice per step ---------------------------------
 
 
-class ReloadTrailing(CaptureExecutor):
+class ReloadTrailing(GraphBuilder):
     """Seeded bug: every trailing-update tile is read from the host twice
     per panel step — once into a throwaway buffer, once into the tile."""
 
@@ -236,22 +204,13 @@ class ReloadTrailing(CaptureExecutor):
         super().h2d(dst, src, stream)
 
 
-def capture_binding(executor_cls, name):
-    """Drive registry binding *name* through *executor_cls*."""
-    ex = executor_cls(PAPER_SYSTEM, label=name)
-    hint = ENGINE_BINDINGS[name].run(ex, (N, N), B)
-    program = ex.finish()
-    program.volume_hint = hint
-    return program
-
-
 class TestTrailingReload:
     """LU and Cholesky answer to their own laws. The QR law their bound
     used to borrow is ~3.5x looser and let this mutation pass."""
 
     @pytest.mark.parametrize("name", ["lu-blocking", "chol-blocking"])
     def test_flagged_as_exactly_one_volume_over_model(self, name):
-        report = verify_program(capture_binding(ReloadTrailing, name))
+        report = verify_program(record(symbolic(ReloadTrailing), name, (N, N)))
         assert rule_counts(report) == Counter({"volume-over-model": 1})
         (finding,) = report.findings
         assert finding.op == "h2d"
@@ -260,7 +219,7 @@ class TestTrailingReload:
 
     @pytest.mark.parametrize("name", ["lu-blocking", "chol-blocking"])
     def test_clean_twin_is_not_flagged(self, name):
-        report = verify_program(capture_binding(CaptureExecutor, name))
+        report = verify_program(record(symbolic(), name, (N, N)))
         assert report.ok, report.summary()
         assert report.volume_model == name
         assert 0 < report.h2d_bytes <= report.model_h2d_bytes
@@ -276,7 +235,7 @@ class TestTrailingReload:
 
 class TestBudget:
     def test_over_budget_names_crossing_allocation(self):
-        program = capture_blocking_qr(CaptureExecutor(PAPER_SYSTEM, label="qr"))
+        program = record(symbolic())
         clean = verify_program(program)
         assert clean.ok and clean.peak_bytes > 0
         tight = verify_program(program, budget_bytes=clean.peak_bytes - 1)
@@ -288,23 +247,20 @@ class TestBudget:
 
     def test_exact_peak_is_a_tight_bound(self):
         # budget == peak must pass: the peak is exact, not padded
-        program = capture_blocking_qr(CaptureExecutor(PAPER_SYSTEM, label="qr"))
+        program = record(symbolic())
         clean = verify_program(program)
         at_peak = verify_program(program, budget_bytes=clean.peak_bytes)
         assert at_peak.ok
 
 
-# -- DAG-runtime mutations: verify_program over first-class task graphs ------------
+# -- graph surgery: defects no engine run can record --------------------------------
 #
-# The verifier consumes task graphs from repro.runtime directly (no
-# capture pass). These mutations seed one defect each into a *real*
-# engine graph — a dropped dependency edge, a premature tile free, a
-# duplicated H2D — and the verifier must flag exactly the seeded class.
+# These mutations edit a recorded graph after the fact — a dropped
+# dependency edge, a free moved before the buffer's last use, a duplicated
+# H2D — and the verifier must flag exactly the seeded class.
 
 
 def build_qr_task_graph():
-    from repro.runtime import build_engine_graph
-
     return build_engine_graph("qr-blocking", PAPER_SYSTEM, (M, N), B)
 
 
@@ -414,8 +370,8 @@ class TestDagDuplicatedH2d:
 # expected rule — and the clean twin of each mutation must verify clean.
 
 
-def capture_recursive_qr(config=PAPER_SYSTEM):
-    return capture_engine("qr-recursive", config, (M, N), B)
+def record_recursive_qr(config=PAPER_SYSTEM):
+    return build_engine_graph("qr-recursive", config, (M, N), B)
 
 
 class TestPrecisionMutations:
@@ -423,7 +379,7 @@ class TestPrecisionMutations:
         # the shipped plan splits inputs to fp16x4; the mutation runs the
         # raw fp16 quantizer instead (an upcast dropped from the TC
         # pipeline) against a tolerance only the split format can meet
-        program = capture_recursive_qr()
+        program = record_recursive_qr()
         report = verify_program(
             program,
             tolerance=1e-4,
@@ -437,7 +393,7 @@ class TestPrecisionMutations:
 
     def test_restored_upcast_is_clean(self):
         report = verify_program(
-            capture_recursive_qr(),
+            record_recursive_qr(),
             tolerance=1e-4,
             precision=PrecisionPlan(storage="fp32", gemm_input="fp16x4"),
         )
@@ -468,7 +424,7 @@ class TestPrecisionMutations:
         # plain-fp16 recursive QR against the default tolerance: the
         # propagated bound (not any single downcast) is the root cause
         report = verify_program(
-            capture_recursive_qr(), tolerance=DEFAULT_TOLERANCE
+            record_recursive_qr(), tolerance=DEFAULT_TOLERANCE
         )
         counts = rule_counts(report)
         assert counts == Counter({"tolerance-exceeded": 1}), counts
@@ -483,7 +439,7 @@ class TestPrecisionMutations:
 
         config = replace(PAPER_SYSTEM, precision=Precision.TC_FP16_SPLIT4)
         report = verify_program(
-            capture_recursive_qr(config), tolerance=DEFAULT_TOLERANCE
+            record_recursive_qr(config), tolerance=DEFAULT_TOLERANCE
         )
         assert report.ok, report.summary()
         assert 0 < report.precision_bound <= DEFAULT_TOLERANCE
@@ -535,13 +491,15 @@ class TestPrecisionProperties:
         bounds = []
         for k in (64, 128, 256):
             flow, findings = check_precision(
-                capture_engine("gemm-inner", PAPER_SYSTEM, (32, 32, k), 16)
+                build_engine_graph("gemm-inner", PAPER_SYSTEM, (32, 32, k), 16)
             )
             assert findings == []
             bounds.append(flow.bound)
         assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), bounds
 
     def test_max_k_tracks_the_deepest_chain(self):
-        flow, _ = check_precision(capture_engine("gemm-inner", PAPER_SYSTEM, (32, 32, 128), 16))
+        flow, _ = check_precision(
+            build_engine_graph("gemm-inner", PAPER_SYSTEM, (32, 32, 128), 16)
+        )
         assert flow.n_gemms > 0
         assert flow.max_k >= 16  # at least one full k-chunk GEMM

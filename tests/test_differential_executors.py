@@ -53,7 +53,7 @@ def _ops_of(ex) -> list:
     """The recorded op stream: the threaded run's task graph, or the
     simulator's stream program (the eager executor records none)."""
     if isinstance(ex, SimExecutor):
-        return ex.sim.program.ops
+        return ex.sim.ops
     if isinstance(ex, GraphBuilder):
         return ex.graph.ops
     return []

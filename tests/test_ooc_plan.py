@@ -102,6 +102,15 @@ class TestPanelInner:
         assert plan.keep_c
         assert plan.blocksize < 64
 
+    def test_streamed_c_counts_every_block_buffer(self):
+        # run_panel_inner allocates n_buffers C blocks next to the
+        # n_buffers B blocks; at this budget one C block more would not fit
+        budget = 8704
+        plan = plan_panel_inner(K=1024, M=128, N=128, blocksize=128,
+                                budget_elements=budget, prefer_keep_c=False)
+        allocated = plan.n_buffers * (128 + 1024) * plan.max_block
+        assert plan.working_set_elements() == allocated <= budget
+
     def test_no_keep_when_disabled(self):
         plan = plan_panel_inner(K=1000, M=16, N=200, blocksize=64,
                                 budget_elements=10**6, prefer_keep_c=False)

@@ -1,14 +1,15 @@
 """One op vocabulary: every executor records the same program.
 
 For every registry engine (QR blocking/recursive/TSQR, LU, Cholesky and
-both OOC GEMM engines) the simulator, the symbolic capture and the task
-graph builder must see the same op stream, op for op: engine, kind,
-canonical name, bytes, flops, tag, device accesses and (where recorded)
-the host region — and they must account the same :class:`RunStats`. The
-simulated per-op durations and schedule are pinned to golden digests, so
-a change to how ops are priced shows up here, not in a paper table; DAG
-task costs are the same durations. Liveness is shared too: every executor
-that runs ops refuses one on a freed buffer.
+both OOC GEMM engines) the simulator, serve admission's capture of the
+matching job (:func:`repro.analysis.capture_job`) and the registry's task
+graph must see the same op stream, op for op: engine, kind, canonical
+name, bytes, flops, tag, device accesses and (where recorded) the host
+region — and they must account the same :class:`RunStats`. The simulated
+per-op durations and schedule are pinned to golden digests, so a change
+to how ops are priced shows up here, not in a paper table; DAG task costs
+are the same durations. Liveness is shared too: every executor refuses an
+op on a freed buffer, and a second free.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 import repro.ooc.plan
-from repro.analysis import ENGINE_CAPTURES, CaptureExecutor, verify_program
+from repro.analysis import ENGINE_BINDINGS, capture_job
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ExecutionError
 from repro.execution import NumericExecutor, SimExecutor
@@ -36,6 +37,7 @@ from repro.qr.blocking import ooc_blocking_qr
 from repro.qr.options import QrOptions
 from repro.qr.recursive import ooc_recursive_qr
 from repro.runtime import GRAPH_BUILDERS, GraphBuilder
+from repro.serve import JobSpec
 from tests.conftest import make_tiny_spec
 
 #: name -> (config, m, n, b) in the registry's argument convention.
@@ -157,6 +159,28 @@ def _simulate(name: str, config: SystemConfig, m: int, n: int, b: int,
     return ex, trace
 
 
+def _capture(name: str, config: SystemConfig, m: int, n: int, b: int):
+    """Serve admission's recording of the job that runs registry engine
+    *name* at the registry's ``(m, n)``."""
+    family, _, method = name.partition("-")
+    opts = QrOptions(blocksize=b)
+    if family == "gemm":
+        if method == "inner":   # C (n x n) = A^T B, reduction m
+            spec = JobSpec("gemm", ((m, n), (m, n)), options=opts, mode="sim")
+        else:                   # C (m x n) -= A B, reduction n
+            spec = JobSpec("gemm", ((m, n), (n, n)), options=opts,
+                           trans_a=False, mode="sim")
+        return capture_job(spec, config)
+    if method == "tsqr":
+        config, method = replace(config, panel_algorithm="tsqr"), "recursive"
+    kind = {"chol": "cholesky"}.get(family, family)
+    shape = (m, n) if family == "qr" else (n, n)
+    return capture_job(
+        JobSpec(kind, (shape,), method=method, options=opts, mode="sim"),
+        config,
+    )
+
+
 def _vocabulary(ops) -> list[tuple]:
     """Executor-independent view of an op stream: allocation handles and
     host matrices renumbered in order of first appearance."""
@@ -204,24 +228,24 @@ def _schedule_digest(trace) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("name", list(ENGINE_CAPTURES))
+@pytest.mark.parametrize("name", list(ENGINE_BINDINGS))
 class TestOneVocabulary:
     def test_sim_capture_and_graph_record_the_same_ops(self, name, case):
         config, m, n, b = CASES[case]
         sim, _trace = _simulate(name, config, m, n, b)
-        capture = ENGINE_CAPTURES[name](config, m, n, b)
+        capture = _capture(name, config, m, n, b)
         graph = GRAPH_BUILDERS[name](config, m, n, b)
-        expected = _vocabulary(capture.ops)
+        expected = _vocabulary(sim.sim.ops)
         assert len(expected) > 0
-        assert _vocabulary(sim.sim.program.ops) == expected
+        assert _vocabulary(capture.ops) == expected
         assert _vocabulary(graph.ops) == expected
-        assert _host_regions(graph.ops) == _host_regions(capture.ops)
-        assert any(r is not None for r in _host_regions(capture.ops))
+        assert _host_regions(capture.ops) == _host_regions(graph.ops)
+        assert any(r is not None for r in _host_regions(graph.ops))
 
     def test_run_stats_agree(self, name, case):
         config, m, n, b = CASES[case]
         sim, _trace = _simulate(name, config, m, n, b)
-        capture = ENGINE_CAPTURES[name](config, m, n, b)
+        capture = _capture(name, config, m, n, b)
         graph = GRAPH_BUILDERS[name](config, m, n, b)
         assert _stats(sim.stats) == _stats(capture.stats) == _stats(graph.stats)
 
@@ -243,13 +267,13 @@ class TestOneVocabulary:
         sim, _trace = _simulate(name, config, m, n, b)
         graph = GRAPH_BUILDERS[name](config, m, n, b)
         costs = [task.cost for task in graph.tasks if task.op is not None]
-        assert costs == [op.duration for op in sim.sim.program.ops]
+        assert costs == [op.duration for op in sim.sim.ops]
 
     def test_sim_ops_carry_host_regions(self, name, case):
         config, m, n, b = CASES[case]
         sim, _trace = _simulate(name, config, m, n, b)
-        capture = ENGINE_CAPTURES[name](config, m, n, b)
-        assert _host_regions(sim.sim.program.ops) == _host_regions(capture.ops)
+        graph = GRAPH_BUILDERS[name](config, m, n, b)
+        assert _host_regions(sim.sim.ops) == _host_regions(graph.ops)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -267,7 +291,8 @@ def test_explicit_chunks_keep_the_floor_pins(name, case):
 
 
 def _free_then_use(ex, use: str) -> None:
-    """A buggy driver: frees a buffer, then reads it back or GEMMs on it."""
+    """A buggy driver: frees a buffer, then reads it back, GEMMs on it or
+    frees it again."""
     s = ex.stream("s")
     host = HostMatrix.zeros(8, 8, name="H")
     a, c = ex.alloc(8, 8, "a"), ex.alloc(8, 8, "c")
@@ -275,8 +300,10 @@ def _free_then_use(ex, use: str) -> None:
     ex.free(a)
     if use == "read":
         ex.d2h(host.full(), a, s)
-    else:
+    elif use == "gemm":
         ex.gemm(c, a, a, s)
+    else:
+        ex.free(a)
     ex.free(c)
 
 
@@ -288,22 +315,25 @@ EXECUTORS = {
 }
 
 
-@pytest.mark.parametrize("use", ["read", "gemm"])
+#: What each misuse raises, on every executor.
+REFUSALS = {
+    "read": "use of freed device buffer 'a'",
+    "gemm": "use of freed device buffer 'a'",
+    "free": "double free of device buffer 'a'",
+}
+
+
+@pytest.mark.parametrize("use", sorted(REFUSALS))
 class TestFreedOperand:
-    """Every executor shares one liveness rule: an op on a freed buffer
-    raises; the capture records it for the verifier to name instead."""
+    """Every executor shares one liveness rule: an op on a freed buffer,
+    or a second free of it, raises when it is issued (so a recorded graph
+    never holds one)."""
 
     @pytest.mark.parametrize("executor", sorted(EXECUTORS))
     def test_executors_refuse(self, executor, use):
         ex = EXECUTORS[executor](CASES["tiny"][0])
         try:
-            with pytest.raises(ExecutionError, match="use of freed device buffer 'a'"):
+            with pytest.raises(ExecutionError, match=REFUSALS[use]):
                 _free_then_use(ex, use)
         finally:
             ex.close()
-
-    def test_capture_yields_use_after_free_finding(self, use):
-        ex = CaptureExecutor(CASES["tiny"][0], label="free-then-use")
-        _free_then_use(ex, use)
-        report = verify_program(ex.finish())
-        assert "use-after-free" in {f.rule for f in report.findings}

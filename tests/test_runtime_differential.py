@@ -6,13 +6,12 @@ graph — replayed serially in emission order, and on the work-stealing
 threads of ``concurrency="threads"``, on power-of-two and ragged shapes —
 and the results must be *bitwise* identical. On top of the numeric
 identity, recorded programs must be node-for-node comparable: the task
-graph emits exactly the ops a capture of the eager run records, in the
-same order, and every dataflow edge the graph derives is ordered the same
-way by the captured program's happens-before closure.
+graph emits exactly the ops the simulator's stream program records, in
+the same order, and every dataflow edge the graph derives is ordered the
+same way by the stream program's happens-before closure.
 
-Finally, ``verify_program`` must accept the task graphs *directly* —
-race-free, leak-free, exact peak within budget, §3.2 transfer volume —
-with no capture pass.
+Finally, ``verify_program`` must accept the task graphs —
+race-free, leak-free, exact peak within budget, §3.2 transfer volume.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis import verify_program
-from repro.analysis.engines import capture_engine
+from repro.analysis import ENGINE_BINDINGS, verify_engine, verify_program
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ValidationError
+from repro.execution import SimExecutor
 from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
 from repro.ooc.api import ooc_gemm
@@ -41,7 +40,6 @@ from repro.runtime import (
     build_engine_graph,
     edges_consistent,
     node_signature,
-    verify_engine_graph,
 )
 from repro.sim.trace import Trace
 from repro.util.rng import default_rng, stable_seed
@@ -69,6 +67,14 @@ def _config() -> SystemConfig:
 def _matrix(*parts, shape) -> np.ndarray:
     rng = default_rng(stable_seed("runtime-differential", *parts))
     return rng.standard_normal(shape).astype(np.float32)
+
+
+def _simulated_ops(name, cfg, dims, b):
+    """The simulator's stream program for registry binding *name*."""
+    ex = SimExecutor(cfg)
+    ENGINE_BINDINGS[name].run(ex, dims, b)
+    ex.finish()
+    return ex.sim.ops
 
 
 def _on_dag(monkeypatch, concurrency, fn, *args, **kwargs):
@@ -167,23 +173,17 @@ class TestProgramEquivalence:
     def test_qr_node_for_node(self, method, tag, m, n):
         cfg = _config()
         graph = build_engine_graph(f"qr-{method}", cfg, (m, n), BLOCK)
-        capture = capture_engine(f"qr-{method}", cfg, (m, n), BLOCK)
-        assert node_signature(graph.ops) == node_signature(capture.ops)
-        assert edges_consistent(graph.ops, capture.ops)
-        # allocator logs line up event-for-event too
-        assert [
-            (e.kind, e.name, e.nbytes, e.position) for e in graph.mem_events
-        ] == [
-            (e.kind, e.name, e.nbytes, e.position) for e in capture.mem_events
-        ]
+        stream_ops = _simulated_ops(f"qr-{method}", cfg, (m, n), BLOCK)
+        assert node_signature(graph.ops) == node_signature(stream_ops)
+        assert edges_consistent(graph.ops, stream_ops)
 
     @pytest.mark.parametrize("kind", ["inner", "outer"])
     def test_gemm_node_for_node(self, kind):
         cfg = _config()
         graph = build_engine_graph(f"gemm-{kind}", cfg, (64, 64, 128), 32)
-        capture = capture_engine(f"gemm-{kind}", cfg, (64, 64, 128), 32)
-        assert node_signature(graph.ops) == node_signature(capture.ops)
-        assert edges_consistent(graph.ops, capture.ops)
+        stream_ops = _simulated_ops(f"gemm-{kind}", cfg, (64, 64, 128), 32)
+        assert node_signature(graph.ops) == node_signature(stream_ops)
+        assert edges_consistent(graph.ops, stream_ops)
 
     def test_sim_mode_matches_legacy_accounting(self):
         """The simulated graph moves what the simulated eager run does."""
@@ -230,17 +230,17 @@ class TestSimPrediction:
 
 
 class TestGraphVerification:
-    """verify_program consumes the DAG directly (no capture pass)."""
+    """verify_program consumes the DAG directly."""
 
     @pytest.mark.parametrize("name", QR_GEMM_ENGINES)
     def test_migrated_engine_graphs_verify_clean(self, name):
-        report = verify_engine_graph(name, _config())
+        report = verify_engine(name, _config())
         assert report.ok, [str(f) for f in report.findings]
 
     @pytest.mark.parametrize("name", FACTOR_ENGINES)
     def test_adapter_engine_graphs_verify_clean(self, name):
         # the LU/Cholesky graphs threaded runs execute
-        report = verify_engine_graph(name, _config())
+        report = verify_engine(name, _config())
         assert report.ok, [str(f) for f in report.findings]
 
     def test_registry_covers_status_map(self):

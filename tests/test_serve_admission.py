@@ -7,9 +7,12 @@ with exactly its grant — the estimator can never under-price a job.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.analysis import capture_job, exact_peak_bytes
 from repro.bench.concurrency import bench_spec
 from repro.config import SystemConfig
 from repro.errors import AdmissionError
@@ -147,6 +150,49 @@ class TestChargesTheStreamedChunk:
         spec = JobSpec(kind, ((n, n),), method=method, mode="sim", options=opts)
         charged = estimate_footprint_bytes(spec, config)
         assert charged >= _direct_peak(kind, method, n, opts, config)
+
+
+def _bench_config() -> SystemConfig:
+    """The 64 MiB TC fp16 device the serve benchmark runs on."""
+    return SystemConfig(gpu=bench_spec(64 << 20), precision=Precision.TC_FP16)
+
+
+class TestFloorGrant:
+    """A ``device_memory`` request below the floor is raised to it, and the
+    floor is enough for the engines' fully shrunk plans: admission records
+    the job's graph (which raises on an allocation past the grant) and the
+    job runs inside it."""
+
+    @pytest.mark.parametrize("method", ["recursive", "blocking"])
+    def test_shrunk_inner_product_runs_at_the_floor(self, method):
+        # the panel inner product streams C through n_buffers blocks; at
+        # this grant its plan fits only when it counts every one of them
+        config = _bench_config()
+        spec = JobSpec("qr", ((1024, 256),), method=method, mode="sim",
+                       options=QrOptions(blocksize=128), device_memory=1)
+        grant = estimate_footprint_bytes(spec, config)
+        assert grant == 624_640
+        job_config = _capped(config, grant)
+        assert exact_peak_bytes(capture_job(spec, job_config)) <= grant
+        assert run_job(spec, job_config, "serial").makespan > 0
+
+    def test_floor_grants_record_every_graph(self):
+        config = _bench_config()
+        cases = [
+            ("qr", shape, b) for shape in ((256, 64), (300, 70), (1024, 256))
+            for b in (16, 64, 128)
+        ] + [
+            (kind, (n, n), b) for kind in ("lu", "cholesky")
+            for n in (128, 200) for b in (16, 64, 128)
+        ]
+        for (kind, shape, b), method in itertools.product(
+            cases, ("recursive", "blocking")
+        ):
+            spec = JobSpec(kind, (shape,), method=method, mode="sim",
+                           options=QrOptions(blocksize=b), device_memory=1)
+            grant = estimate_footprint_bytes(spec, config)
+            graph = capture_job(spec, _capped(config, grant))
+            assert exact_peak_bytes(graph) <= grant, (kind, shape, b, method)
 
 
 class TestController:

@@ -1,10 +1,28 @@
 """Race-detector tests: catches deliberately racy programs and certifies
-every OOC engine's event wiring race-free."""
+every OOC engine's event wiring race-free.
+
+The simulator's stream program is the one recording whose edges come
+from streams and events (a task graph derives its edges from data
+accesses), so these runs are what check the engines' stream discipline.
+"""
 
 import pytest
 
+from repro.analysis import ENGINE_BINDINGS
+from repro.config import SystemConfig
+from repro.execution.sim import SimExecutor
 from repro.host.tiled import HostMatrix
+from repro.hw.specs import V100_32GB
 from repro.sim.race import assert_race_free, detect_races
+
+#: The small ``repro analyze`` shapes CI verifies: (m, n, b, device cap in
+#: bytes or None) on the analyzer's default V100-32GB.
+CI_SHAPES = {
+    "96x64b16": (96, 64, 16, None),
+    "128x64b8": (128, 64, 8, None),
+    "96x48b16": (96, 48, 16, None),
+    "96x64b16-1mib": (96, 64, 16, int(0.001 * (1 << 30))),
+}
 
 
 class TestDetection:
@@ -80,6 +98,18 @@ class TestDetection:
 
 class TestEnginesAreRaceFree:
     """The real payoff: every OOC engine's pipeline wiring is certified."""
+
+    @pytest.mark.parametrize("shape", sorted(CI_SHAPES))
+    @pytest.mark.parametrize("name", sorted(ENGINE_BINDINGS))
+    def test_engine_binding(self, name, shape):
+        m, n, b, cap = CI_SHAPES[shape]
+        gpu = V100_32GB
+        if cap is not None:
+            gpu = gpu.with_memory(cap, suffix="capped")
+        binding = ENGINE_BINDINGS[name]
+        ex = SimExecutor(binding.configure(SystemConfig(gpu=gpu)))
+        binding.run(ex, binding.dims(m, n), b)
+        assert_race_free(ex.finish())
 
     def test_ksplit_inner(self, sim_ex):
         from repro.ooc.inner import run_ksplit_inner

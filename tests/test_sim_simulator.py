@@ -193,7 +193,7 @@ class TestOpBuilders:
         return SimExecutor(sim.config)
 
     def _last(self, ex):
-        return ex.sim.program.ops[-1]
+        return ex.sim.ops[-1]
 
     def test_h2d_duration_from_model(self, ex):
         host = HostMatrix.shape_only(1000, 250, name="H").full()
