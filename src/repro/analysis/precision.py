@@ -90,6 +90,7 @@ from repro.errors import PrecisionViolation, ValidationError
 from repro.sim.ops import OpKind
 from repro.tc.precision import UNIT_ROUNDOFF
 from repro.util.regions import rects_overlap
+from repro.util.validation import positive_float
 
 #: The precision lattice, coarsest to finest (see module docstring for
 #: the two documented rank tie-breaks).
@@ -409,8 +410,9 @@ def check_precision(
     """
     if plan is None:
         plan = PrecisionPlan.from_config(program.config)
-    if tolerance is not None and tolerance <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tolerance}")
+    if tolerance is not None:
+        # finite too: a NaN or infinite tolerance passes every bound
+        positive_float(tolerance, "tolerance")
     findings = _valid_plan_findings(plan)
     flow = propagate(program, plan)
     if findings or tolerance is None:

@@ -12,6 +12,9 @@ repeats from memory. The key covers everything the result depends on:
 * the numeric environment: precision, element size, panel algorithm and
   the device-memory footprint the job runs under (tiling — and therefore
   floating-point summation order — depends on it).
+
+:class:`LruCache` is the bounded LRU both service caches use: this
+module's :class:`ResultCache` and the service's plan-verdict cache.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import fields
+from typing import Any, Hashable
 
 import numpy as np
 
@@ -30,10 +34,15 @@ from repro.serve.job import JobResult, JobSpec
 
 
 def _update_with_array(h, arr: np.ndarray) -> None:
-    """Feed an operand's full identity (dtype, shape, bytes) to the hash."""
+    """Feed an operand's full identity (dtype, shape, bytes) to the hash.
+
+    The bytes go in through a memoryview of the C-order buffer: no copy
+    for a C-contiguous operand, and the same digest as its ``tobytes()``
+    for any layout (F-order and strided operands are made C-contiguous
+    first, so they key like their C-order copies)."""
     h.update(str(arr.dtype).encode())
     h.update(repr(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
 
 
 def _update_with_options(h, options: QrOptions) -> None:
@@ -67,20 +76,18 @@ def job_cache_key(
     return h.hexdigest()
 
 
-class ResultCache:
-    """Bounded LRU map from job cache keys to frozen :class:`JobResult`s.
+class LruCache:
+    """Bounded, thread-safe LRU map.
 
-    Thread-safe. Entries are evicted least-recently-used once
-    ``max_entries`` is exceeded; stored results are read-only (the service
-    freezes arrays before insertion) so hits can be shared across callers
-    without copying.
+    Entries are evicted least-recently-used once ``max_entries`` is
+    exceeded. ``hits``/``misses`` count :meth:`get` outcomes.
     """
 
     def __init__(self, max_entries: int = 128):
         if max_entries < 1:
             raise ValidationError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, JobResult]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -88,21 +95,21 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> JobResult | None:
-        """The cached result for *key*, bumping its recency; None on miss."""
+    def get(self, key: Hashable) -> Any | None:
+        """The cached value for *key*, bumping its recency; None on miss."""
         with self._lock:
-            result = self._entries.get(key)
-            if result is None:
+            value = self._entries.get(key)
+            if value is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return result
+            return value
 
-    def put(self, key: str, result: JobResult) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) *key*; evicts the LRU entry when full."""
         with self._lock:
-            self._entries[key] = result.freeze()
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -116,3 +123,14 @@ class ResultCache:
         """Fraction of lookups served from cache (0 when never queried)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+class ResultCache(LruCache):
+    """Bounded LRU map from job cache keys to frozen :class:`JobResult`s.
+
+    Stored results are read-only (frozen on insertion) so hits can be
+    shared across callers without copying.
+    """
+
+    def put(self, key: str, result: JobResult) -> None:
+        super().put(key, result.freeze())

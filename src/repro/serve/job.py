@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.qr.options import QrOptions
-from repro.util.validation import one_of
+from repro.util.validation import one_of, positive_float
 
 #: Operation kinds the service knows how to run.
 JOB_KINDS = ("qr", "gemm", "lu", "cholesky")
@@ -146,8 +146,9 @@ class JobSpec:
                 )
         if self.device_memory is not None and self.device_memory <= 0:
             raise ValidationError("device_memory must be positive or None")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive or None")
+        if self.tolerance is not None:
+            # finite too: a NaN or infinite tolerance passes every plan
+            positive_float(self.tolerance, "tolerance")
 
     def shapes(self) -> tuple[tuple[int, int], ...]:
         """The (rows, cols) of every operand, data or shape-only."""

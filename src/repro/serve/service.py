@@ -59,7 +59,7 @@ from repro.obs import clock as _clock
 from repro.obs.clock import monotonic as _monotonic
 from repro.obs.span import NULL_RECORDER, SpanRecorder
 from repro.serve.admission import AdmissionController, estimate_footprint_bytes
-from repro.serve.cache import ResultCache, job_cache_key
+from repro.serve.cache import LruCache, ResultCache, job_cache_key
 from repro.serve.job import JobHandle, JobResult, JobSpec, JobState
 from repro.obs.metrics import MetricsRegistry
 from repro.util.validation import one_of
@@ -86,6 +86,11 @@ DETERMINISTIC_ERRORS = (
     OutOfDeviceMemoryError,
     OutOfHostMemoryError,
 )
+
+#: Plan identities whose admission verdict one service remembers (see
+#: :meth:`FactorService._plan_verdict`). An entry is one small
+#: ``AnalysisReport`` (or an unplannable message), never the task graph.
+PLAN_CACHE_ENTRIES = 256
 
 
 def run_job(
@@ -288,7 +293,10 @@ class FactorService:
         the verifier's *exact* peak-memory result — not the plan
         heuristic — is what admission charges. Plans with findings are
         quarantined with ``AdmissionError("plan-rejected")`` before they
-        ever touch the queue. On by default; see docs/analysis.md.
+        ever touch the queue. Verdicts are memoized per plan identity
+        (shape, options, grant, tolerance — never the data), so a repeat
+        shape skips recording and verification. On by default; see
+        docs/analysis.md.
     obs
         A shared :class:`~repro.obs.SpanRecorder`. Every job then records
         one root span (submit to retire) on a ``jobs`` lane plus
@@ -367,6 +375,9 @@ class FactorService:
             max_pending=queue_limit,
         )
         self._runner = runner or run_job
+        # Admission verdicts by plan identity (_plan_verdict): plans depend
+        # on shape, options and grant only, never on the operands' data.
+        self._plan_cache = LruCache(PLAN_CACHE_ENTRIES)
 
         m = self.metrics
         self._submitted_c = m.counter("jobs_submitted", "jobs accepted by submit()")
@@ -409,6 +420,11 @@ class FactorService:
             "plans_rejected",
             "submissions quarantined because the static plan verifier "
             "found violations (race, leak, over-budget peak, ...)",
+        )
+        self._plan_cache_hits_c = m.counter(
+            "plan_cache_hits",
+            "plan verifications answered from the plan-verdict cache "
+            "(no recording, no verification)",
         )
         self._plans_precision_waived_c = m.counter(
             "plans_precision_waived",
@@ -471,33 +487,71 @@ class FactorService:
         every verifier pass against the grant as the budget. Returns the
         :class:`~repro.analysis.verify.AnalysisReport`; raises
         :class:`~repro.errors.AdmissionError` (``job-unplannable``) when
-        the engines cannot even plan inside the grant.
+        the engines cannot even plan inside the grant. A plan identity the
+        service has seen before is answered from its verdict cache; the
+        report is then shared and must be treated as read-only.
         """
-        return self._verify_plan(spec, estimate_footprint_bytes(spec, self.config))
+        footprint = estimate_footprint_bytes(spec, self.config)
+        return self._plan_verdict(spec, footprint)[0]
 
     def _verify_plan(self, spec: JobSpec, footprint: int):
+        """Record and verify *spec*'s task graph under its grant (uncached;
+        raises :class:`~repro.errors.PlanError` when it cannot plan)."""
         from repro.analysis import capture_job, verify_program
 
-        try:
-            program = capture_job(spec, self._capped_config(footprint))
-        except PlanError as exc:
-            raise AdmissionError(
-                "job-unplannable",
-                f"{spec.label()} cannot be planned inside its "
-                f"{footprint}-byte grant: {exc}",
-            ) from exc
+        program = capture_job(spec, self._capped_config(footprint))
         return verify_program(
             program, budget_bytes=footprint, tolerance=spec.tolerance
         )
 
+    def _plan_verdict(self, spec: JobSpec, footprint: int):
+        """``(report, cached)`` for *spec*'s plan under *footprint*.
+
+        The key is everything :meth:`_verify_plan` reads: the capped
+        config (which carries the grant), kind, method, mode, ``trans_a``,
+        operand shapes, options and tolerance — all frozen and compared
+        by exact equality, so there is no digest to collide. A miss runs
+        :meth:`_verify_plan` and remembers the report, or for an
+        unplannable job only the plan error's message (an exception would
+        pin its traceback's frames, recorded graph included); a hit
+        replays it. An unplannable verdict raises a fresh
+        ``AdmissionError`` (``job-unplannable``) either way. Concurrent
+        first-of-shape misses may each verify; their verdicts are equal,
+        so the last write wins harmlessly.
+        """
+        key = (
+            self._capped_config(footprint), spec.kind, spec.method,
+            spec.mode, spec.trans_a, spec.shapes(), spec.options,
+            spec.tolerance,
+        )
+        verdict = self._plan_cache.get(key)
+        cached = verdict is not None
+        if cached:
+            self._plan_cache_hits_c.inc()
+        else:
+            try:
+                verdict = self._verify_plan(spec, footprint)
+            except PlanError as exc:
+                verdict = str(exc)
+            self._plan_cache.put(key, verdict)
+        if isinstance(verdict, str):
+            cause = PlanError(verdict)
+            raise AdmissionError(
+                "job-unplannable",
+                f"{spec.label()} cannot be planned inside its "
+                f"{footprint}-byte grant: {cause}",
+            ) from cause
+        return verdict, cached
+
     def _gate_plan(self, spec: JobSpec, footprint: int, rid, t_submit):
-        """Verify *spec*'s plan and apply the admission gate; returns the
-        report, or raises ``AdmissionError`` (counting and recording the
-        rejection). Precision-only findings are waived — with the
-        ``plans_precision_waived`` counter on the books — when the job's
-        health options provide the ``escalate`` runtime fallback."""
+        """Verify *spec*'s plan and apply the admission gate; returns
+        ``(report, cached)``, or raises ``AdmissionError`` (counting and
+        recording the rejection). Precision-only findings are waived —
+        with the ``plans_precision_waived`` counter on the books — when
+        the job's health options provide the ``escalate`` runtime
+        fallback. Counters move once per job, cached verdict or not."""
         try:
-            report = self._verify_plan(spec, footprint)
+            report, cached = self._plan_verdict(spec, footprint)
         except AdmissionError:
             self._rejected_c.inc()
             self._record_job_root(spec, rid, t_submit, "rejected")
@@ -528,7 +582,7 @@ class FactorService:
                 ) from violation
         else:
             self._plans_verified_c.inc()
-        return report
+        return report, cached
 
     def submit(self, spec: JobSpec) -> JobHandle:
         """Admit one job; returns its future-like handle.
@@ -578,18 +632,20 @@ class FactorService:
             self._cache_misses_c.inc()
 
         # Static plan verification happens outside the scheduler lock: the
-        # capture is pure (no data, no clock, no shared state).
+        # capture is pure (no data, no clock, no shared state), and a
+        # repeat plan identity is a verdict-cache lookup.
         # Multi-device jobs skip the single-device capture: their
         # placement is verified per-device by the dist runner instead
         # (every DeviceProgram through verify_program; see _run_dist_job).
         charge = footprint
         if self.verify_plans and spec.devices == 1:
             verify_t0 = obs.now() if obs.enabled else 0.0
-            report = self._gate_plan(spec, footprint, rid, t_submit)
+            report, cached = self._gate_plan(spec, footprint, rid, t_submit)
             if obs.enabled:
                 obs.record(
                     "verify", verify_t0, obs.now(), cat="serve", lane="serve",
-                    parent_id=rid, attrs={"job": spec.label()},
+                    parent_id=rid,
+                    attrs={"job": spec.label(), "cached": cached},
                 )
             # Charge the verifier's exact peak, not the plan heuristic.
             # The grant (allocator capacity the job runs under) stays at

@@ -286,6 +286,16 @@ class TestPrecedence:
         with pytest.raises(ValidationError):
             check_precision(one_gemm_program(), tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # a NaN or infinite tolerance compares so that no bound is ever
+        # judged over it: the gate would pass every plan
+        program = build_engine_graph("qr-recursive", PAPER_SYSTEM, (512, 256), 64)
+        _flow, findings = check_precision(program, tolerance=1e-9)
+        assert rule_counts(findings) == Counter({"unsafe-downcast": 1})
+        with pytest.raises(ValidationError, match="finite"):
+            check_precision(program, tolerance=tolerance)
+
 
 def flow_bound_just_below() -> float:
     """A tolerance slightly under the fp16x4 recursive-QR bound."""
@@ -355,6 +365,14 @@ def counter_value(svc: FactorService, name: str) -> int:
 
 
 class TestServeGating:
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tolerance_refused_by_the_spec(self, tolerance):
+        with pytest.raises(ValidationError, match="finite"):
+            JobSpec(
+                kind="qr", operands=(benign_matrix(),), options=OPTS,
+                tolerance=tolerance,
+            )
+
     def test_tolerance_violating_plan_rejected_before_running(self):
         spec = JobSpec(
             kind="qr", operands=(benign_matrix(),), options=OPTS,

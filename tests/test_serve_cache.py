@@ -160,6 +160,39 @@ class TestCachedResults:
             assert not again.cache_hit
 
 
+class TestKeyDigest:
+    """The digest is pinned: hashing the operand buffer in place must not
+    move any key (a moved key would orphan every cached result)."""
+
+    A = (np.arange(48 * 24, dtype=np.float32).reshape(48, 24) / 7).astype(
+        np.float32
+    )
+    B = np.arange(48 * 8, dtype=np.float64).reshape(48, 8) - 100.5
+
+    def test_pinned_hex_keys(self):
+        from repro.config import PAPER_SYSTEM
+
+        opts = QrOptions(blocksize=16)
+        assert job_cache_key(
+            JobSpec("qr", (self.A,), options=opts), PAPER_SYSTEM, 1 << 20
+        ) == "bcc2f34d70f42046f71b66d04642f3b6b0f3621195fbe2d00a3ab5be865fac2a"
+        assert job_cache_key(
+            JobSpec("gemm", (self.A, self.B), options=opts), PAPER_SYSTEM,
+            1 << 20,
+        ) == "7bd66925fdec31196ea0a4d0d91b04106477e8ab4c8e03f5440972b4d48d0c1d"
+
+    def test_layout_does_not_key(self, config):
+        wide = np.arange(96 * 24, dtype=np.float32).reshape(96, 24)
+        strided = wide[::2]
+        assert not strided.flags.c_contiguous
+        fortran = np.asfortranarray(self.A)
+        assert not fortran.flags.c_contiguous
+        for arr in (fortran, strided):
+            c_order = np.ascontiguousarray(arr)
+            assert job_cache_key(qr_spec(arr), config, FOOTPRINT) == \
+                job_cache_key(qr_spec(c_order), config, FOOTPRINT)
+
+
 class TestResultCacheLru:
     def _result(self, tag: float) -> JobResult:
         return JobResult(kind="qr", arrays={"q": np.full((2, 2), tag)})
