@@ -217,3 +217,45 @@ class TestPanelTrsm:
         assert res.c_device is not None
         numeric_ex.free(res.c_device)
         numeric_ex.free(tri_dev)
+
+
+class TestBlockingLuTrsmPin:
+    """Blocking LU's U12 solves at tight grants (512², b=64, sim mode): per
+    solve, (N, streamed block width, X left resident). Integer plan
+    arithmetic only, so the pin holds in every environment."""
+
+    PINNED = {
+        160 << 10: [(448, 8, False), (384, 8, False), (320, 8, False),
+                    (256, 8, False), (192, 8, False), (128, 8, False),
+                    (64, 8, False)],
+        200 << 10: [(448, 32, False), (384, 32, False), (320, 32, False),
+                    (256, 32, False), (192, 4, True), (128, 32, True),
+                    (64, 64, True)],
+        240 << 10: [(448, 64, False), (384, 64, False), (320, 16, True),
+                    (256, 32, True), (192, 64, True), (128, 64, True),
+                    (64, 64, True)],
+    }
+
+    @staticmethod
+    def solves(mem_bytes: int, monkeypatch) -> list[tuple[int, int, bool]]:
+        import repro.factor.lu as lu
+        from repro.config import SystemConfig
+        from repro.factor import ooc_lu
+        from tests.conftest import make_tiny_spec
+
+        seen = []
+
+        def record(*args, **kwargs):
+            res = run_panel_trsm(*args, **kwargs)
+            plan = args[4]
+            seen.append((plan.N, plan.max_block, res.c_device is not None))
+            return res
+
+        monkeypatch.setattr(lu, "run_panel_trsm", record)
+        cfg = SystemConfig(gpu=make_tiny_spec(mem_bytes))
+        ooc_lu((512, 512), method="blocking", mode="sim", config=cfg, blocksize=64)
+        return seen
+
+    @pytest.mark.parametrize("mem_bytes", sorted(PINNED))
+    def test_pinned_solves(self, mem_bytes, monkeypatch):
+        assert self.solves(mem_bytes, monkeypatch) == self.PINNED[mem_bytes]
