@@ -392,17 +392,26 @@ class NumericExecutor(Executor):
         return body
 
     def _panel_lu_body(self, panel: DeviceView, u_out: DeviceView, name: str):
-        from repro.factor.incore import incore_lu_nopivot
+        """Factors the panel in place. A leaf whose ``κ₁(U11)`` rejects the
+        GEMM for its rows below says so with a ``panel-fallback`` event."""
+        from repro.factor.incore import _lu_in_place
+
+        def leaf_fallback(shape: tuple[int, int], kappa: float) -> None:
+            self.obs.event(
+                "panel-fallback", cat="panel", lane="compute",
+                attrs={"reason": "lu-leaf-cond", "shape": shape, "kappa": kappa},
+            )
 
         def body() -> None:
             a_data = self._data(panel)
             self._written(panel)
             self._written(u_out)
-            packed = incore_lu_nopivot(a_data, input_format=self._input_format)
+            _lu_in_place(
+                a_data, input_format=self._input_format, on_fallback=leaf_fallback
+            )
             if self.health.enabled:
-                self.health.check_output(packed, name)
-            np.copyto(a_data, packed)
-            np.copyto(self._data(u_out), np.triu(packed[: panel.cols]))
+                self.health.check_output(a_data, name)
+            np.copyto(self._data(u_out), np.triu(a_data[: panel.cols]))
 
         return body
 

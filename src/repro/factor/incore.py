@@ -15,6 +15,9 @@ callers must supply matrices that are stable without pivoting
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 import scipy.linalg
 
@@ -29,6 +32,18 @@ DEFAULT_LEAF = 32
 #: the unpivoted factorization numerically meaningless.
 PIVOT_TOL = 1e-10
 
+#: Largest ``κ₁(U11) = ‖U11‖₁‖U11⁻¹‖₁`` at which an LU leaf solves its rows
+#: below the k×k diagonal block as one GEMM with the inverted triangle
+#: instead of the rank-1 loop. The GEMM's backward error grows like
+#: κ·u32, the loop's does not: on 1024×32 leaves with Kahan-type U11 the
+#: GEMM's ``‖A − LU‖/‖A‖`` stays within 2x the loop's up to this bound
+#: (the sweep is ``python -m tests.test_lu_leaf``). Every benchmark leaf
+#: reads κ₁ ≤ 1.34.
+LU_LEAF_MAX_COND = 1e2
+
+#: ``on_fallback(shape, kappa)``: told when a leaf rejects the GEMM.
+LeafFallback = Callable[[tuple[int, int], float], None]
+
 
 def _check_tall(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a)
@@ -41,19 +56,62 @@ def _check_tall(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _lu_leaf(a: np.ndarray, scale: float) -> None:
-    """Unpivoted right-looking LU of a tall block, in place (fp32)."""
+def _lu_leaf(
+    a: np.ndarray, scale: float, on_fallback: LeafFallback | None = None
+) -> None:
+    """Unpivoted LU of a tall leaf block, in place (fp32).
+
+    The rank-1 loop factors only the top k×k block (k = min(m, n)). The
+    rows below are ``A21·U11⁻¹``, one fp32 GEMM with the fp64-inverted
+    U11, when ``κ₁(U11) ≤`` :data:`LU_LEAF_MAX_COND`; otherwise the loop
+    eliminates them against the finished U, bitwise the full loop, and
+    *on_fallback* hears ``(shape, κ₁)``.
+    """
     m, n = a.shape
-    for j in range(min(m, n)):
+    k = min(m, n)
+    _rank1_lu(a, 0, k, scale)
+    if m == k:
+        return
+    u11 = np.triu(a[:k]).astype(np.float64)
+    with np.errstate(all="ignore"):
+        inv = np.linalg.inv(u11)
+        kappa = float(np.linalg.norm(u11, 1) * np.linalg.norm(inv, 1))
+    # a non-finite inverse makes kappa inf or nan, which fails the test
+    if kappa <= LU_LEAF_MAX_COND:
+        a[k:] = a[k:] @ inv.astype(np.float32)
+        return
+    if on_fallback is not None:
+        on_fallback((m, n), kappa)
+    _rank1_lu(a, k, m, None)
+
+
+def _rank1_lu(a: np.ndarray, row0: int, row1: int, scale: float | None) -> None:
+    """The unblocked right-looking rank-1 loop of a leaf *a*, restricted to
+    its rows [row0, row1). Step j divides column j of those rows below row
+    j by the pivot ``a[j, j]`` and subtracts their multiple of pivot row j;
+    a row reads only its own entries and the pivot rows, so the restriction
+    computes exactly the full loop's values there. With a *scale*, each
+    pivot is checked first."""
+    n = a.shape[1]
+    outer = np.empty((row1 - row0, n), dtype=np.float32)
+    for j in range(min(a.shape)):
         piv = a[j, j]
-        if not np.isfinite(piv) or abs(piv) <= PIVOT_TOL * scale:
+        if scale is not None and (
+            not math.isfinite(piv) or abs(piv) <= PIVOT_TOL * scale
+        ):
             raise ValidationError(
                 f"zero pivot at column {j}: unpivoted LU requires a matrix "
                 "that is stable without pivoting (e.g. diagonally dominant)"
             )
-        a[j + 1 :, j] /= piv
+        lo = max(row0, j + 1)
+        if lo >= row1:
+            continue
+        col = a[lo:row1, j]
+        col /= piv
         if j + 1 < n:
-            a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :])
+            upd = outer[: row1 - lo, : n - j - 1]
+            np.multiply.outer(col, a[j, j + 1 :], out=upd)
+            a[lo:row1, j + 1 :] -= upd
 
 
 def incore_lu_nopivot(
@@ -72,22 +130,41 @@ def incore_lu_nopivot(
     a = _check_tall(a, "a")
     leaf = positive_int(leaf, "leaf")
     packed = np.array(a, dtype=np.float32, copy=True, order="C")
-    scale = float(np.abs(packed).max()) or 1.0
-    _lu_recurse(packed, 0, packed.shape[1], leaf, input_format, scale)
+    _lu_in_place(packed, leaf=leaf, input_format=input_format)
     return packed
 
 
+def _lu_in_place(
+    a: np.ndarray,
+    *,
+    leaf: int = DEFAULT_LEAF,
+    input_format: str = "fp16",
+    on_fallback: LeafFallback | None = None,
+) -> None:
+    """:func:`incore_lu_nopivot` on a tall fp32 array (or view), which is
+    overwritten with the packed factors; *on_fallback* as in
+    :func:`_lu_leaf`."""
+    scale = float(np.abs(a).max()) or 1.0
+    _lu_recurse(a, 0, a.shape[1], leaf, input_format, scale, on_fallback)
+
+
 def _lu_recurse(
-    a: np.ndarray, col0: int, col1: int, leaf: int, input_format: str, scale: float
+    a: np.ndarray,
+    col0: int,
+    col1: int,
+    leaf: int,
+    input_format: str,
+    scale: float,
+    on_fallback: LeafFallback | None,
 ) -> None:
     """Factor columns [col0, col1) of the trailing block rows [col0:]."""
     width = col1 - col0
     if width <= leaf:
-        _lu_leaf(a[col0:, col0:col1], scale)
+        _lu_leaf(a[col0:, col0:col1], scale, on_fallback)
         return
     mid = col0 + width // 2
     # left half (full height below col0)
-    _lu_recurse(a, col0, mid, leaf, input_format, scale)
+    _lu_recurse(a, col0, mid, leaf, input_format, scale, on_fallback)
     l11 = a[col0:mid, col0:mid]           # unit lower (packed)
     a12 = a[col0:mid, mid:col1]
     # U12 = L11^{-1} A12 (small triangular solve, exact fp32)
@@ -101,7 +178,7 @@ def _lu_recurse(
         l21, a12, alpha=-1.0, beta=1.0, c=a22, input_format=input_format, out=a22
     )
     # right half
-    _lu_recurse(a, mid, col1, leaf, input_format, scale)
+    _lu_recurse(a, mid, col1, leaf, input_format, scale, on_fallback)
 
 
 def lu_unpack(packed: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
