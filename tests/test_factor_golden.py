@@ -48,10 +48,10 @@ PINNED = {
         "65d1a1eb5b3c18fa31ce363446d079e73c161f780187dd3575f79f66fd0ae452"
     ),
     ("lu", "blocking"): (
-        "35940b86587c195a62be0df7f65f1b7489ef6d00c34df85dcfd0d10d7bc10ef5"
+        "2bee2a90c9593bc1063f5a2b9837e820224baeeb9066f736d804ad1f2b160a99"
     ),
     ("lu", "recursive"): (
-        "5715dae857149fdc3d1d0f880e08736e97cb55124a5214428a3bcbc31f78307f"
+        "7d8e28332ec6c714ed445be34aa19d57748849aab0403bbfa6f6ec6cda1162d5"
     ),
 }
 
