@@ -29,14 +29,15 @@ from repro.factor.common import FactorRunInfo, check_lu_inputs
 from repro.host.tiled import HostMatrix
 from repro.ooc.gradual import uniform_schedule
 from repro.ooc.outer import run_rowstream_outer, run_tile_outer
-from repro.ooc.plan import (
-    plan_panel_inner,
-    plan_rowstream_outer,
-    plan_tile_outer,
-)
+from repro.ooc.plan import plan_rowstream_outer, plan_tile_outer
 from repro.ooc.scope import DeviceScope
 from repro.ooc.streams import StreamBundle
-from repro.ooc.trsm import plan_ooc_trsm, run_ooc_trsm, run_panel_trsm
+from repro.ooc.trsm import (
+    plan_ooc_trsm,
+    plan_panel_trsm,
+    run_ooc_trsm,
+    run_panel_trsm,
+)
 from repro.qr.options import QrOptions
 from repro.util.units import gemm_flops
 
@@ -107,14 +108,30 @@ def _blocking_lu_body(ex, a, options, m, n, b, info, s, scope,
         # 2. U12 = L11^{-1} A12: triangle resident (top of the panel),
         #    A12 streamed in column blocks
         tri_view = panel_buf.view(0, width, 0, width)
-        trsm_plan = plan_panel_inner(
+        budget = ex.allocator.free_bytes // ebytes
+        tile_chunk = options.tile_chunk(ex.config, m - col1, trailing)
+        # keep X resident only when the trailing update still fits beside it
+        keep = options.reuse_inner_result
+        if keep:
+            try:
+                plan_tile_outer(
+                    M=m - col1,
+                    K=width,
+                    N=trailing,
+                    blocksize=tile_chunk,
+                    budget_elements=budget - width * trailing,
+                    n_buffers=options.n_buffers,
+                    staging=options.staging_buffer,
+                )
+            except PlanError:
+                keep = False
+        trsm_plan = plan_panel_trsm(
             K=width,
-            M=width,
             N=trailing,
             blocksize=b,
-            budget_elements=ex.allocator.free_bytes // ebytes,
+            budget_elements=budget,
             n_buffers=options.n_buffers,
-            prefer_keep_c=options.reuse_inner_result,
+            keep_x=keep,
         )
         trsm_res = run_panel_trsm(
             ex,
@@ -142,7 +159,7 @@ def _blocking_lu_body(ex, a, options, m, n, b, info, s, scope,
                 M=m - col1,
                 K=width,
                 N=trailing,
-                blocksize=options.tile_chunk(ex.config, m - col1, trailing),
+                blocksize=tile_chunk,
                 budget_elements=ex.allocator.free_bytes // ebytes,
                 n_buffers=options.n_buffers,
                 staging=options.staging_buffer,

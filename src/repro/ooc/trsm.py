@@ -107,6 +107,59 @@ def plan_ooc_trsm(
     )
 
 
+@dataclass(frozen=True)
+class PanelTrsmPlan:
+    """Layout for blocking LU's U12 solve: the K-by-K triangle is already
+    resident; B streams in column blocks into X, which is one resident
+    K-by-N buffer (``keep_x``) or ``n_buffers`` rotating K-by-block ones.
+    """
+
+    K: int
+    N: int
+    n_buffers: int
+    blocks: list[tuple[int, int]]    # (col offset, width) of B/X blocks
+    keep_x: bool
+
+    @property
+    def max_block(self) -> int:
+        return max(w for _, w in self.blocks)
+
+    def working_set_elements(self) -> int:
+        """Device elements beyond the resident triangle: exactly the X
+        buffers :func:`run_panel_trsm` allocates."""
+        if self.keep_x:
+            return self.K * self.N
+        return self.n_buffers * self.K * self.max_block
+
+
+def plan_panel_trsm(
+    K: int,
+    N: int,
+    blocksize: int,
+    budget_elements: int,
+    *,
+    n_buffers: int = DEFAULT_BUFFERS,
+    keep_x: bool = True,
+) -> PanelTrsmPlan:
+    """Plan a panel TRSM within *budget_elements* (which excludes the
+    triangle): X stays resident when *keep_x* and it fits, else X blocks
+    stream at the widest width up to *blocksize* that fits."""
+    K, N = positive_int(K, "K"), positive_int(N, "N")
+    blocksize = min(positive_int(blocksize, "blocksize"), N)
+    n_buffers = max(2, positive_int(n_buffers, "n_buffers"))
+    if keep_x and K * N <= budget_elements:
+        return PanelTrsmPlan(K, N, n_buffers, uniform_schedule(N, blocksize), True)
+    b = blocksize
+    while b >= 1:
+        if n_buffers * K * b <= budget_elements:
+            return PanelTrsmPlan(K, N, n_buffers, uniform_schedule(N, b), False)
+        b //= 2
+    raise PlanError(
+        f"panel trsm with K={K}, N={N} cannot fit in {budget_elements} "
+        "device elements"
+    )
+
+
 def run_ooc_trsm(
     ex: Executor,
     l_host: HostRegion,
@@ -224,7 +277,7 @@ def run_panel_trsm(
     l_dev,
     b_host: HostRegion,
     x_out: HostRegion | None,
-    plan,
+    plan: PanelTrsmPlan,
     *,
     streams: StreamBundle | None = None,
     unit_diag: bool = True,
@@ -236,23 +289,20 @@ def run_panel_trsm(
     (inside the factorized panel); the right-hand side streams in column
     blocks — the TRSM analogue of the Fig-4 panel-resident inner product.
 
-    Parameters mirror :func:`repro.ooc.inner.run_panel_inner`: *plan* is a
-    :class:`~repro.ooc.plan.PanelInnerPlan` with ``K == M ==`` the triangle
-    size; when ``plan.keep_c`` the solved X stays resident and its buffer
-    is returned (for reuse as the trailing update's B operand).
+    When ``plan.keep_x`` the solved X stays resident and its buffer is
+    returned (for reuse as the trailing update's B operand).
     """
     from repro.execution.base import as_view
 
     l_dev = as_view(l_dev)
     k = l_dev.rows
-    if l_dev.shape != (k, k) or plan.K != k or plan.M != k:
+    if l_dev.shape != (k, k) or plan.K != k:
         raise ShapeError(
-            f"panel trsm: triangle {l_dev.shape} does not match plan "
-            f"K={plan.K}, M={plan.M}"
+            f"panel trsm: triangle {l_dev.shape} does not match plan K={plan.K}"
         )
     if b_host.shape != (k, plan.N):
         raise ShapeError(f"B is {b_host.shape}, plan expects {(k, plan.N)}")
-    if x_out is None and not plan.keep_c:
+    if x_out is None and not plan.keep_x:
         raise PlanError("panel trsm must write x_out or keep X resident")
 
     s = streams or StreamBundle.create(ex, tag)
@@ -263,7 +313,7 @@ def run_panel_trsm(
 
     scope = DeviceScope(ex)
     with scope:
-        if plan.keep_c:
+        if plan.keep_x:
             x_dev = scope.alloc(k, plan.N, f"{tag}-X")
             blocks_dev = None
         else:
@@ -290,7 +340,7 @@ def _panel_trsm_body(
         slot = j % nb
         if j >= nb:
             ex.wait_event(s.h2d, consumed[j - nb])
-        if plan.keep_c:
+        if plan.keep_x:
             x_view = x_dev.view(0, k, col0, col0 + width)
         else:
             x_view = blocks_dev[slot].view(0, k, 0, width)
@@ -302,13 +352,13 @@ def _panel_trsm_body(
         if x_out is not None:
             ex.wait_event(s.d2h, done)
             ex.d2h(x_out.sub(0, k, col0, col0 + width), x_view, s.d2h)
-            if not plan.keep_c:
+            if not plan.keep_x:
                 done = ex.record_event(s.d2h)
         consumed[j] = done
         if not pipelined:
             ex.synchronize()
 
-    if plan.keep_c:
+    if plan.keep_x:
         return InnerProductResult(
             scope.release(x_dev), len(plan.blocks), "panel-trsm"
         )

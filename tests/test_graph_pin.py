@@ -170,7 +170,7 @@ PINNED = {
         "9e3773cb15819b603e618cc07f83b7890640ec3a73a7de67f7b443d2e2ccc992"
     ),
     "lu-blocking@1024x1024b128-1gib3": (
-        "eed2e8ead09a0acf5f1d3da076b61b775dda61ff390c328d4155dea1e07b54b0"
+        "c95828f6b6f399695cfa1ce91ae7e7e6fdd4300f2b2edf30258597f74ba63d0b"
     ),
     "lu-blocking@128x64b8": (
         "cdcee438a65e455f721e455ea77ea3bfa6b1e12f012a2e17896dedd3197fbb7d"

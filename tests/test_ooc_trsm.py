@@ -6,8 +6,12 @@ import scipy.linalg
 
 from repro.errors import PlanError, ShapeError
 from repro.host.tiled import HostMatrix
-from repro.ooc.plan import plan_panel_inner
-from repro.ooc.trsm import plan_ooc_trsm, run_ooc_trsm, run_panel_trsm
+from repro.ooc.trsm import (
+    plan_ooc_trsm,
+    plan_panel_trsm,
+    run_ooc_trsm,
+    run_panel_trsm,
+)
 
 
 def budget(ex):
@@ -186,7 +190,7 @@ class TestPanelTrsm:
         rhs = rng.standard_normal((k, N)).astype(np.float32)
         tri_dev = numeric_ex.alloc(k, k, "tri")
         numeric_ex.h2d(tri_dev, HostMatrix.from_array(tri, "T").full(), numeric_ex.stream("s"))
-        plan = plan_panel_inner(k, k, N, 16, budget(numeric_ex), prefer_keep_c=False)
+        plan = plan_panel_trsm(k, N, 16, budget(numeric_ex), keep_x=False)
         x = np.zeros_like(rhs)
         run_panel_trsm(
             numeric_ex,
@@ -209,8 +213,8 @@ class TestPanelTrsm:
         rhs = rng.standard_normal((k, N)).astype(np.float32)
         tri_dev = numeric_ex.alloc(k, k, "tri")
         numeric_ex.h2d(tri_dev, HostMatrix.from_array(tri, "T").full(), numeric_ex.stream("s"))
-        plan = plan_panel_inner(k, k, N, 8, budget(numeric_ex), prefer_keep_c=True)
-        assert plan.keep_c
+        plan = plan_panel_trsm(k, N, 8, budget(numeric_ex))
+        assert plan.keep_x
         res = run_panel_trsm(
             numeric_ex, tri_dev, HostMatrix.from_array(rhs, "B").full(), None, plan
         )
@@ -219,20 +223,77 @@ class TestPanelTrsm:
         numeric_ex.free(tri_dev)
 
 
+class TestPanelTrsmPlan:
+    """The panel TRSM plan counts exactly the X buffers the solve allocates."""
+
+    K, N, B = 64, 448, 64
+
+    def test_streams_the_full_block_when_its_buffers_fit(self):
+        plan = plan_panel_trsm(self.K, self.N, self.B, 2 * self.K * self.B,
+                               keep_x=False)
+        assert plan.max_block == self.B
+        assert plan.working_set_elements() == 2 * self.K * self.B
+
+    def test_keeps_x_when_it_fits_exactly(self):
+        plan = plan_panel_trsm(self.K, self.N, self.B, self.K * self.N)
+        assert plan.keep_x and plan.max_block == self.B
+        narrower = plan_panel_trsm(self.K, self.N, self.B, self.K * self.N - 1)
+        assert not narrower.keep_x
+
+    def test_unplannable(self):
+        with pytest.raises(PlanError):
+            plan_panel_trsm(self.K, self.N, self.B, 2 * self.K - 1)
+
+    @pytest.mark.parametrize("keep_x", [True, False])
+    def test_working_set_is_the_allocator_peak_at_a_tight_grant(
+        self, keep_x, numeric_ex, rng
+    ):
+        ex = numeric_ex
+        k, N, b = self.K, self.N, self.B
+        tri = make_triangle(k, rng)
+        tri_dev = ex.alloc(k, k, "tri")
+        ex.h2d(tri_dev, HostMatrix.from_array(tri, "T").full(), ex.stream("s"))
+        need = k * N if keep_x else 2 * k * b
+        # leave exactly the plan's working set free
+        filler = ex.alloc(1, budget(ex) - need, "filler")
+        plan = plan_panel_trsm(k, N, b, budget(ex), keep_x=keep_x)
+        assert plan.keep_x == keep_x and plan.max_block == b
+        assert plan.working_set_elements() == need == budget(ex)
+        base = ex.allocator.used
+        rhs = rng.standard_normal((k, N)).astype(np.float32)
+        x = np.zeros_like(rhs)
+        res = run_panel_trsm(
+            ex, tri_dev, HostMatrix.from_array(rhs, "B").full(),
+            HostMatrix.from_array(x, "X").full(), plan,
+        )
+        ex.synchronize()
+        assert ex.allocator.peak - base == need * ex.config.element_bytes
+        ref = scipy.linalg.solve_triangular(
+            np.tril(tri, -1) + np.eye(k, dtype=np.float32), rhs,
+            lower=True, unit_diagonal=True,
+        )
+        np.testing.assert_allclose(x, ref, rtol=1e-4, atol=1e-4)
+        if res.c_device is not None:
+            ex.free(res.c_device)
+        for buf in (filler, tri_dev):
+            ex.free(buf)
+        ex.allocator.check_balanced()
+
+
 class TestBlockingLuTrsmPin:
     """Blocking LU's U12 solves at tight grants (512², b=64, sim mode): per
     solve, (N, streamed block width, X left resident). Integer plan
     arithmetic only, so the pin holds in every environment."""
 
     PINNED = {
-        160 << 10: [(448, 8, False), (384, 8, False), (320, 8, False),
-                    (256, 8, False), (192, 8, False), (128, 8, False),
-                    (64, 8, False)],
-        200 << 10: [(448, 32, False), (384, 32, False), (320, 32, False),
-                    (256, 32, False), (192, 4, True), (128, 32, True),
+        160 << 10: [(448, 16, False), (384, 16, False), (320, 16, False),
+                    (256, 16, False), (192, 16, False), (128, 16, False),
+                    (64, 16, False)],
+        200 << 10: [(448, 64, False), (384, 64, False), (320, 64, False),
+                    (256, 64, False), (192, 64, True), (128, 64, True),
                     (64, 64, True)],
-        240 << 10: [(448, 64, False), (384, 64, False), (320, 16, True),
-                    (256, 32, True), (192, 64, True), (128, 64, True),
+        240 << 10: [(448, 64, False), (384, 64, False), (320, 64, True),
+                    (256, 64, True), (192, 64, True), (128, 64, True),
                     (64, 64, True)],
     }
 
