@@ -109,29 +109,29 @@ def _blocking_lu_body(ex, a, options, m, n, b, info, s, scope,
         #    A12 streamed in column blocks
         tri_view = panel_buf.view(0, width, 0, width)
         budget = ex.allocator.free_bytes // ebytes
-        tile_chunk = options.tile_chunk(ex.config, m - col1, trailing)
-        # keep X resident only when the trailing update still fits beside it
-        keep = options.reuse_inner_result
-        if keep:
+        # keep X resident only when the trailing update still plans beside
+        # it; X is then all the solve leaves allocated, so this is its plan
+        tile_plan = None
+        if options.reuse_inner_result:
             try:
-                plan_tile_outer(
+                tile_plan = plan_tile_outer(
                     M=m - col1,
                     K=width,
                     N=trailing,
-                    blocksize=tile_chunk,
+                    blocksize=options.tile_chunk(ex.config, m - col1, trailing),
                     budget_elements=budget - width * trailing,
                     n_buffers=options.n_buffers,
                     staging=options.staging_buffer,
                 )
             except PlanError:
-                keep = False
+                pass
         trsm_plan = plan_panel_trsm(
             K=width,
             N=trailing,
             blocksize=b,
             budget_elements=budget,
             n_buffers=options.n_buffers,
-            keep_x=keep,
+            keep_x=tile_plan is not None,
         )
         trsm_res = run_panel_trsm(
             ex,
@@ -155,15 +155,6 @@ def _blocking_lu_body(ex, a, options, m, n, b, info, s, scope,
         l21_view = panel_buf.view(width, height, 0, width)
         u12_dev = scope.adopt(trsm_res.c_device)
         if u12_dev is not None:
-            tile_plan = plan_tile_outer(
-                M=m - col1,
-                K=width,
-                N=trailing,
-                blocksize=tile_chunk,
-                budget_elements=ex.allocator.free_bytes // ebytes,
-                n_buffers=options.n_buffers,
-                staging=options.staging_buffer,
-            )
             run_tile_outer(
                 ex,
                 a.region(col1, m, col1, n),
