@@ -57,7 +57,7 @@ def _check_tall(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _lu_leaf(
-    a: np.ndarray, scale: float, on_fallback: LeafFallback | None = None
+    a: np.ndarray, scale: float, on_fallback: LeafFallback | None
 ) -> None:
     """Unpivoted LU of a tall leaf block, in place (fp32).
 

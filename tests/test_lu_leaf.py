@@ -12,6 +12,8 @@ every row, the leaf before that split. These tests pin:
   every accepted leaf's ``‖A − LU‖/‖A‖`` stays within 2x the oracle's,
   every leaf above the bound is rejected, and the GEMM path breaks the 2x
   bound from 2x the constant on;
+* with every leaf rejected, ``ooc_lu`` reproduces the loop's golden
+  digests, so the in-place panel body changes no bit;
 * a rejected leaf inside ``ooc_lu`` emits one ``panel-fallback`` event.
 
 Run this file as a script to print the sweep table::
@@ -255,6 +257,35 @@ class TestInPlace:
         assert np.array_equal(view, ref)
         assert np.array_equal(wide[:, :64], before[:, :64])
         assert np.array_equal(wide[:, 128:], before[:, 128:])
+
+
+class TestFallbackGolden:
+    """With every leaf rejected, the OOC LU (panel factored in place) is
+    bitwise the rank-1 leaf's: the packed digests pinned before the GEMM
+    path, in the golden file's environment."""
+
+    ORACLE_DIGESTS = {
+        "blocking": (
+            "35940b86587c195a62be0df7f65f1b7489ef6d00c34df85dcfd0d10d7bc10ef5"
+        ),
+        "recursive": (
+            "5715dae857149fdc3d1d0f880e08736e97cb55124a5214428a3bcbc31f78307f"
+        ),
+    }
+
+    @pytest.mark.parametrize("concurrency", ["serial", "threads"])
+    @pytest.mark.parametrize("method", sorted(ORACLE_DIGESTS))
+    def test_rejecting_every_leaf_reproduces_the_loop(
+        self, method, concurrency, monkeypatch
+    ):
+        from tests.test_factor_golden import _digest, _packed
+        from tests.test_qr_golden import PINNED_ENV, _environment
+
+        if _environment() != PINNED_ENV:
+            pytest.skip("digests were pinned in the golden file's environment")
+        monkeypatch.setattr(incore, "LU_LEAF_MAX_COND", -np.inf)
+        packed = _packed("lu", method, concurrency)
+        assert _digest(packed) == self.ORACLE_DIGESTS[method]
 
 
 class TestOocEvent:
